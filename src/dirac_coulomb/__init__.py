@@ -9,7 +9,6 @@ oracles.
 __version__ = "1.0.0"
 
 from .errors import (
-    AccuracyNotReached,
     ConvergenceFailure,
     DiracCoulombError,
     DomainError,
@@ -28,20 +27,16 @@ from .problem import (
     kappa,
 )
 from .special import (
-    gamma_ratio,
     laguerre,
-    laguerre_derivative,
     laguerre_generating_closed,
     laguerre_zero_value,
     log_gamma,
 )
-from .quadrature import QuadratureRule, adaptive_integral, build_rule, integrate_radial
+from .quadrature import QuadratureRule, build_rule, integrate_radial
 from .spectrum import BoundLevel, bound_level, energy, omega, scale_and_theta
 from .radialfn import LaguerreSum, LaguerreTerm
 from .radial import (
     RadialSpinor,
-    SturmianFunction,
-    apply_scaling,
     assemble_spinor,
     coefficient_ratio_Bn,
     default_residual_grid,

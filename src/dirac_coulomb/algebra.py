@@ -34,6 +34,8 @@ __all__ = [
     "RadialOperator",
     "apply_operator",
     "commutator_residual",
+    "SU11_RELATIONS",
+    "su11_relation",
     "su11_commutator_report",
     "ladder_matrix_elements",
     "casimir_residual",
@@ -107,38 +109,13 @@ class RadialOperator:
         return f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
 
 
-def apply_operator(op: RadialOperator, f, r):
-    """Apply an operator to a radial function and evaluate at r > 0.
-
-    LaguerreSum inputs go through the exact path.  Arbitrary callables use
-    a 5-point central finite-difference fallback (h adaptive, roughly 1e-4
-    accurate), good enough for exploratory use but not for the 1e-8
-    oracles, which always work on closed forms."""
-    rv = np.asarray(r, dtype=float)
-    if np.any(rv <= 0.0):
+def apply_operator(op: RadialOperator, f: LaguerreSum, r):
+    """Apply an operator to a LaguerreSum exactly and evaluate at r > 0."""
+    if not isinstance(f, LaguerreSum):
+        raise DomainError(f"operators act on LaguerreSum closed forms, got {type(f).__name__}")
+    if np.any(np.asarray(r, dtype=float) <= 0.0):
         raise DomainError("radial operators are defined for r > 0 only")
-    if isinstance(f, LaguerreSum):
-        return op.apply(f)(r)
-
-    h = 1e-3 * np.maximum(rv, 1e-2)
-    fm2, fm1, f0, fp1, fp2 = (np.asarray(f(rv + k * h), dtype=complex) for k in (-2, -1, 0, 1, 2))
-    d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    pr2 = -d2 - 2.0 * d1 / rv
-    kind = op.kind
-    if kind is OperatorKind.PR2:
-        return pr2
-    if kind is OperatorKind.A2:
-        return -1.0j * (rv * d1 + f0)
-    cent = op._cent()
-    a0 = 0.5 * (rv * pr2 + cent * f0 / rv + rv * f0)
-    a1 = 0.5 * (rv * pr2 + cent * f0 / rv - rv * f0)
-    if kind in (OperatorKind.A0, OperatorKind.K0):
-        return a0
-    if kind is OperatorKind.A1:
-        return a1
-    i_a2 = rv * d1 + f0
-    return a1 + i_a2 if kind is OperatorKind.KPLUS else a1 - i_a2
+    return op.apply(f)(r)
 
 
 def _relative_residual(lhs: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
@@ -176,34 +153,42 @@ def commutator_residual(x: RadialOperator, y: RadialOperator,
     )
 
 
+# The defining relations [X, Y] = sum_j c_j Z_j, keyed by check name.
+SU11_RELATIONS = {
+    "commutator_k0_kplus": (OperatorKind.K0, OperatorKind.KPLUS, ((1.0, OperatorKind.KPLUS),)),
+    "commutator_k0_kminus": (OperatorKind.K0, OperatorKind.KMINUS, ((-1.0, OperatorKind.KMINUS),)),
+    "commutator_kminus_kplus": (OperatorKind.KMINUS, OperatorKind.KPLUS, ((2.0, OperatorKind.K0),)),
+}
+
+
+def su11_relation(name: str, sigma: float, fault_centrifugal: float | None):
+    """Operators (X, Y, [(c_j, Z_j)]) of one relation in SU11_RELATIONS at
+    realization parameter sigma, ready for commutator_residual.
+
+    A ``fault_centrifugal`` other than None replaces sigma(sigma+1) in
+    the commuted pair only (the expected side keeps the true
+    realization); the three operators close su(1,1) for any constant when
+    perturbed together, so this is the injection that actually exposes a
+    wrong realization.
+    """
+    x, y, expected = SU11_RELATIONS[name]
+    return (
+        RadialOperator(x, sigma, fault_centrifugal),
+        RadialOperator(y, sigma, fault_centrifugal),
+        [(coef, RadialOperator(z, sigma)) for coef, z in expected],
+    )
+
+
 def su11_commutator_report(sigma: float, test_functions, grid,
                            tolerance: float = ALGEBRA_TOL,
                            fault_centrifugal: float | None = None) -> list[VerificationReport]:
-    """The three defining relations at realization parameter sigma:
-    [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0.
-
-    ``fault_centrifugal`` replaces sigma(sigma+1) in the commuted pair
-    only (the expected side keeps the true realization); the three
-    operators close su(1,1) for any constant when perturbed together, so
-    this is the injection that actually exposes a wrong realization.
-    """
-    k0 = RadialOperator(OperatorKind.K0, sigma)
-    kp = RadialOperator(OperatorKind.KPLUS, sigma)
-    km = RadialOperator(OperatorKind.KMINUS, sigma)
-    k0x = RadialOperator(OperatorKind.K0, sigma, fault_centrifugal)
-    kpx = RadialOperator(OperatorKind.KPLUS, sigma, fault_centrifugal)
-    kmx = RadialOperator(OperatorKind.KMINUS, sigma, fault_centrifugal)
+    """Reports of the three relations of SU11_RELATIONS at realization
+    parameter sigma: [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0."""
     fs = list(test_functions)
     return [
-        commutator_residual(k0x, kpx, [(1.0, kp)], fs, grid, tolerance, "commutator_k0_kplus"),
-        commutator_residual(k0x, kmx, [(-1.0, km)], fs, grid, tolerance, "commutator_k0_kminus"),
-        commutator_residual(kmx, kpx, [(2.0, k0)], fs, grid, tolerance, "commutator_kminus_kplus"),
+        commutator_residual(*su11_relation(name, sigma, fault_centrifugal), fs, grid, tolerance, name)
+        for name in SU11_RELATIONS
     ]
-
-
-def _channel_rule(channel: str, s: float, degree_budget: int):
-    alpha = 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
-    return alpha, build_rule(max(32, degree_budget + 8), alpha)
 
 
 def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float]:
@@ -215,19 +200,19 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     lowest state the down coefficient is the norm of K- f, which vanishes.
     """
     sigma = channel_realization(channel, s)
-    f_n = sturmian(channel, n, s).expr
+    f_n = sturmian(channel, n, s)
     kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
     km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
     ng = n if channel == "u" else n - 1
-    alpha, rule = _channel_rule(channel, s, n + 2)
+    rule = build_rule(max(32, n + 10), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
 
-    f_up = sturmian(channel, n + 1, s).expr
-    up = integrate_radial(lambda r: f_up(r) * kp(r) * r, scale=1.0, alpha_hint=alpha, rule=rule)
+    f_up = sturmian(channel, n + 1, s)
+    up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
     if ng >= 1:
-        f_dn = sturmian(channel, n - 1, s).expr
-        down = integrate_radial(lambda r: f_dn(r) * km(r) * r, scale=1.0, alpha_hint=alpha, rule=rule)
+        f_dn = sturmian(channel, n - 1, s)
+        down = integrate_radial(lambda r: f_dn(r) * km(r) * r, 1.0, rule)
     else:
-        norm_sq = integrate_radial(lambda r: abs(km(r)) ** 2 * r, scale=1.0, alpha_hint=alpha, rule=rule)
+        norm_sq = integrate_radial(lambda r: abs(km(r)) ** 2 * r, 1.0, rule)
         down = math.sqrt(max(float(np.real(norm_sq)), 0.0))
     return float(np.real(up)), float(np.real(down))
 
@@ -238,7 +223,7 @@ def casimir_residual(channel: str, n: int, s: float, grid,
     function, with k the channel Bargmann index."""
     sigma = channel_realization(channel, s)
     k_barg = sigma + 1.0
-    f = sturmian(channel, n, s).expr
+    f = sturmian(channel, n, s)
     kp = RadialOperator(OperatorKind.KPLUS, sigma)
     km = RadialOperator(OperatorKind.KMINUS, sigma)
     k0 = RadialOperator(OperatorKind.K0, sigma)
@@ -257,7 +242,7 @@ def a0_eigenvalue_residual(channel: str, n: int, s: float, grid,
     """A0 f_n = (n + s) f_n pointwise on either channel; this eigenvalue is
     the algebraic origin of the spectrum."""
     sigma = channel_realization(channel, s)
-    f = sturmian(channel, n, s).expr
+    f = sturmian(channel, n, s)
     grid = np.asarray(grid, dtype=float)
     lhs = RadialOperator(OperatorKind.A0, sigma).apply(f)(grid)
     rhs = (n + s) * f(grid)

@@ -21,8 +21,8 @@ gives the coherent spinor
            / (sqrt(Gamma(2s)) (1-xi)^{2s}).
 
 The coherent state is exact in the Sturmian picture; as an energy object
-it is tied to the explicit, user-visible reference scale (a_ref,
-omega_ref), defaulting to the n = 1 level.  A' is fixed by quadrature;
+it is tied to the reference scale (a_ref, omega_ref) of the n = 1
+level, which the spinor reports.  A' is fixed by quadrature;
 the conventional closed-form constant is computed for the comparison
 report only.
 """
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizable
 from .problem import DerivedConstants, ProblemParams
-from .quadrature import QuadratureRule, build_rule, integrate_radial
+from .quadrature import build_rule, integrate_radial
 from .radialfn import LaguerreSum
 from .report import NormalizationComparison
 from .special import log_gamma
@@ -48,7 +48,6 @@ __all__ = [
     "CoherentSpinor",
     "perelomov_weights",
     "truncation_order",
-    "SturmianCoherentState",
     "sturmian_coherent",
     "physical_coherent_components",
     "coherent_ratio_Bn_prime",
@@ -135,20 +134,7 @@ def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
             raise DomainError("truncation order did not converge; |xi| too close to 1")
 
 
-@dataclass(frozen=True)
-class SturmianCoherentState:
-    """Closed-form coherent state of one channel in the group basis."""
-
-    channel: str
-    s: float
-    xi: complex
-    expr: LaguerreSum
-
-    def __call__(self, r):
-        return self.expr(r)
-
-
-def sturmian_coherent(channel: str, s: float, xi: complex) -> SturmianCoherentState:
+def sturmian_coherent(channel: str, s: float, xi: complex) -> LaguerreSum:
     """Closed form of the coherent superposition of one channel's basis.
 
     v-channel: 2 (1-|xi|^2)^{s+1} / sqrt(Gamma(2s+2)) (2r)^s   e^{-r(1+xi)/(1-xi)} / (1-xi)^{2s+2}
@@ -167,14 +153,12 @@ def sturmian_coherent(channel: str, s: float, xi: complex) -> SturmianCoherentSt
     if channel == "v":
         coef = 2.0 * one_m ** (s + 1.0) / math.sqrt(math.exp(log_gamma(2.0 * s + 2.0)))
         coef = coef * 2.0**s * (1.0 - xi) ** (-(2.0 * s + 2.0))
-        expr = LaguerreSum.single(coef, power=s, decay=decay)
-    elif channel == "u":
+        return LaguerreSum.single(coef, power=s, decay=decay)
+    if channel == "u":
         coef = 2.0 * one_m**s / math.sqrt(math.exp(log_gamma(2.0 * s)))
         coef = coef * 2.0 ** (s - 1.0) * (1.0 - xi) ** (-2.0 * s)
-        expr = LaguerreSum.single(coef, power=s - 1.0, decay=decay)
-    else:
-        raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
-    return SturmianCoherentState(channel=channel, s=s, xi=xi, expr=expr)
+        return LaguerreSum.single(coef, power=s - 1.0, decay=decay)
+    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
 def physical_coherent_components(s: float, xi: complex, a_ref: float) -> tuple[LaguerreSum, LaguerreSum]:
@@ -185,8 +169,8 @@ def physical_coherent_components(s: float, xi: complex, a_ref: float) -> tuple[L
     if a_ref <= 0.0:
         raise DomainError(f"reference scale must be positive, got {a_ref}")
     theta = math.log(a_ref)
-    u = sturmian_coherent("u", s, xi).expr.scaled(theta).times_power(1)
-    v = sturmian_coherent("v", s, xi).expr.scaled(theta).times_power(1)
+    u = sturmian_coherent("u", s, xi).scaled(theta).times_power(1)
+    v = sturmian_coherent("v", s, xi).scaled(theta).times_power(1)
     return u, v
 
 
@@ -257,12 +241,10 @@ class CoherentSpinor:
 
 
 def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
-                             xi: complex, a_ref: float | None = None,
-                             omega_ref: float | None = None,
-                             rule: QuadratureRule | None = None) -> CoherentSpinor:
+                             xi: complex) -> CoherentSpinor:
     """Build the normalized coherent spinor at label xi.
 
-    The reference scale defaults to the n = 1 level.  The constant A' is
+    The reference scale is that of the n = 1 level.  The constant A' is
     fixed by quadrature of int (|F|^2 + |G|^2) dr = 1; its sign makes F
     real positive at r_0 = 1/a_ref for real xi, and complex xi inherits
     the continuous phase (the sign factor is xi-independent).
@@ -270,10 +252,8 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
     xi = complex(xi)
     if abs(xi) >= 1.0:
         raise DomainError(f"coherent spinor requires |xi| < 1, got |xi| = {abs(xi)}")
-    if a_ref is None or omega_ref is None:
-        ref = bound_level(1, params, constants)
-        a_ref = ref.a if a_ref is None else a_ref
-        omega_ref = ref.omega if omega_ref is None else omega_ref
+    ref = bound_level(1, params, constants)
+    a_ref, omega_ref = ref.a, ref.omega
     s, k = constants.s, constants.kappa
 
     decay = a_ref * (1.0 + xi) / (1.0 - xi)
@@ -296,11 +276,9 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
         + LaguerreSum.single(pref * (s - k) * w_over, power=s + 1.0, decay=decay)
     )
 
-    if rule is None:
-        rule = build_rule(32, 2.0 * s)
     norm_sq = integrate_radial(
         lambda r: np.abs(f_expr(r)) ** 2 + np.abs(g_expr(r)) ** 2,
-        scale=decay.real, alpha_hint=2.0 * s, rule=rule,
+        decay.real, build_rule(32, 2.0 * s),
     )
     sign = 1.0 if (s - k) - constants.alpha_minus * omega_ref / (a_ref * (2.0 * s + 1.0)) >= 0.0 else -1.0
     a_prime = sign / math.sqrt(float(np.real(norm_sq)))

@@ -27,11 +27,6 @@ class ConvergenceFailure(DiracCoulombError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-class AccuracyNotReached(DiracCoulombError, RuntimeError):
-    """Two independent integration paths disagree beyond tolerance, or the
-    evaluation budget was exhausted before reaching the target accuracy."""
-
-
 class NonNormalizable(DiracCoulombError, ValueError):
     """The requested state has a non-decaying envelope and cannot be
     normalized."""

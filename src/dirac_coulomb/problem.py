@@ -35,6 +35,8 @@ class Alignment(str, Enum):
 
 
 def _validate_half_integer(j: float) -> int:
+    if not math.isfinite(j):
+        raise DomainError(f"j must be a positive half-integer (1/2, 3/2, ...), got {j}")
     two_j = round(2.0 * j)
     if abs(2.0 * j - two_j) > 1e-12 or two_j < 1 or two_j % 2 == 0:
         raise DomainError(f"j must be a positive half-integer (1/2, 3/2, ...), got {j}")
@@ -62,6 +64,9 @@ class ProblemParams:
             raise DomainError(f"dimension must be an integer >= 2, got {self.dimension}")
         _validate_half_integer(self.j)
         object.__setattr__(self, "alignment", Alignment(self.alignment))
+        for name in ("alpha_v", "alpha_s", "mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha_v > 0.0:
             raise DomainError(f"alpha_v must be positive, got {self.alpha_v}")
         if self.alpha_s < 0.0:

@@ -1,5 +1,4 @@
-"""Gauss-Laguerre quadrature with generalized weight x^alpha e^-x, plus an
-adaptive fallback for integrands that are not declared smooth.
+"""Gauss-Laguerre quadrature with generalized weight x^alpha e^-x.
 
 Rules keep their weights in log space so that large orders (N up to 512,
 where the raw weights underflow doubles) remain usable; integration always
@@ -14,15 +13,12 @@ from math import lgamma, log
 
 import numpy as np
 
-from .errors import AccuracyNotReached, ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError
 
-__all__ = ["QuadratureRule", "build_rule", "integrate_radial", "adaptive_integral"]
+__all__ = ["QuadratureRule", "build_rule", "integrate_radial"]
 
 MAX_ORDER = 512
 _NEWTON_RTOL = 1e-14
-_ADAPTIVE_TOL = 1e-10
-_ADAPTIVE_MAX_EVALS = 10**6
-_CROSS_CHECK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -37,11 +33,6 @@ class QuadratureRule:
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
-
-    @property
-    def scaled_weights(self) -> np.ndarray:
-        """Weights with the exponential factored back in: w_i * e^{x_i}."""
-        return np.exp(self.log_weights + self.nodes)
 
     def integrate_moment(self, k: float) -> float:
         """int_0^inf x^(alpha+k) e^-x dx by this rule; exact for k <= 2N-1 integer."""
@@ -127,93 +118,18 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(order=n, alpha=alpha, nodes=x, log_weights=log_w)
 
 
-def adaptive_integral(f, tol: float = _ADAPTIVE_TOL, max_evals: int = _ADAPTIVE_MAX_EVALS):
-    """Adaptive Simpson integration of f over (0, inf).
+def integrate_radial(f, scale: float, rule: QuadratureRule):
+    """Integrate f over (0, inf) by Gauss-Laguerre.
 
-    The half-line is covered by the segments [0,1], [1,2], [2,4], ... with
-    doubling length; extension stops once two consecutive segments
-    contribute less than tol/10.  Complex integrands are handled
-    transparently.  Raises AccuracyNotReached when the evaluation budget is
-    exhausted before the local error targets are met.
+    The caller declares smoothness: f(r) = r^rule.alpha * e^{-2 scale r}
+    * (smooth slowly-varying part), and f must accept an array of radii.
+    The rule is applied under the substitution x = 2*scale*r.
     """
-    evals = [0]
-
-    def feval(r):
-        evals[0] += 1
-        if evals[0] > max_evals:
-            raise AccuracyNotReached(f"adaptive integration exceeded {max_evals} evaluations")
-        return f(r)
-
-    def simpson(a, fa, b, fb, fm, whole, tol_seg, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = feval(lm), feval(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0:
-            raise AccuracyNotReached("adaptive integration exceeded maximum recursion depth")
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol_seg:
-            return left + right + err / 15.0
-        return simpson(a, fa, m, fm, flm, left, tol_seg / 2.0, depth - 1) + simpson(
-            m, fm, b, fb, frm, right, tol_seg / 2.0, depth - 1
-        )
-
-    total = 0.0 + 0.0j
-    lo = 0.0
-    hi = 1.0
-    quiet = 0
-    for _ in range(60):
-        fa, fb = feval(lo), feval(hi)
-        fm = feval(0.5 * (lo + hi))
-        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-        seg = simpson(lo, fa, hi, fb, fm, whole, tol / 8.0, 48)
-        total += seg
-        if abs(seg) < tol / 10.0:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        lo, hi = hi, 2.0 * hi
-    if abs(total.imag) < 1e-300 + 1e-15 * abs(total.real):
-        return total.real
-    return total
-
-
-def integrate_radial(f, scale: float | None = None, alpha_hint: float | None = None,
-                     rule: QuadratureRule | None = None, cross_check: bool = False):
-    """Integrate f over (0, inf).
-
-    When the caller declares smoothness, meaning f(r) = r^alpha_hint *
-    e^{-2 scale r} * (smooth slowly-varying part), the integral is computed
-    by Gauss-Laguerre under the substitution x = 2*scale*r.  Without the
-    declaration the adaptive fallback is used (tolerance 1e-10, at most
-    10^6 evaluations).  With ``cross_check`` both paths run and
-    AccuracyNotReached is raised if they disagree beyond 1e-7.
-    """
-    declared = scale is not None and alpha_hint is not None
-    if not declared:
-        return adaptive_integral(f)
     if scale <= 0.0:
         raise DomainError(f"integration scale must be positive, got {scale}")
-    if rule is None:
-        rule = build_rule(96, alpha_hint)
     r = rule.nodes / (2.0 * scale)
     w = np.exp(rule.log_weights + rule.nodes - rule.alpha * np.log(rule.nodes)) / (2.0 * scale)
-    try:
-        fv = np.asarray(f(r))
-        if fv.shape != r.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.asarray([f(ri) for ri in r])
-    gl = complex(np.sum(w * fv))
+    gl = complex(np.sum(w * f(r)))
     if abs(gl.imag) < 1e-300 + 1e-15 * abs(gl.real):
         gl = gl.real
-    if cross_check:
-        ad = adaptive_integral(f)
-        if abs(gl - ad) > _CROSS_CHECK_TOL * max(1.0, abs(gl)):
-            raise AccuracyNotReached(
-                f"Gauss-Laguerre ({gl}) and adaptive ({ad}) integrals disagree beyond {_CROSS_CHECK_TOL}"
-            )
     return gl

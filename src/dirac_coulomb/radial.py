@@ -24,17 +24,15 @@ import numpy as np
 
 from .errors import DomainError, NoBoundState
 from .problem import DerivedConstants
-from .quadrature import QuadratureRule, build_rule, integrate_radial
+from .quadrature import build_rule, integrate_radial
 from .radialfn import LaguerreSum
 from .report import NormalizationComparison, VerificationReport
 from .special import log_gamma
 from .spectrum import BoundLevel
 
 __all__ = [
-    "SturmianFunction",
     "RadialSpinor",
     "sturmian",
-    "apply_scaling",
     "physical_components",
     "spinor_coefficients",
     "coefficient_ratio_Bn",
@@ -49,21 +47,8 @@ FIRST_ORDER_TOL = 1e-8
 SECOND_ORDER_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class SturmianFunction:
-    """One group-basis function; evaluable and orthonormal under r dr."""
-
-    channel: str
-    n: int
-    s: float
-    expr: LaguerreSum
-
-    def __call__(self, r):
-        return self.expr(r)
-
-
-def sturmian(channel: str, n: int, s: float) -> SturmianFunction:
-    """Sturmian basis function of one channel.
+def sturmian(channel: str, n: int, s: float) -> LaguerreSum:
+    """Sturmian basis function of one channel, orthonormal under r dr.
 
     v-channel (n >= 1):  2 sqrt((n-1)!/Gamma(n+2s+1)) (2r)^s     e^-r L_{n-1}^{2s+1}(2r)
     u-channel (n >= 0):  2 sqrt(n!/Gamma(n+2s))       (2r)^{s-1} e^-r L_n^{2s-1}(2r)
@@ -74,31 +59,15 @@ def sturmian(channel: str, n: int, s: float) -> SturmianFunction:
         if n < 1:
             raise DomainError(f"v-channel Sturmian requires n >= 1, got {n}")
         norm = 2.0 * math.exp(0.5 * (log_gamma(n) - log_gamma(n + 2.0 * s + 1.0)))
-        expr = LaguerreSum.single(norm * 2.0**s, power=s, decay=1.0,
+        return LaguerreSum.single(norm * 2.0**s, power=s, decay=1.0,
                                   degree=n - 1, alpha=2.0 * s + 1.0, argscale=2.0)
-    elif channel == "u":
+    if channel == "u":
         if n < 0:
             raise DomainError(f"u-channel Sturmian requires n >= 0, got {n}")
         norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + 2.0 * s)))
-        expr = LaguerreSum.single(norm * 2.0 ** (s - 1.0), power=s - 1.0, decay=1.0,
+        return LaguerreSum.single(norm * 2.0 ** (s - 1.0), power=s - 1.0, decay=1.0,
                                   degree=n, alpha=2.0 * s - 1.0, argscale=2.0)
-    else:
-        raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
-    return SturmianFunction(channel=channel, n=n, s=s, expr=expr)
-
-
-def apply_scaling(f, theta: float):
-    """Dilation e^{i theta A_2}: f(r) -> e^theta f(e^theta r).
-
-    Structure-preserving for LaguerreSum inputs, a plain closure for any
-    other callable.
-    """
-    if isinstance(f, LaguerreSum):
-        return f.scaled(theta)
-    if isinstance(f, SturmianFunction):
-        return f.expr.scaled(theta)
-    g = math.exp(theta)
-    return lambda r: g * f(g * r)
+    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
 def physical_components(level: BoundLevel, constants: DerivedConstants) -> tuple[LaguerreSum, LaguerreSum]:
@@ -111,7 +80,7 @@ def physical_components(level: BoundLevel, constants: DerivedConstants) -> tuple
     """
     u_bar = sturmian("u", level.n, constants.s)
     v_bar = sturmian("v", level.n, constants.s)
-    return u_bar.expr.scaled(level.theta), v_bar.expr.scaled(level.theta)
+    return u_bar.scaled(level.theta), v_bar.scaled(level.theta)
 
 
 def spinor_coefficients(n: int, constants: DerivedConstants, omega: float) -> tuple[float, float, float, float]:
@@ -192,8 +161,7 @@ def closed_form_normalization_constant(level: BoundLevel, constants: DerivedCons
     )
 
 
-def assemble_spinor(level: BoundLevel, constants: DerivedConstants,
-                    rule: QuadratureRule | None = None) -> RadialSpinor:
+def assemble_spinor(level: BoundLevel, constants: DerivedConstants) -> RadialSpinor:
     """Build the normalized spinor of one level.
 
     The constant is fixed by Gauss-Laguerre quadrature of
@@ -203,11 +171,8 @@ def assemble_spinor(level: BoundLevel, constants: DerivedConstants,
     if not level.a > 0.0:
         raise NoBoundState("cannot assemble a spinor at a = 0 (free-limit degenerate case)")
     (f1, f2, g1, g2), f_expr, g_expr = _spinor_parts(level, constants)
-    s, a = constants.s, level.a
-    if rule is None:
-        rule = build_rule(max(32, level.n + 16), 2.0 * s)
-    norm_sq = integrate_radial(lambda r: f_expr(r) ** 2 + g_expr(r) ** 2,
-                               scale=a, alpha_hint=2.0 * s, rule=rule)
+    rule = build_rule(max(32, level.n + 16), 2.0 * constants.s)
+    norm_sq = integrate_radial(lambda r: f_expr(r) ** 2 + g_expr(r) ** 2, level.a, rule)
     a_n = math.copysign(1.0 / math.sqrt(float(norm_sq)), f1)
     comparison = NormalizationComparison(
         quadrature_constant=abs(a_n),

@@ -17,10 +17,8 @@ from .errors import DomainError
 
 __all__ = [
     "laguerre",
-    "laguerre_derivative",
     "laguerre_zero_value",
     "log_gamma",
-    "gamma_ratio",
     "laguerre_generating_closed",
 ]
 
@@ -48,15 +46,6 @@ def laguerre(n: int, alpha: float, x):
     return float(cur) if scalar else cur
 
 
-def laguerre_derivative(n: int, alpha: float, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x); zero for n = 0."""
-    if n < 0:
-        raise DomainError(f"Laguerre degree must be >= 0, got {n}")
-    if n == 0:
-        return 0.0 if np.isscalar(x) else np.zeros_like(np.asarray(x, dtype=float))
-    return -laguerre(n - 1, alpha + 1.0, x)
-
-
 def laguerre_zero_value(n: int, alpha: float) -> float:
     """L_n^alpha(0) = Gamma(n+alpha+1) / (n! Gamma(alpha+1))."""
     if n < 0:
@@ -75,11 +64,6 @@ def log_gamma(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) for positive a, b, computed in log space."""
-    return math.exp(log_gamma(a) - log_gamma(b))
 
 
 def laguerre_generating_closed(nu: float, y: complex, x: float) -> complex:

@@ -20,9 +20,10 @@ from .algebra import (
     a0_eigenvalue_residual,
     casimir_residual,
     channel_realization,
+    commutator_residual,
     ladder_matrix_elements,
     scaling_identity_residual,
-    su11_commutator_report,
+    su11_relation,
 )
 from .coherent import (
     assemble_coherent_spinor,
@@ -54,6 +55,7 @@ __all__ = [
     "run_suite",
     "generating_reference_sum",
     "coherent_truncated_sum",
+    "coherent_closed_residual",
     "sommerfeld_energy",
 ]
 
@@ -146,6 +148,16 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     return total, n_used, n_l2
 
 
+def coherent_closed_residual(channel: str, s: float, xi: complex) -> float:
+    """Sup-norm distance between one channel's closed-form coherent state
+    and its truncated group expansion on [1e-2, 40], relative to the
+    closed form's peak."""
+    grid = np.geomspace(0.01, 40.0, 200)
+    closed = sturmian_coherent(channel, s, xi)(grid)
+    series, _, _ = coherent_truncated_sum(channel, s, xi, grid)
+    return float(np.max(np.abs(closed - series)) / np.max(np.abs(closed)))
+
+
 def sommerfeld_energy(n: int, s: float, alpha_v: float, mass: float) -> float:
     """Closed form of the alpha_s = 0 spectrum: m (1 + alpha_v^2/(n+s)^2)^{-1/2}."""
     return mass / math.sqrt(1.0 + (alpha_v / (n + s)) ** 2)
@@ -218,8 +230,7 @@ def _gram_residual(channel, s, n_count):
     worst = 0.0
     for i, fi in enumerate(fns):
         for j in range(i, len(fns)):
-            val = integrate_radial(lambda r: fi(r) * fns[j](r) * r,
-                                   scale=1.0, alpha_hint=alpha, rule=rule)
+            val = integrate_radial(lambda r: fi(r) * fns[j](r) * r, 1.0, rule)
             target = 1.0 if i == j else 0.0
             worst = max(worst, abs(float(np.real(val)) - target))
     return worst
@@ -245,19 +256,17 @@ def _algebra_family(params):
     for s in s_values:
         for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
             sigma = channel_realization(channel, s)
-            fns = [sturmian(channel, n, s).expr for n in n_range]
+            fns = [sturmian(channel, n, s) for n in n_range]
             out.append((sigma, fns))
     return out
 
 
 def _check_commutator(which):
-    index = {"commutator_k0_kplus": 0, "commutator_k0_kminus": 1, "commutator_kminus_kplus": 2}[which]
-
     def check(params, tol):
         grid = np.geomspace(0.05, 30.0, 60)
         residuals = []
         for sigma, fns in _algebra_family(params):
-            rep = su11_commutator_report(sigma, fns, grid, tol)[index]
+            rep = commutator_residual(*su11_relation(which, sigma, None), fns, grid, tol, which)
             residuals.append(rep.residual_max)
         return VerificationReport.from_residuals(which, residuals, tol,
                                                  context={"families": len(residuals)})
@@ -312,7 +321,7 @@ def _check_a0(params, tol):
 def _check_scaling(params, tol):
     grid = np.geomspace(0.05, 30.0, 60)
     s = derive_constants(params).s
-    fns = [sturmian("v", n, s).expr for n in (1, 2, 4)] + [sturmian("u", n, s).expr for n in (0, 3)]
+    fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
     residuals = []
     for theta in (0.0, 0.7, -0.7, math.log(2.0)):
         residuals.append(scaling_identity_residual(theta, fns, grid, s).residual_max)
@@ -365,7 +374,7 @@ def _check_normalization(params, tol):
             spinor = assemble_spinor(bound_level(n, p, constants), constants)
             rule = build_rule(max(48, n + 24), 2.0 * constants.s)
             total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                     scale=spinor.level.a, alpha_hint=2.0 * constants.s, rule=rule)
+                                     spinor.level.a, rule)
             residuals.append(abs(float(np.real(total)) - 1.0))
     return VerificationReport.from_residuals("normalization", residuals, tol,
                                              context={"n_max": 8})
@@ -411,14 +420,8 @@ def _check_coherent_identity(params, tol):
 
 def _check_coherent_closed(params, tol):
     s = derive_constants(params).s
-    grid = np.geomspace(0.01, 40.0, 200)
-    residuals = []
-    for channel in ("u", "v"):
-        for mod in XI_GRID:
-            for xi in (mod, mod * np.exp(2.0j)):
-                closed = sturmian_coherent(channel, s, xi)(grid)
-                series, _, _ = coherent_truncated_sum(channel, s, xi, grid)
-                residuals.append(float(np.max(np.abs(closed - series)) / np.max(np.abs(closed))))
+    residuals = [coherent_closed_residual(channel, s, xi)
+                 for channel in ("u", "v") for mod in XI_GRID for xi in (mod, mod * np.exp(2.0j))]
     return VerificationReport.from_residuals("coherent_closed_vs_sum", residuals, tol,
                                              context={"xi": "0.2,0.4,0.6", "channels": "u,v"})
 
@@ -433,7 +436,7 @@ def _check_coherent_norm(params, tol):
             rule = build_rule(48, 2.0 * constants.s)
             total = integrate_radial(
                 lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2,
-                scale=complex(decay).real, alpha_hint=2.0 * constants.s, rule=rule)
+                complex(decay).real, rule)
             residuals.append(abs(float(np.real(total)) - 1.0))
     return VerificationReport.from_residuals("coherent_norm", residuals, tol,
                                              context={"xi": "+-0.2,0.4,0.6"})

@@ -1,11 +1,7 @@
-import subprocess
-import sys
-
 import pytest
 
+from cli_support import ACCEPTANCE_LINES
 from dirac_coulomb import Alignment, ProblemParams, derive_constants
-
-ACCEPTANCE_LINES: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -25,11 +21,3 @@ def default_params():
 @pytest.fixture(scope="session")
 def default_constants(default_params):
     return derive_constants(default_params)
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a subprocess; output captured as bytes."""
-    return subprocess.run(
-        [sys.executable, "-m", "dirac_coulomb", *args],
-        capture_output=True,
-    )

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-import conftest
-from conftest import run_cli
+import cli_support
+from cli_support import run_cli
 from dirac_coulomb import (
     Alignment,
     ProblemParams,
@@ -52,7 +52,7 @@ XI_MODULI = (0.2, 0.4, 0.6)
 def _announce(num: int, name: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
     line = f"[acceptance] {num:02d} {name}: {state}{detail}"
-    conftest.ACCEPTANCE_LINES.append(line)
+    cli_support.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stderr__, flush=True)
 
 
@@ -117,8 +117,7 @@ def test_c04_sturmian_orthonormality():
             rule = build_rule(64, alpha)
             for i, fi in enumerate(fns):
                 for jdx in range(i, len(fns)):
-                    val = integrate_radial(lambda r: fi(r) * fns[jdx](r) * r,
-                                           scale=1.0, alpha_hint=alpha, rule=rule)
+                    val = integrate_radial(lambda r: fi(r) * fns[jdx](r) * r, 1.0, rule)
                     worst = max(worst, abs(val - (1.0 if i == jdx else 0.0)))
     ok = worst < 1e-10
     _announce(4, "sturmian orthonormality", ok, f" (max={worst:.2e}, tol=1e-10)")
@@ -133,7 +132,7 @@ def test_c05_su11_algebra():
             sigma = channel_realization(channel, s)
             k = sigma + 1.0
             start = 0 if channel == "u" else 1
-            fns = [sturmian(channel, n, s).expr for n in range(start, start + 10)]
+            fns = [sturmian(channel, n, s) for n in range(start, start + 10)]
             for rep in su11_commutator_report(sigma, fns, grid):
                 worst = max(worst, rep.residual_max)
             for n in range(start, start + 5):
@@ -157,8 +156,8 @@ def test_c06_scaling_identities():
     grid = np.geomspace(0.05, 30.0, 60)
     worst = 0.0
     for s in (0.866, 1.5):
-        fns = [sturmian("v", n, s).expr for n in (1, 2, 4)]
-        fns += [sturmian("u", n, s).expr for n in (0, 3)]
+        fns = [sturmian("v", n, s) for n in (1, 2, 4)]
+        fns += [sturmian("u", n, s) for n in (0, 3)]
         for theta in (0.0, 0.7, -0.7, math.log(2.0)):
             worst = max(worst, scaling_identity_residual(theta, fns, grid, s).residual_max)
     ok = worst < 1e-9
@@ -197,7 +196,7 @@ def test_c08_relativistic_normalization():
             spinor = assemble_spinor(bound_level(n, p, c), c)
             rule = build_rule(max(48, n + 24), 2.0 * c.s)
             total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                     scale=spinor.level.a, alpha_hint=2.0 * c.s, rule=rule)
+                                     spinor.level.a, rule)
             worst = max(worst, abs(total - 1.0))
             comparisons.append(spinor.normalization)
     emitted = all(comp.quadrature_constant > 0.0 and comp.ratio is not None

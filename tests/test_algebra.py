@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dirac_coulomb import algebra, verification
 from dirac_coulomb import (
     DomainError,
     LaguerreSum,
@@ -13,6 +15,7 @@ from dirac_coulomb import (
     casimir_residual,
     channel_realization,
     ladder_matrix_elements,
+    run_suite,
     scaling_identity_residual,
     sturmian,
     su11_commutator_report,
@@ -23,7 +26,7 @@ GRID = np.geomspace(0.05, 30.0, 80)
 
 def sturmian_family(s, channel="v", count=6):
     start = 0 if channel == "u" else 1
-    return [sturmian(channel, n, s).expr for n in range(start, start + count)]
+    return [sturmian(channel, n, s) for n in range(start, start + count)]
 
 
 class TestApplyOperator:
@@ -46,7 +49,7 @@ class TestApplyOperator:
         f = sturmian("v", 2, s)
         op = RadialOperator(OperatorKind.A0, s)
         r = np.geomspace(0.1, 20.0, 40)
-        got = apply_operator(op, f.expr, r)
+        got = apply_operator(op, f, r)
         want = (2 + s) * f(r)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
 
@@ -55,16 +58,11 @@ class TestApplyOperator:
         with pytest.raises(DomainError):
             apply_operator(RadialOperator(OperatorKind.A0, 1.0), f, 0.0)
 
-    def test_finite_difference_fallback(self):
-        # arbitrary callable: same operator through the 5-point stencil
-        s = 1.2
-        f_sum = LaguerreSum.single(1.0, power=1.3, decay=0.8)
+    def test_rejects_plain_callables(self):
+        # only closed forms have exact operator images
         f_raw = lambda r: r**1.3 * np.exp(-0.8 * r)
-        op = RadialOperator(OperatorKind.A0, s)
-        for r in (0.7, 2.5):
-            exact = apply_operator(op, f_sum, r)
-            approx = apply_operator(op, f_raw, r)
-            assert approx == pytest.approx(exact, rel=1e-5)
+        with pytest.raises(DomainError):
+            apply_operator(RadialOperator(OperatorKind.A0, 1.2), f_raw, 0.7)
 
 
 class TestCommutators:
@@ -80,6 +78,23 @@ class TestCommutators:
         s = 0.866
         reports = su11_commutator_report(s, sturmian_family(s), GRID, fault_centrifugal=s * s)
         assert max(rep.residual_max for rep in reports) > 1e-2
+
+
+class TestVerifyCommutatorChecks:
+    def test_each_relation_runs_once_per_family(self, default_params, monkeypatch):
+        calls = Counter()
+        original = algebra.commutator_residual
+
+        def counted(*args, **kwargs):
+            report = original(*args, **kwargs)
+            calls[report.name] += 1
+            return report
+
+        for module in (algebra, verification):
+            monkeypatch.setattr(module, "commutator_residual", counted)
+        run_suite(default_params)
+        # 5 s-values (the acceptance grid plus the problem's own) x 2 channels
+        assert calls == {name: 10 for name in algebra.SU11_RELATIONS}
 
 
 class TestLadder:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import run_cli
-from dirac_coulomb import VERIFY_CHECK_COUNT
+from cli_support import run_cli
+from dirac_coulomb import VERIFY_CHECK_COUNT, cli
 from dirac_coulomb.output import parse_csv_text
 from dirac_coulomb.verification import sommerfeld_energy
 
@@ -250,3 +250,17 @@ class TestGridValidation:
     def test_invalid_level_exits_2(self):
         proc = run_cli("wavefunction", *BASE, "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "0")
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--alpha-s", "inf"],
+    ["spectrum", "--alpha-s", "nan"],
+    ["spectrum", "--mass", "inf"],
+    ["wavefunction", "--r-max", "inf"],
+    ["spectrum", "--j", "inf"],
+    ["spectrum", "--j", "nan"],
+    ["coherent", "--xi-re", "nan"],
+])
+def test_non_finite_input_exits_2_without_output(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""

@@ -172,7 +172,7 @@ class TestCoherentSpinor:
             decay = spinor.a_ref * (1.0 + xi) / (1.0 - xi)
             rule = build_rule(48, 2.0 * c.s)
             total = integrate_radial(lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2,
-                                     scale=decay, alpha_hint=2.0 * c.s, rule=rule)
+                                     decay, rule)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_decay_condition_always_holds_inside_disc(self):

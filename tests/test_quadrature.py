@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
 from dirac_coulomb import (
-    AccuracyNotReached,
     DomainError,
-    adaptive_integral,
     build_rule,
     integrate_radial,
     log_gamma,
@@ -59,65 +58,38 @@ class TestBuildRule:
             build_rule(8, -1.0)
 
 
+def quad_half_line(f):
+    """Independent oracle: QUADPACK on (0, inf) for a real integrand."""
+    return quad(lambda r: float(f(r)), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+
+
 class TestIntegrateRadial:
     def test_exponential(self):
         rule = build_rule(16, 0.0)
-        val = integrate_radial(lambda r: np.exp(-2.0 * r), scale=1.0, alpha_hint=0.0, rule=rule)
+        val = integrate_radial(lambda r: np.exp(-2.0 * r), 1.0, rule)
         assert val == pytest.approx(0.5, abs=1e-13)
 
     def test_gamma_integral(self):
         rule = build_rule(16, 2.0)
-        val = integrate_radial(lambda r: r**2 * np.exp(-2.0 * r), scale=1.0, alpha_hint=2.0, rule=rule)
+        val = integrate_radial(lambda r: r**2 * np.exp(-2.0 * r), 1.0, rule)
         assert val == pytest.approx(0.25, rel=1e-12)
-
-    def test_adaptive_fallback_without_declaration(self):
-        val = integrate_radial(lambda r: np.exp(-2.0 * r))
-        assert val == pytest.approx(0.5, rel=1e-9)
-
-    def test_adaptive_complex(self):
-        val = adaptive_integral(lambda r: np.exp(-(1.0 + 0.5j) * r))
-        assert val == pytest.approx(1.0 / (1.0 + 0.5j), rel=1e-9)
 
     def test_cross_check_agreement(self):
         rule = build_rule(24, 1.5)
-        val = integrate_radial(lambda r: r**1.5 * np.exp(-2.0 * r) * (1.0 + r),
-                               scale=1.0, alpha_hint=1.5, rule=rule, cross_check=True)
+        val = integrate_radial(lambda r: r**1.5 * np.exp(-2.0 * r) * (1.0 + r), 1.0, rule)
         want = math.exp(log_gamma(2.5)) / 2**2.5 + math.exp(log_gamma(3.5)) / 2**3.5
         assert val == pytest.approx(want, rel=1e-11)
 
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(AccuracyNotReached):
-            adaptive_integral(lambda r: np.exp(-r) * np.sin(3000.0 * r) ** 2, max_evals=200)
-
     def test_agreement_on_spinor_density(self, default_params, default_constants):
-        # shipped integrand: Gauss-Laguerre vs the adaptive fallback
+        # shipped integrand: Gauss-Laguerre vs QUADPACK
         from dirac_coulomb import assemble_spinor, bound_level
 
         level = bound_level(2, default_params, default_constants)
         spinor = assemble_spinor(level, default_constants)
         dens = lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2
         rule = build_rule(48, 2.0 * default_constants.s)
-        gl = integrate_radial(dens, scale=level.a, alpha_hint=2.0 * default_constants.s, rule=rule)
-        ad = adaptive_integral(dens)
-        assert abs(gl - ad) < 1e-9
-
-
-class TestCrossCheckFailure:
-    def test_disagreement_raises(self):
-        # an oscillatory integrand violates the declared smoothness: the
-        # low-order rule is wrong, the adaptive path is right
-        rule = build_rule(6, 0.0)
-        with pytest.raises(AccuracyNotReached):
-            integrate_radial(lambda r: np.exp(-2.0 * r) * np.cos(40.0 * r),
-                             scale=1.0, alpha_hint=0.0, rule=rule, cross_check=True)
-
-    def test_scalar_only_integrand_is_accepted(self):
-        import math as _math
-
-        rule = build_rule(16, 0.0)
-        val = integrate_radial(lambda r: _math.exp(-2.0 * r), scale=1.0,
-                               alpha_hint=0.0, rule=rule)
-        assert val == pytest.approx(0.5, abs=1e-13)
+        gl = integrate_radial(dens, level.a, rule)
+        assert abs(gl - quad_half_line(dens)) < 1e-9
 
 
 class TestAdaptiveAgreementOnShippedIntegrands:
@@ -130,9 +102,8 @@ class TestAdaptiveAgreementOnShippedIntegrands:
         decay = spinor.a_ref * (1.0 + xi) / (1.0 - xi)
         dens = lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2
         rule = build_rule(48, 2.0 * c.s)
-        gl = integrate_radial(dens, scale=decay, alpha_hint=2.0 * c.s, rule=rule)
-        ad = adaptive_integral(dens)
-        assert abs(gl - ad) < 1e-9
+        gl = integrate_radial(dens, decay, rule)
+        assert abs(gl - quad_half_line(dens)) < 1e-9
 
     def test_sturmian_gram_product(self):
         from dirac_coulomb import sturmian
@@ -141,6 +112,5 @@ class TestAdaptiveAgreementOnShippedIntegrands:
         f2, f4 = sturmian("v", 2, s), sturmian("v", 4, s)
         prod = lambda r: f2(r) * f4(r) * r
         rule = build_rule(48, 2.0 * s + 1.0)
-        gl = integrate_radial(prod, scale=1.0, alpha_hint=2.0 * s + 1.0, rule=rule)
-        ad = adaptive_integral(prod)
-        assert abs(gl - ad) < 1e-9
+        gl = integrate_radial(prod, 1.0, rule)
+        assert abs(gl - quad_half_line(prod)) < 1e-9

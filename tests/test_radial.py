@@ -10,7 +10,6 @@ from dirac_coulomb import (
     DomainError,
     NoBoundState,
     ProblemParams,
-    apply_scaling,
     assemble_spinor,
     bound_level,
     build_rule,
@@ -48,14 +47,14 @@ class TestSturmian:
         s = 0.866
         f = sturmian("v", 3, s)
         rule = build_rule(48, 2.0 * s + 1.0)
-        val = integrate_radial(lambda r: f(r) ** 2 * r, scale=1.0, alpha_hint=2.0 * s + 1.0, rule=rule)
+        val = integrate_radial(lambda r: f(r) ** 2 * r, 1.0, rule)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_norm_vanishes(self):
         s = 0.866
         f2, f3 = sturmian("v", 2, s), sturmian("v", 3, s)
         rule = build_rule(48, 2.0 * s + 1.0)
-        val = integrate_radial(lambda r: f2(r) * f3(r) * r, scale=1.0, alpha_hint=2.0 * s + 1.0, rule=rule)
+        val = integrate_radial(lambda r: f2(r) * f3(r) * r, 1.0, rule)
         assert abs(val) < 1e-10
 
     @pytest.mark.parametrize("s", [0.6, 0.866, 1.5, 2.2])
@@ -67,8 +66,7 @@ class TestSturmian:
         rule = build_rule(64, alpha)
         for i, fi in enumerate(fns):
             for j in range(i, len(fns)):
-                val = integrate_radial(lambda r: fi(r) * fns[j](r) * r,
-                                       scale=1.0, alpha_hint=alpha, rule=rule)
+                val = integrate_radial(lambda r: fi(r) * fns[j](r) * r, 1.0, rule)
                 assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_invalid_arguments(self):
@@ -83,23 +81,20 @@ class TestSturmian:
 
 
 class TestApplyScaling:
+    """The dilation e^{i theta A2}: f(r) -> e^theta f(e^theta r), as LaguerreSum.scaled."""
+
     def test_identity_at_zero(self):
-        f = sturmian("v", 2, 0.9).expr
-        g = apply_scaling(f, 0.0)
+        f = sturmian("v", 2, 0.9)
+        g = f.scaled(0.0)
         r = np.geomspace(0.1, 10, 9)
         assert np.allclose(g(r), f(r), rtol=1e-15)
 
     def test_exponential_example(self):
-        g = apply_scaling(lambda r: np.exp(-r), math.log(2.0))
-        r = 0.873
-        assert g(r) == pytest.approx(2.0 * np.exp(-2.0 * r), rel=1e-14)
-
-    def test_group_law_on_closures(self):
-        f = lambda r: np.exp(-r) * r**0.3
-        g1 = apply_scaling(apply_scaling(f, 0.4), 0.35)
-        g2 = apply_scaling(f, 0.75)
-        for r in (0.2, 1.0, 7.7):
-            assert g1(r) == pytest.approx(g2(r), rel=1e-14)
+        # a Laguerre-bearing term: the argument scale dilates with the envelope
+        f = sturmian("v", 3, 0.9)
+        g = f.scaled(math.log(2.0))
+        for r in (0.2, 0.873, 3.1):
+            assert g(r) == pytest.approx(2.0 * f(2.0 * r), rel=1e-13)
 
 
 class TestPhysicalComponents:
@@ -171,7 +166,7 @@ class TestAssembleSpinor:
         spinor = assemble_spinor(bound_level(1, p, c), c)
         rule = build_rule(48, 2.0 * c.s)
         total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                 scale=spinor.level.a, alpha_hint=2.0 * c.s, rule=rule)
+                                 spinor.level.a, rule)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_across_levels_and_couplings(self, default_params):
@@ -182,7 +177,7 @@ class TestAssembleSpinor:
                 spinor = assemble_spinor(bound_level(n, p, c), c)
                 rule = build_rule(64, 2.0 * c.s)
                 total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                         scale=spinor.level.a, alpha_hint=2.0 * c.s, rule=rule)
+                                         spinor.level.a, rule)
                 assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_comparison_is_reported_not_asserted(self, default_params, default_constants):
@@ -273,7 +268,6 @@ class TestRandomizedPipeline:
         assert 0.0 < level.energy < p.mass
         spinor = assemble_spinor(level, c)
         rule = build_rule(max(48, n + 24), 2.0 * c.s)
-        total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                 scale=level.a, alpha_hint=2.0 * c.s, rule=rule)
+        total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rule)
         assert abs(total - 1.0) < 1e-8
         assert ode_residual_first_order(spinor).residual_max < 1e-8
