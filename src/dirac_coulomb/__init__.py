@@ -28,6 +28,7 @@ from .problem import (
 )
 from .special import (
     laguerre,
+    laguerre_sequence,
     laguerre_generating_closed,
     laguerre_zero_value,
     log_gamma,

@@ -14,8 +14,8 @@ never differencing error.  Coefficients and decay rates may be complex
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .special import laguerre
 __all__ = ["LaguerreTerm", "LaguerreSum"]
 
 
-@dataclass(frozen=True)
-class LaguerreTerm:
+class LaguerreTerm(NamedTuple):
     coef: complex
     power: float
     decay: complex
@@ -36,80 +35,94 @@ class LaguerreTerm:
 
 
 class LaguerreSum:
-    """A finite linear combination of Laguerre-type radial terms."""
+    """A finite linear combination of Laguerre-type radial terms, kept as an
+    insertion-ordered map (power, decay, degree, alpha, argscale) -> coef.
+    A sum never changes once built, so it keeps its derivative."""
 
-    __slots__ = ("terms", "is_real")
+    __slots__ = ("_map", "_derivative")
 
     def __init__(self, terms):
+        self._merge(((t.power, complex(t.decay), t.degree, t.alpha, t.argscale), t.coef)
+                    for t in terms)
+
+    @classmethod
+    def _of(cls, pairs) -> "LaguerreSum":
+        """Build from (key, coef) pairs whose key already holds a complex decay."""
+        self = object.__new__(cls)
+        self._merge(pairs)
+        return self
+
+    def _merge(self, pairs) -> None:
         merged: dict = {}
-        for t in terms:
-            if t.coef == 0:
-                continue
-            key = (t.power, complex(t.decay), t.degree, t.alpha, t.argscale)
-            merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coef)
-        self.terms = tuple(
-            LaguerreTerm(coef=c, power=k[0], decay=k[1], degree=k[2], alpha=k[3], argscale=k[4])
-            for k, c in merged.items()
-            if c != 0
-        )
-        self.is_real = all(
-            t.coef.imag == 0.0 and t.decay.imag == 0.0 for t in self.terms
-        )
+        for key, coef in pairs:
+            if coef != 0:
+                merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
+        if 0 in merged.values():
+            merged = {k: c for k, c in merged.items() if c != 0}
+        self._map = merged
+        self._derivative = None
+
+    @property
+    def is_real(self) -> bool:
+        return all(c.imag == 0.0 and k[1].imag == 0.0 for k, c in self._map.items())
 
     @classmethod
     def single(cls, coef, power, decay, degree: int = 0, alpha: float = 0.0,
                argscale: float = 1.0) -> "LaguerreSum":
         return cls([LaguerreTerm(coef, power, decay, degree, alpha, argscale)])
 
+    @property
+    def terms(self) -> tuple[LaguerreTerm, ...]:
+        return tuple(LaguerreTerm(c, *k) for k, c in self._map.items())
+
     def __call__(self, r):
         scalar = np.isscalar(r)
-        rv = np.asarray(r, dtype=float)
-        out = np.zeros(rv.shape, dtype=complex)
-        for t in self.terms:
-            out += (
-                t.coef
-                * rv ** t.power
-                * np.exp(-t.decay * rv)
-                * laguerre(t.degree, t.alpha, t.argscale * rv)
-            )
-        if self.is_real:
-            out = out.real
+        out = self.evaluate(np.asarray(r, dtype=float), {}, {}, {})
         return out.item() if scalar else out
+
+    def evaluate(self, rv: np.ndarray, powers: dict, decays: dict, polys: dict):
+        """Add the terms on the float array rv in order, computing each distinct
+        r**power, exp(-decay r) and L_n^alpha(argscale r) once; the dicts hold
+        them by power, decay and (degree, alpha, argscale) and may be shared."""
+        out = np.zeros(rv.shape, dtype=complex)
+        for (p, d, n, a, b), c in self._map.items():
+            if p not in powers:
+                powers[p] = rv ** p
+            if d not in decays:
+                decays[d] = np.exp(-d * rv)
+            if (n, a, b) not in polys:
+                polys[n, a, b] = laguerre(n, a, b * rv)
+            out += c * powers[p] * decays[d] * polys[n, a, b]
+        return out.real if self.is_real else out
 
     def derivative(self) -> "LaguerreSum":
         """Exact d/dr, using d/dx L_n^a(x) = -L_{n-1}^{a+1}(x)."""
-        out = []
-        for t in self.terms:
-            if t.power != 0.0:
-                out.append(LaguerreTerm(t.coef * t.power, t.power - 1.0, t.decay,
-                                        t.degree, t.alpha, t.argscale))
-            out.append(LaguerreTerm(-t.coef * t.decay, t.power, t.decay,
-                                    t.degree, t.alpha, t.argscale))
-            if t.degree >= 1:
-                out.append(LaguerreTerm(-t.coef * t.argscale, t.power, t.decay,
-                                        t.degree - 1, t.alpha + 1.0, t.argscale))
-        return LaguerreSum(out)
+        if self._derivative is None:
+            out = []
+            for key, c in self._map.items():
+                p, d, n, a, b = key
+                if p != 0.0:
+                    out.append(((p - 1.0, d, n, a, b), c * p))
+                out.append((key, -c * d))
+                if n >= 1:
+                    out.append(((p, d, n - 1, a + 1.0, b), -c * b))
+            self._derivative = LaguerreSum._of(out)
+        return self._derivative
 
     def times_power(self, k) -> "LaguerreSum":
         """Multiply by r**k (k may be negative or fractional)."""
-        return LaguerreSum(
-            [LaguerreTerm(t.coef, t.power + k, t.decay, t.degree, t.alpha, t.argscale)
-             for t in self.terms]
-        )
+        return LaguerreSum._of(((p + k, d, n, a, b), c) for (p, d, n, a, b), c in self._map.items())
 
     def scaled(self, theta: float) -> "LaguerreSum":
         """The dilation image e^theta f(e^theta r)."""
         g = exp(theta)
-        return LaguerreSum(
-            [LaguerreTerm(t.coef * g ** (t.power + 1.0), t.power, t.decay * g,
-                          t.degree, t.alpha, t.argscale * g)
-             for t in self.terms]
-        )
+        return LaguerreSum._of(((p, d * g, n, a, b * g), c * g ** (p + 1.0))
+                               for (p, d, n, a, b), c in self._map.items())
 
     def __add__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
             return NotImplemented
-        return LaguerreSum(list(self.terms) + list(other.terms))
+        return LaguerreSum._of([*self._map.items(), *other._map.items()])
 
     def __sub__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
@@ -120,15 +133,12 @@ class LaguerreSum:
         if isinstance(scalar, LaguerreSum):
             raise DomainError("products of LaguerreSum objects are not supported; "
                               "evaluate pointwise instead")
-        return LaguerreSum(
-            [LaguerreTerm(t.coef * scalar, t.power, t.decay, t.degree, t.alpha, t.argscale)
-             for t in self.terms]
-        )
+        return LaguerreSum._of((key, c * scalar) for key, c in self._map.items())
 
     __rmul__ = __mul__
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._map)
 
     def __repr__(self) -> str:
-        return f"LaguerreSum({len(self.terms)} terms, real={self.is_real})"
+        return f"LaguerreSum({len(self._map)} terms, real={self.is_real})"

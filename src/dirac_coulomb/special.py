@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import count, islice
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import DomainError
 
 __all__ = [
     "laguerre",
+    "laguerre_sequence",
     "laguerre_zero_value",
     "log_gamma",
     "laguerre_generating_closed",
@@ -24,26 +26,32 @@ __all__ = [
 
 
 def laguerre(n: int, alpha: float, x):
-    """Evaluate L_n^alpha(x) by the stable three-term forward recurrence.
+    """Evaluate L_n^alpha(x), the degree-n value of ``laguerre_sequence``;
+    ``x`` may be a scalar or a numpy array and the result has its shape."""
+    if n < 0:
+        raise DomainError(f"Laguerre degree must be >= 0, got {n}")
+    return next(islice(laguerre_sequence(alpha, x), n, None))
+
+
+def laguerre_sequence(alpha: float, x):
+    """Yield L_0^alpha(x), L_1^alpha(x), ... by the stable three-term
+    forward recurrence, one step per degree.
 
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
     seeded with L_0 = 1 and L_1 = 1 + alpha - x.
 
-    ``x`` may be a scalar or a numpy array; the result has the same shape.
+    Yielded arrays feed the next step: read them, never modify them.
     """
-    if n < 0:
-        raise DomainError(f"Laguerre degree must be >= 0, got {n}")
     if alpha <= -1.0:
         raise DomainError(f"Laguerre order must exceed -1, got {alpha}")
     scalar = np.isscalar(x)
     xv = np.asarray(x, dtype=float)
     prev = np.ones_like(xv)
-    if n == 0:
-        return float(prev) if scalar else prev
+    yield float(prev) if scalar else prev
     cur = 1.0 + alpha - xv
-    for k in range(1, n):
+    for k in count(1):
+        yield float(cur) if scalar else cur
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - xv) * cur - (k + alpha) * prev) / (k + 1.0)
-    return float(cur) if scalar else cur
 
 
 def laguerre_zero_value(n: int, alpha: float) -> float:

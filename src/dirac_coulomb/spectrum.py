@@ -40,10 +40,9 @@ def energy(n: int, constants: DerivedConstants, params: ProblemParams) -> float:
     """Energy of the n-th level (n = 1, 2, ...), strictly increasing toward m.
 
     Raises NoBoundState when the square-root argument (n+s)^2 + alpha_v^2
-    - alpha_s^2 is negative or the resulting |E| exceeds m.  Equality
-    E = m can occur only as a rounding artifact of the free limit
-    alpha -> 0 and is returned as-is; downstream scale extraction rejects
-    it.
+    - alpha_s^2 is negative.  Otherwise |E| <= m exactly (Cauchy-Schwarz):
+    a quotient that rounds past m in the free limit alpha -> 0 is clamped
+    to +-m, which downstream scale extraction rejects.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"radial label n must be an integer >= 1, got {n}")
@@ -55,9 +54,7 @@ def energy(n: int, constants: DerivedConstants, params: ProblemParams) -> float:
             f"(n+s)^2 + alpha_v^2 - alpha_s^2 = {disc:.6g} < 0 for n={n}: no bound level"
         )
     e = m * (-av * as_ + nu * math.sqrt(disc)) / (av * av + nu * nu)
-    if abs(e) > m:
-        raise NoBoundState(f"|E| = {abs(e):.6g} exceeds m = {m:.6g} for n={n}")
-    return e
+    return math.copysign(m, e) if abs(e) > m else e
 
 
 def omega(e: float, mass: float, constants: DerivedConstants) -> float:

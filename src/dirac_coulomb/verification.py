@@ -45,7 +45,7 @@ from .radial import (
     sturmian,
 )
 from .report import VerificationReport
-from .special import laguerre, laguerre_generating_closed, log_gamma
+from .special import laguerre_generating_closed, laguerre_sequence, log_gamma
 from .spectrum import bound_level, energy
 
 __all__ = [
@@ -102,8 +102,8 @@ def generating_reference_sum(nu: float, y: complex, x: float,
     y = complex(y)
     total = 0.0 + 0.0j
     quiet = 0
-    for n in range(4000):
-        term = laguerre(n, nu, x) * y**n
+    for n, value in zip(range(4000), laguerre_sequence(nu, x)):
+        term = value * y**n
         total += term
         if abs(term) <= rel_tail * max(abs(total), 1.0):
             quiet += 1
@@ -132,9 +132,12 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     scale = 0.0
     quiet = 0
     n_used = 0
-    for ng in range(weights.size):
-        n = ng if channel == "u" else ng + 1
-        term = weights[ng] * sturmian(channel, n, s)(grid)
+    # the basis shares r**power and e^-r; L_ng^alpha(2r) comes from one recurrence
+    alpha = 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
+    powers, decays = {}, {}
+    for ng, lag in zip(range(weights.size), laguerre_sequence(alpha, 2.0 * grid)):
+        basis = sturmian(channel, ng if channel == "u" else ng + 1, s)
+        term = weights[ng] * basis.evaluate(grid, powers, decays, {(ng, alpha, 2.0): lag})
         total += term
         scale = max(scale, float(np.max(np.abs(total))))
         n_used = ng

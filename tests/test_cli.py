@@ -133,6 +133,16 @@ class TestVerify:
         proc = run_cli("verify", "--tolerance", "normalization=1e-30")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("mass", ["1903.835011408123", "333.81042644711175"])
+    def test_free_limit_at_rounding_masses(self, mass, capsys):
+        # at these masses the free-limit quotient rounds one ulp above m;
+        # energy() must return m there, not raise
+        assert cli.main(["verify", "--mass", mass]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == VERIFY_CHECK_COUNT
+        free = next(row for row in rows if row["check"] == "spectrum_free_limit")
+        assert free["residual_max"] == 0
+
     def test_unknown_tolerance_key_exits_2(self):
         proc = run_cli("verify", "--tolerance", "nonsense=1e-8")
         assert proc.returncode == 2

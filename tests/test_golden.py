@@ -1,4 +1,5 @@
-"""The README commands print byte for byte what tests/golden records.
+"""The README commands, and two deep-series commands, print byte for byte
+what tests/golden records.
 
 The golden files are the stdout of ``dirac-coulomb`` for each command;
 regenerate one only for a change that means to alter the output.
@@ -20,6 +21,11 @@ README_COMMANDS = {
     "coherent.json": ["coherent", "--alpha-v", "0.5", "--alpha-s", "0.2", "--xi-re", "0.4"],
     "verify.json": ["verify"],
     "sweep.json": ["sweep", "--alpha-v", "0.1..0.9..5", "--alpha-s", "0..0.3..4", "--n", "1..3"],
+    # |xi| ~ 0.85: the truncated group expansion runs deep
+    "coherent_large_xi.json": ["coherent", "--alpha-v", "0.5", "--alpha-s", "0.2",
+                               "--xi-re=0.6", "--xi-im=0.6"],
+    "verify_unaligned_d5.json": ["verify", "--dimension", "5", "--j", "1.5", "--unaligned",
+                                 "--alpha-v", "0.7", "--alpha-s", "0.3", "--mass", "1e-3"],
 }
 
 

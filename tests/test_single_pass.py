@@ -1,0 +1,155 @@
+"""The one-pass evaluators give bit for bit what per-degree evaluation gives.
+
+Each reference below restarts the Laguerre recurrence from degree 0 for
+every degree and every term, as the library did before it ran each
+recurrence once; results are compared with ==, never with a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, perelomov_weights, sturmian
+from dirac_coulomb.algebra import channel_realization
+from dirac_coulomb.coherent import truncation_order
+from dirac_coulomb.verification import coherent_truncated_sum, generating_reference_sum
+
+
+def laguerre_from_zero(n, alpha, x):
+    scalar = np.isscalar(x)
+    xv = np.asarray(x, dtype=float)
+    prev = np.ones_like(xv)
+    if n == 0:
+        return float(prev) if scalar else prev
+    cur = 1.0 + alpha - xv
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - xv) * cur - (k + alpha) * prev) / (k + 1.0)
+    return float(cur) if scalar else cur
+
+
+def generating_per_degree(nu, y, x, rel_tail=1e-16):
+    y = complex(y)
+    total = 0.0 + 0.0j
+    quiet = 0
+    for n in range(4000):
+        term = laguerre_from_zero(n, nu, x) * y**n
+        total += term
+        if abs(term) <= rel_tail * max(abs(total), 1.0):
+            quiet += 1
+            if quiet >= 4:
+                break
+        else:
+            quiet = 0
+    return total
+
+
+def term_by_term(f, r):
+    rv = np.asarray(r, dtype=float)
+    out = np.zeros(rv.shape, dtype=complex)
+    for t in f.terms:
+        out += (t.coef * rv ** t.power * np.exp(-t.decay * rv)
+                * laguerre_from_zero(t.degree, t.alpha, t.argscale * rv))
+    return out.real if f.is_real else out
+
+
+def coherent_per_degree(channel, s, xi, grid, l2_tail=1e-14, sup_tail=1e-10):
+    k = channel_realization(channel, s) + 1.0
+    n_l2 = truncation_order(k, xi, l2_tail)
+    total = np.zeros(grid.shape, dtype=complex)
+    weights = perelomov_weights(k, xi, n_l2 + 400)
+    scale = 0.0
+    quiet = 0
+    n_used = 0
+    for ng in range(weights.size):
+        term = weights[ng] * term_by_term(sturmian(channel, ng if channel == "u" else ng + 1, s), grid)
+        total += term
+        scale = max(scale, float(np.max(np.abs(total))))
+        n_used = ng
+        if ng >= n_l2:
+            if float(np.max(np.abs(term))) <= sup_tail * scale:
+                quiet += 1
+                if quiet >= 3:
+                    break
+            else:
+                quiet = 0
+    return total, n_used, n_l2
+
+
+class TestLaguerreSequence:
+    @pytest.mark.parametrize("x", [0.0, 0.37, 7.5, 63.0])
+    def test_scalar_matches_every_degree(self, x):
+        for k, value in zip(range(61), laguerre_sequence(2.3, x)):
+            assert type(value) is float
+            assert value == laguerre(k, 2.3, x) == laguerre_from_zero(k, 2.3, x)
+
+    def test_array_matches_every_degree(self):
+        x = np.geomspace(1e-3, 80.0, 41)
+        for k, value in zip(range(61), laguerre_sequence(0.9, x)):
+            assert np.array_equal(value, laguerre(k, 0.9, x))
+            assert np.array_equal(value, laguerre_from_zero(k, 0.9, x))
+
+
+class TestSeriesSums:
+    @pytest.mark.parametrize("nu, y, x", [(1.5, 0.3, 0.5), (2.4, -0.55, 2.0),
+                                          (3.0, 0.7 * np.exp(2j * np.pi / 3.0), 1.0),
+                                          (2.4, 0.3 + 0.2j, 1.0)])
+    def test_generating_reference_sum(self, nu, y, x):
+        assert generating_reference_sum(nu, y, x) == generating_per_degree(nu, y, x)
+
+    @pytest.mark.parametrize("channel", ["u", "v"])
+    @pytest.mark.parametrize("s, xi", [(0.888, 0.4 * np.exp(2.0j)), (1.7, 0.6 + 0.6j), (0.6, -0.2)])
+    def test_coherent_truncated_sum(self, channel, s, xi):
+        grid = np.geomspace(0.01, 40.0, 200)
+        values, n_used, n_l2 = coherent_truncated_sum(channel, s, xi, grid)
+        want, want_used, want_l2 = coherent_per_degree(channel, s, xi, grid)
+        assert (n_used, n_l2) == (want_used, want_l2)
+        assert np.array_equal(values, want)
+
+
+def repeated_key_sum():
+    # several powers and decays share each (degree, alpha, argscale)
+    parts = [LaguerreSum.single(c, power=p, decay=d, degree=n, alpha=a, argscale=b)
+             for c, p, d, n, a, b in [(1.3, 0.87, 0.6, 3, 2.1, 2.0), (-0.4, 1.87, 0.6, 3, 2.1, 2.0),
+                                      (0.7, 0.87, 0.9, 3, 2.1, 2.0), (2.2, 0.87, 0.6, 2, 4.1, 2.0),
+                                      (-1.1, -0.13, 0.6, 2, 4.1, 2.0), (0.5, 0.87, 0.6, 3, 2.1, 1.5)]]
+    return sum(parts[1:], parts[0])
+
+
+class TestLaguerreSumEvaluation:
+    def test_repeated_keys_match_term_by_term(self):
+        f = repeated_key_sum()
+        r = np.geomspace(0.02, 30.0, 57)
+        assert len({t[3:] for t in f.terms}) < len(f)
+        assert np.array_equal(f(r), term_by_term(f, r))
+        g = f.derivative().derivative()
+        assert np.array_equal(g(r), term_by_term(g, r))
+        assert f(1.3) == term_by_term(f, 1.3).item()
+
+    def test_complex_sum_matches_term_by_term(self):
+        f = repeated_key_sum() + LaguerreSum.single(0.2 - 0.9j, power=0.87, decay=0.6 + 0.4j,
+                                                    degree=3, alpha=2.1, argscale=2.0)
+        r = np.geomspace(0.02, 30.0, 57)
+        assert np.array_equal(f(r), term_by_term(f, r))
+
+
+class TestImmutability:
+    def test_derivative_unchanged_by_scaling(self):
+        f = repeated_key_sum()
+        r = np.geomspace(0.05, 20.0, 31)
+        before = f.derivative()(r)
+        _ = f * 2
+        assert np.array_equal(f.derivative()(r), before)
+        assert np.array_equal((f * 2).derivative()(r), term_by_term((f * 2).derivative(), r))
+
+    def test_operations_leave_operands_alone(self):
+        f = repeated_key_sum()
+        g = LaguerreSum.single(0.3, power=1.0, decay=0.6, degree=1, alpha=2.1, argscale=2.0)
+        f_terms, g_terms = f.terms, g.terms
+        f.derivative().derivative()
+        f.times_power(-1)
+        f.scaled(0.4)
+        f + g
+        f - g
+        2.5 * f
+        f(np.geomspace(0.1, 5.0, 9))
+        assert f.terms == f_terms
+        assert g.terms == g_terms

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from dirac_coulomb import (
@@ -47,6 +48,15 @@ class TestEnergy:
         c = derive_constants(p)
         es = [energy(n, c, p) for n in (1, 2, 3)]
         assert es[0] < es[1] < es[2] < p.mass
+
+    def test_free_limit_never_exceeds_mass(self):
+        # the quotient m*num/den can round one ulp past m at couplings of
+        # 1e-12; |E| <= m holds exactly whenever the discriminant is >= 0
+        for mass in np.geomspace(1e-4, 1e8, 200):
+            p = params_for(-1, 1e-12, 1e-12, mass=float(mass))
+            c = derive_constants(p)
+            for n in range(1, 11):
+                assert energy(n, c, p) <= p.mass
 
     def test_rejects_bad_n(self):
         p = params_for(-1, 0.5, 0.2)
