@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .radial import (
     physical_components,
 )
 from .report import SpectrumRecord, VerificationReport, summarize
-from .output import emit_csv, emit_json
-from .spectrum import bound_level, energy
+from .output import emit_csv, emit_json, emit_table, format_reals, token
+from .spectrum import bound_level
 from .verification import (
     DEFAULT_TOLERANCES,
     VERIFY_CHECK_COUNT,
@@ -181,6 +182,9 @@ def _parse_coupling_range(text, name: str, allow_range: bool) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise _UsageError(f"--{name} range must be start..stop..count, got {text!r}") from exc
+        for bound in (start, stop):
+            if not math.isfinite(bound):
+                raise _UsageError(f"{name.replace('-', '_')} must be finite, got {bound}")
         if count < 1:
             raise _UsageError(f"--{name} range count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
@@ -227,7 +231,10 @@ def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
 
 
 def _write(args: argparse.Namespace, document: dict, rows: list[dict]) -> None:
-    text = emit_json(document) if args.format == "json" else emit_csv(rows)
+    _write_text(args, emit_json(document) if args.format == "json" else emit_csv(rows))
+
+
+def _write_text(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -235,33 +242,42 @@ def _write(args: argparse.Namespace, document: dict, rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _spectrum_record(params: ProblemParams, n: int) -> SpectrumRecord:
-    kap = kappa_of(params.dimension, params.j, params.alignment)
-    try:
-        constants = derive_constants(params)
-    except SupercriticalCoupling:
-        return SpectrumRecord(params=params, n=n, kappa=kap, s=None,
-                              energy_over_mass=None, scale_a=None,
-                              valid=False, status="supercritical")
-    try:
-        e = energy(n, constants, params)
-    except DiracCoulombError:
-        return SpectrumRecord(params=params, n=n, kappa=kap, s=constants.s,
-                              energy_over_mass=None, scale_a=None,
-                              valid=False, status="no_bound_state")
-    a = math.sqrt(max((params.mass - e) * (params.mass + e), 0.0))
-    return SpectrumRecord(params=params, n=n, kappa=kap, s=constants.s,
-                          energy_over_mass=e / params.mass, scale_a=a,
-                          valid=True, status="ok")
+def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: list[float],
+                   as_values: list[float], ns: list[int], extra: dict) -> str:
+    """SpectrumRecord rows over the (alpha_v, alpha_s) grid, n innermost, as text.  The
+    columns repeat the operations of derive_constants and spectrum.energy in their
+    order, so every double is the same; each distinct value is formatted once."""
+    fmt, m = args.format, base.mass
+    kap = kappa_of(base.dimension, base.j, base.alignment)
+    av, as_ = (c.reshape(-1, 1) for c in np.meshgrid(av_values, as_values, indexing="ij"))
+    with np.errstate(all="ignore"):  # as silent as float arithmetic
+        s_sq = kap * kap - (av + as_) * (av - as_)
+        s = np.sqrt(s_sq)
+        nu = np.asarray(ns, dtype=float) + s
+        disc = nu * nu + av * av - as_ * as_
+        e = m * (-av * as_ + nu * np.sqrt(disc)) / (av * av + nu * nu)
+        e = np.where(np.abs(e) > m, np.copysign(m, e), e)
+        a = np.sqrt(np.maximum((m - e) * (m + e), 0.0))
+    status = np.where(s_sq <= 0.0, "supercritical",
+                      np.where(disc < 0.0, "no_bound_state", "ok")).ravel().tolist()
+    null = token(None, fmt)
+    s_tok = [null if v <= 0.0 else t for v, t in zip(s_sq.ravel().tolist(), format_reals(s))]
+    av_tok, as_tok, n_tok = ([token(v, fmt) for v in values] for values in (av_values, as_values, ns))
+    heads = ((av_t, as_t, n_t, s_t) for (av_t, as_t), s_t in zip(product(av_tok, as_tok), s_tok)
+             for n_t in n_tok)
+    tail = {st: (token(st == "ok", fmt), token(st, fmt)) for st in set(status)}
+    rows = (head + ((e_t, a_t) if st == "ok" else (null, null)) + tail[st]
+            for head, e_t, a_t, st in zip(heads, format_reals(e / m), format_reals(a), status))
+    return emit_table(fmt, _meta(args, base, extra), SpectrumRecord.COLUMNS, {
+        "dimension": base.dimension, "j": base.j, "alignment": base.alignment.value, "mass": m, "kappa": kap,
+    }, rows)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _problem_params(args)
     derive_constants(params)  # supercritical inputs abort before any output
     ns = _parse_n_range(args.n)
-    rows = [_spectrum_record(params, n).to_row() for n in ns]
-    document = {"meta": _meta(args, params, {"n_values": ns}), "rows": rows, "reports": []}
-    _write(args, document, rows)
+    _write_text(args, _spectrum_text(args, params, [params.alpha_v], [params.alpha_s], ns, {"n_values": ns}))
     return 0
 
 
@@ -359,22 +375,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     total = len(av_values) * len(as_values) * len(ns)
     if total > MAX_SWEEP_ROWS:
         raise _UsageError(f"sweep of {total} rows exceeds the {MAX_SWEEP_ROWS} row limit")
-    rows = []
-    for av in av_values:
-        for as_ in as_values:
-            params = _problem_params(args, alpha_v=av, alpha_s=as_)
-            for n in ns:
-                rows.append(_spectrum_record(params, n).to_row())
-    base = _problem_params(args, alpha_v=av_values[0], alpha_s=as_values[0])
-    document = {
-        "meta": _meta(args, base, {
-            "alpha_v_values": av_values, "alpha_s_values": as_values, "n_values": ns,
-            "rows_total": total,
-        }),
-        "rows": rows,
-        "reports": [],
-    }
-    _write(args, document, rows)
+    # the grid's first invalid cell in row-major order is met first in row 0, then column 0
+    base, *_ = [_problem_params(args, alpha_v=av, alpha_s=as_) for av, as_ in
+                [(av_values[0], v) for v in as_values] + [(v, as_values[0]) for v in av_values[1:]]]
+    _write_text(args, _spectrum_text(args, base, av_values, as_values, ns, {
+        "alpha_v_values": av_values, "alpha_s_values": as_values, "n_values": ns,
+        "rows_total": total,
+    }))
     return 0
 
 

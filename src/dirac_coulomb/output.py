@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-__all__ = ["format_value", "emit_json", "emit_csv", "parse_csv_text"]
+__all__ = ["format_value", "format_reals", "token", "emit_json", "emit_csv", "emit_table", "parse_csv_text"]
 
 
 def format_value(value) -> str:
@@ -28,6 +28,20 @@ def format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def format_reals(values) -> list[str]:
+    """format_value of each element, for an array of reals."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def token(value, fmt: str) -> str:
+    """One scalar as emit_json (fmt "json") or else emit_csv writes it."""
+    if fmt != "json":
+        return format_value(value)
+    pieces: list[str] = []
+    _json_value(value, 0, pieces)
+    return pieces[0]
 
 
 def _json_value(value, indent: int, pieces: list[str]) -> None:
@@ -84,6 +98,21 @@ def emit_csv(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([format_value(row[key]) for key in header])
     return buf.getvalue()
+
+
+def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows) -> str:
+    """emit_json({"meta": meta, "rows": ..., "reports": []}) for fmt "json", else emit_csv, of
+    non-empty rows that need no CSV quoting, without a dict per row: the `fixed` values are
+    rendered once into a row template; each tuple of `rows` holds the other keys' tokens."""
+    slots = [token(fixed[k], fmt).replace("%", "%%") if k in fixed else "%s" for k in keys]
+    if fmt != "json":
+        template = ",".join(slots) + "\n"
+        return ",".join(keys) + "\n" + "".join([template % row for row in rows])
+    template = "    {\n" + ",\n".join(
+        f"      {json.dumps(k).replace('%', '%%')}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
+    head = emit_json({"meta": meta})[:-len("\n}\n")]
+    body = ",\n".join([template % row for row in rows])
+    return f'{head},\n  "rows": [\n{body}\n  ],\n  "reports": []\n}}\n'
 
 
 def parse_csv_text(text: str) -> list[dict]:

@@ -37,6 +37,9 @@ class SpectrumRecord:
     valid: bool
     status: str = "ok"
 
+    COLUMNS = ("dimension", "j", "alignment", "alpha_v", "alpha_s", "mass", "n", "kappa", "s",
+               "energy_over_mass", "scale_a", "valid", "status")  # the keys of to_row, in order
+
     def to_row(self) -> dict:
         p = self.params
         return {

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,46 @@ class TestSweep:
         proc = run_cli("sweep", *BASE, "--alpha-v", "0.1..0.9..400",
                        "--alpha-s", "0..0.05..300", "--n", "1..2")
         assert proc.returncode == 2
+
+    def test_row_limit_is_inclusive(self, capsys):
+        assert cli.MAX_SWEEP_ROWS == 100 * 100 * 10
+        assert cli.main(["sweep", *BASE, "--alpha-v", "0.01..0.9..100", "--alpha-s", "0..0.3..100",
+                         "--n", "1..10", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + cli.MAX_SWEEP_ROWS
+        # 11 * 9091 = MAX_SWEEP_ROWS + 1
+        assert cli.main(["sweep", *BASE, "--alpha-v", "0.01..0.9..11", "--alpha-s", "0..0.3..9091",
+                         "--n", "1", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep of 100001 rows exceeds the 100000 row limit\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha-v=-0.1..0.5..3", "alpha_v must be positive, got -0.1"),
+        ("--alpha-v=0.5..-0.1..3", "alpha_v must be positive, got -0.1"),
+        ("--alpha-s=-0.1..0.2..2", "alpha_s must be non-negative, got -0.1"),
+        ("--alpha-s=0.2..-0.1..2", "alpha_s must be non-negative, got -0.1"),
+        ("--alpha-v=nan..1..3", "alpha_v must be finite, got nan"),
+    ])
+    def test_every_cell_is_validated_before_output(self, flag, message, capsys):
+        assert cli.main(["sweep", *BASE, flag, "--n", "1..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha-v=0.1..inf..3", "alpha_v must be finite, got inf"),
+        ("--alpha-v=-inf..0.5..2", "alpha_v must be finite, got -inf"),
+        ("--alpha-s=0..inf..3", "alpha_s must be finite, got inf"),
+    ])
+    def test_infinite_range_bound_is_named(self, flag, message, capsys):
+        # rejected before np.linspace, which would warn and turn it into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", *BASE, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestFormatsAndDeterminism:

@@ -1,4 +1,4 @@
-"""The README commands, and two deep-series commands, print byte for byte
+"""The README commands, two deep-series commands and two spectrum tables print byte for byte
 what tests/golden records.
 
 The golden files are the stdout of ``dirac-coulomb`` for each command;
@@ -26,6 +26,12 @@ README_COMMANDS = {
                                "--xi-re=0.6", "--xi-im=0.6"],
     "verify_unaligned_d5.json": ["verify", "--dimension", "5", "--j", "1.5", "--unaligned",
                                  "--alpha-v", "0.7", "--alpha-s", "0.3", "--mass", "1e-3"],
+    # a grid whose large-alpha_v cells are supercritical
+    "sweep_unaligned.csv": ["sweep", "--dimension", "4", "--j", "1.5", "--unaligned",
+                            "--mass", "1e3", "--alpha-v", "0.2..3.5..7", "--alpha-s", "0..0.9..3",
+                            "--n", "2..6", "--format", "csv"],
+    "spectrum_rows.csv": ["spectrum", "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "1..40",
+                          "--format", "csv"],
 }
 
 

@@ -81,6 +81,9 @@ class TestSummarize:
 
 
 class TestRoundTrip:
+    def test_spectrum_columns_are_the_row_keys(self):
+        assert tuple(sample_record().to_row()) == SpectrumRecord.COLUMNS
+
     def test_spectrum_record_survives_json(self):
         rec = sample_record()
         text = emit_json({"rows": [rec.to_row()]})
