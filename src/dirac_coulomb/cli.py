@@ -31,12 +31,7 @@ from .radial import (
 from .report import SpectrumRecord, VerificationReport, summarize
 from .output import emit_csv, emit_json, emit_table, format_reals, token
 from .spectrum import bound_level
-from .verification import (
-    DEFAULT_TOLERANCES,
-    VERIFY_CHECK_COUNT,
-    coherent_closed_residual,
-    run_suite,
-)
+from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_tolerances, run_suite
 
 __all__ = ["main", "entrypoint", "build_parser", "VERIFY_CHECK_COUNT"]
 
@@ -118,7 +113,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     if isinstance(config.get("tolerance"), dict):
-        merged = {str(k): float(v) for k, v in config["tolerance"].items()}
+        merged = {str(k): v for k, v in config["tolerance"].items()}
         for item in args.tolerance or []:
             key, _, val = item.partition("=")
             merged[key] = val
@@ -139,28 +134,23 @@ def _fill_defaults(args: argparse.Namespace) -> None:
 
 
 def _parse_tolerances(args: argparse.Namespace) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in args.tolerance or []:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise _UsageError(f"--tolerance expects KEY=VAL, got {item!r}")
-        if key not in DEFAULT_TOLERANCES:
-            raise _UsageError(f"unknown tolerance key {key!r}")
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise _UsageError(f"tolerance value for {key!r} is not a number: {val!r}") from exc
-    return out
+    """Every check's tolerance, the --tolerance overrides applied; items are
+    checked in the order given."""
+    def pairs():
+        for item in args.tolerance or []:
+            key, sep, val = item.partition("=")
+            if not sep:
+                raise _UsageError(f"--tolerance expects KEY=VAL, got {item!r}")
+            yield key, val
+
+    return resolve_tolerances(pairs())
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     text = str(text).strip()
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, sep, hi = text.partition("..")
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise _UsageError(f"--n expects an integer or a..b, got {text!r}") from exc
     if not values or values[0] < 1:
@@ -168,9 +158,11 @@ def _parse_n_range(text: str) -> list[int]:
     return values
 
 
-def _parse_coupling_range(text, name: str, allow_range: bool) -> list[float]:
+def _parse_coupling_range(text, name: str, allow_range: bool) -> tuple[float, float | None, int]:
+    """(start, stop, count) of a sweep range, or (value, None, 1) for one coupling;
+    _axis builds the values, once the sweep's size has been checked."""
     if isinstance(text, (int, float)):
-        return [float(text)]
+        return float(text), None, 1
     text = str(text).strip()
     if ".." in text:
         if not allow_range:
@@ -187,17 +179,21 @@ def _parse_coupling_range(text, name: str, allow_range: bool) -> list[float]:
                 raise _UsageError(f"{name.replace('-', '_')} must be finite, got {bound}")
         if count < 1:
             raise _UsageError(f"--{name} range count must be >= 1")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        return start, stop, count
     try:
-        return [float(text)]
+        return float(text), None, 1
     except ValueError as exc:
         raise _UsageError(f"--{name} expects a number, got {text!r}") from exc
 
 
+def _axis(start: float, stop: float | None, count: int) -> list[float]:
+    return [start] if stop is None else [float(v) for v in np.linspace(start, stop, count)]
+
+
 def _problem_params(args: argparse.Namespace, alpha_v: float | None = None,
                     alpha_s: float | None = None) -> ProblemParams:
-    av = float(_parse_coupling_range(args.alpha_v, "alpha-v", False)[0]) if alpha_v is None else alpha_v
-    as_ = float(_parse_coupling_range(args.alpha_s, "alpha-s", False)[0]) if alpha_s is None else alpha_s
+    av = _parse_coupling_range(args.alpha_v, "alpha-v", False)[0] if alpha_v is None else alpha_v
+    as_ = _parse_coupling_range(args.alpha_s, "alpha-s", False)[0] if alpha_s is None else alpha_s
     return ProblemParams(
         dimension=int(args.dimension), j=float(args.j),
         alignment=Alignment(args.alignment), alpha_v=av, alpha_s=as_,
@@ -276,7 +272,7 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _problem_params(args)
     derive_constants(params)  # supercritical inputs abort before any output
-    ns = _parse_n_range(args.n)
+    ns = list(_parse_n_range(args.n))
     _write_text(args, _spectrum_text(args, params, [params.alpha_v], [params.alpha_s], ns, {"n_values": ns}))
     return 0
 
@@ -295,12 +291,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 
     tolerances = _parse_tolerances(args)
     res_grid = default_residual_grid(level.a)
-    first = ode_residual_first_order(
-        spinor, res_grid, tolerance=tolerances.get("ode_first_order", DEFAULT_TOLERANCES["ode_first_order"]))
+    first = ode_residual_first_order(spinor, res_grid, tolerance=tolerances["ode_first_order"])
     u_t, v_t = physical_components(level, constants)
-    second = ode_residual_second_order(
-        v_t, level, constants, res_grid, "v",
-        tolerance=tolerances.get("ode_second_order", DEFAULT_TOLERANCES["ode_second_order"]))
+    second = ode_residual_second_order(v_t, level, constants, res_grid, "v",
+                                       tolerance=tolerances["ode_second_order"])
     reports = [spinor.normalization.to_row(), first.to_row(), second.to_row()]
     document = {
         "meta": _meta(args, params, {
@@ -333,8 +327,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
     residuals = [coherent_closed_residual(channel, constants.s, xi) for channel in ("u", "v")]
     tolerances = _parse_tolerances(args)
     closed_report = VerificationReport.from_residuals(
-        "coherent_closed_vs_sum", residuals,
-        tolerances.get("coherent_closed_vs_sum", DEFAULT_TOLERANCES["coherent_closed_vs_sum"]),
+        "coherent_closed_vs_sum", residuals, tolerances["coherent_closed_vs_sum"],
         context={"xi_re": xi.real, "xi_im": xi.imag},
     )
     reports = [spinor.normalization.to_row(), closed_report.to_row()]
@@ -369,12 +362,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    av_values = _parse_coupling_range(args.alpha_v, "alpha-v", True)
-    as_values = _parse_coupling_range(args.alpha_s, "alpha-s", True)
+    av_range = _parse_coupling_range(args.alpha_v, "alpha-v", True)
+    as_range = _parse_coupling_range(args.alpha_s, "alpha-s", True)
     ns = _parse_n_range(args.n)
-    total = len(av_values) * len(as_values) * len(ns)
+    total = av_range[2] * as_range[2] * (ns.stop - ns.start)  # len() fails past sys.maxsize
     if total > MAX_SWEEP_ROWS:
         raise _UsageError(f"sweep of {total} rows exceeds the {MAX_SWEEP_ROWS} row limit")
+    av_values, as_values, ns = _axis(*av_range), _axis(*as_range), list(ns)
     # the grid's first invalid cell in row-major order is met first in row 0, then column 0
     base, *_ = [_problem_params(args, alpha_v=av, alpha_s=as_) for av, as_ in
                 [(av_values[0], v) for v in as_values] + [(v, as_values[0]) for v in av_values[1:]]]

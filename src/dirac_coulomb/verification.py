@@ -4,15 +4,17 @@ Every check pits a closed form against an independent route: quadrature
 moments against gamma values, the spectrum against its algebraic
 reductions, basis functions against their defining ODEs and inner
 products, the operator algebra against its commutation table, and the
-coherent closed forms against truncated group expansions.  Each check
-yields one VerificationReport; the registry order and count are part of
-the CLI contract.
+coherent closed forms against truncated group expansions.  One table,
+_CHECKS, names every check with its default tolerance and its code; its
+order and count are part of the CLI contract.  A check returns its
+residuals and context, and run_suite turns each into a VerificationReport.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "VERIFY_CHECK_NAMES",
     "VERIFY_CHECK_COUNT",
+    "resolve_tolerances",
     "run_suite",
     "generating_reference_sum",
     "coherent_truncated_sum",
@@ -61,34 +64,6 @@ __all__ = [
 
 STURMIAN_S_GRID = (0.6, 0.866, 1.5, 2.2)
 XI_GRID = (0.2, 0.4, 0.6)
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "quadrature_moments": 1e-12,
-    "spectrum_free_limit": 1e-11,
-    "sommerfeld_reduction": 1e-12,
-    "diagonalization_identity": 1e-11,
-    "sturmian_orthonormality_u": 1e-10,
-    "sturmian_orthonormality_v": 1e-10,
-    "commutator_k0_kplus": 1e-8,
-    "commutator_k0_kminus": 1e-8,
-    "commutator_kminus_kplus": 1e-8,
-    "ladder_coefficients": 1e-8,
-    "casimir": 1e-8,
-    "a0_eigenvalue": 1e-9,
-    "scaling_identities": 1e-9,
-    "ode_first_order": 1e-8,
-    "ode_second_order": 1e-7,
-    "normalization": 1e-8,
-    "generating_function": 1e-10,
-    "perelomov_norm": 1e-12,
-    "coherent_identity_limit": 1e-12,
-    "coherent_closed_vs_sum": 1e-8,
-    "coherent_norm": 1e-8,
-    "coherent_ratio_limit": 1e-9,
-}
-
-VERIFY_CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
-VERIFY_CHECK_COUNT = len(VERIFY_CHECK_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -167,10 +142,34 @@ def sommerfeld_energy(n: int, s: float, alpha_v: float, mass: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# individual checks
+# shared setup of the checks
 
 
-def _check_quadrature_moments(params, tol):
+def _s_grid(params):
+    """The acceptance s-grid plus the problem's own s."""
+    return STURMIAN_S_GRID + (derive_constants(params).s,)
+
+
+def _algebra_grid():
+    return np.geomspace(0.05, 30.0, 60)
+
+
+def _levels(params, n_max):
+    """(constants, level) for n = 1..n_max at the problem's couplings, then
+    at one variant: alpha_s switched off, or set to 0.4 alpha_v if it is 0."""
+    variant = replace(params, alpha_s=0.0 if params.alpha_s != 0.0 else 0.4 * params.alpha_v)
+    for p in (params, variant):
+        constants = derive_constants(p)
+        for n in range(1, n_max + 1):
+            yield constants, bound_level(n, p, constants)
+
+
+# ----------------------------------------------------------------------
+# individual checks: check(params) -> (residuals, context); the table binds
+# the leading argument of the parametrized ones
+
+
+def _check_quadrature_moments(params):
     residuals = []
     for order, alpha in ((16, 0.0), (32, 2.6), (48, 0.8)):
         rule = build_rule(order, alpha)
@@ -178,51 +177,44 @@ def _check_quadrature_moments(params, tol):
             got = rule.integrate_moment(k)
             want = math.exp(log_gamma(alpha + k + 1.0))
             residuals.append(abs(got - want) / want)
-    return VerificationReport.from_residuals("quadrature_moments", residuals, tol,
-                                             context={"orders": "16,32,48"})
+    return residuals, {"orders": "16,32,48"}
 
 
-def _check_spectrum_free_limit(params, tol):
+def _check_spectrum_free_limit(params):
     free = replace(params, alpha_v=1e-12, alpha_s=1e-12)
     constants = derive_constants(free)
     residuals = [abs(energy(n, constants, free) / free.mass - 1.0) for n in range(1, 11)]
-    return VerificationReport.from_residuals("spectrum_free_limit", residuals, tol,
-                                             context={"alpha": 1e-12, "n_max": 10})
+    return residuals, {"alpha": 1e-12, "n_max": 10}
 
 
-def _sommerfeld_grid():
+def _sommerfeld_grid(params):
+    """D = 3, alpha_s = 0 variants of ``params`` at kappa = -1, -2, +1."""
     for j, alignment in ((0.5, Alignment.ALIGNED), (1.5, Alignment.ALIGNED), (0.5, Alignment.UNALIGNED)):
         kap = -(j + 0.5) if alignment is Alignment.ALIGNED else j + 0.5
         for alpha_v in (0.1, 0.5, 0.9 * abs(kap)):
-            yield j, alignment, alpha_v
+            yield replace(params, dimension=3, j=j, alignment=alignment, alpha_v=alpha_v, alpha_s=0.0)
 
 
-def _check_sommerfeld(params, tol):
+def _check_sommerfeld(params):
     residuals = []
-    for j, alignment, alpha_v in _sommerfeld_grid():
-        p = replace(params, dimension=3, j=j, alignment=alignment, alpha_v=alpha_v, alpha_s=0.0)
+    for p in _sommerfeld_grid(params):
         constants = derive_constants(p)
         for n in range(1, 9):
             e = energy(n, constants, p)
-            residuals.append(abs(e - sommerfeld_energy(n, constants.s, alpha_v, p.mass)) / p.mass)
-    return VerificationReport.from_residuals("sommerfeld_reduction", residuals, tol,
-                                             context={"kappas": "-1,-2,+1", "n_max": 8})
+            residuals.append(abs(e - sommerfeld_energy(n, constants.s, p.alpha_v, p.mass)) / p.mass)
+    return residuals, {"kappas": "-1,-2,+1", "n_max": 8}
 
 
-def _check_diagonalization(params, tol):
+def _check_diagonalization(params):
     residuals = []
-    grid = [params]
-    for j, alignment, alpha_v in _sommerfeld_grid():
-        grid.append(replace(params, dimension=3, j=j, alignment=alignment, alpha_v=alpha_v, alpha_s=0.0))
-    for p in grid:
+    for p in (params, *_sommerfeld_grid(params)):
         constants = derive_constants(p)
         for n in range(1, 9):
             e = energy(n, constants, p)
             a = math.sqrt((p.mass - e) * (p.mass + e))
             lhs = a * (n + constants.s) - (p.alpha_v * e + p.alpha_s * p.mass)
             residuals.append(abs(lhs) / p.mass)
-    return VerificationReport.from_residuals("diagonalization_identity", residuals, tol,
-                                             context={"n_max": 8})
+    return residuals, {"n_max": 8}
 
 
 def _gram_residual(channel, s, n_count):
@@ -239,47 +231,26 @@ def _gram_residual(channel, s, n_count):
     return worst
 
 
-def _check_orthonormality(channel):
-    def check(params, tol):
-        s_values = STURMIAN_S_GRID + (derive_constants(params).s,)
-        residuals = [_gram_residual(channel, s, 12) for s in s_values]
-        return VerificationReport.from_residuals(
-            f"sturmian_orthonormality_{channel}", residuals, tol,
-            context={"channel": channel, "count": 12},
-        )
-
-    return check
+def _check_orthonormality(channel, params):
+    residuals = [_gram_residual(channel, s, 12) for s in _s_grid(params)]
+    return residuals, {"channel": channel, "count": 12}
 
 
-def _algebra_family(params):
-    """(sigma, functions) pairs: first Sturmians of each channel at the
-    acceptance s-grid plus the problem's own s."""
-    out = []
-    s_values = STURMIAN_S_GRID + (derive_constants(params).s,)
-    for s in s_values:
-        for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
-            sigma = channel_realization(channel, s)
-            fns = [sturmian(channel, n, s) for n in n_range]
-            out.append((sigma, fns))
-    return out
-
-
-def _check_commutator(which):
-    def check(params, tol):
-        grid = np.geomspace(0.05, 30.0, 60)
-        residuals = []
-        for sigma, fns in _algebra_family(params):
-            rep = commutator_residual(*su11_relation(which, sigma, None), fns, grid, tol, which)
-            residuals.append(rep.residual_max)
-        return VerificationReport.from_residuals(which, residuals, tol,
-                                                 context={"families": len(residuals)})
-
-    return check
-
-
-def _check_ladder(params, tol):
+def _check_commutator(which, params):
+    """One residual per family: the first Sturmians of one channel at one s."""
+    grid = _algebra_grid()
     residuals = []
-    s_values = STURMIAN_S_GRID + (derive_constants(params).s,)
+    for s in _s_grid(params):
+        for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
+            relation = su11_relation(which, channel_realization(channel, s), None)
+            fns = [sturmian(channel, n, s) for n in n_range]
+            residuals.append(commutator_residual(*relation, fns, grid, name=which).residual_max)
+    return residuals, {"families": len(residuals)}
+
+
+def _check_ladder(params):
+    residuals = []
+    s_values = _s_grid(params)
     for s in s_values:
         for channel in ("u", "v"):
             k = channel_realization(channel, s) + 1.0
@@ -294,96 +265,72 @@ def _check_ladder(params, tol):
                     residuals.append(abs(down - down_want) / down_want)
                 else:
                     residuals.append(abs(down))
-    return VerificationReport.from_residuals("ladder_coefficients", residuals, tol,
-                                             context={"s_values": len(s_values)})
+    return residuals, {"s_values": len(s_values)}
 
 
-def _check_casimir(params, tol):
-    grid = np.geomspace(0.05, 30.0, 60)
+def _check_casimir(params):
+    grid = _algebra_grid()
+    s_values = _s_grid(params)
     residuals = []
-    s_values = STURMIAN_S_GRID + (derive_constants(params).s,)
     for s in s_values:
         for channel, n in (("v", 1), ("v", 3), ("u", 0), ("u", 2)):
             residuals.append(casimir_residual(channel, n, s, grid).residual_max)
-    return VerificationReport.from_residuals("casimir", residuals, tol,
-                                             context={"s_values": len(s_values)})
+    return residuals, {"s_values": len(s_values)}
 
 
-def _check_a0(params, tol):
-    grid = np.geomspace(0.05, 30.0, 60)
+def _check_a0(params):
+    grid = _algebra_grid()
+    s_values = _s_grid(params)
     residuals = []
-    s_values = STURMIAN_S_GRID + (derive_constants(params).s,)
     for s in s_values:
         for channel, n_range in (("v", (1, 2, 5)), ("u", (0, 1, 4))):
             for n in n_range:
                 residuals.append(a0_eigenvalue_residual(channel, n, s, grid).residual_max)
-    return VerificationReport.from_residuals("a0_eigenvalue", residuals, tol,
-                                             context={"s_values": len(s_values)})
+    return residuals, {"s_values": len(s_values)}
 
 
-def _check_scaling(params, tol):
-    grid = np.geomspace(0.05, 30.0, 60)
+def _check_scaling(params):
+    grid = _algebra_grid()
     s = derive_constants(params).s
     fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
     residuals = []
     for theta in (0.0, 0.7, -0.7, math.log(2.0)):
         residuals.append(scaling_identity_residual(theta, fns, grid, s).residual_max)
-    return VerificationReport.from_residuals("scaling_identities", residuals, tol,
-                                             context={"thetas": "0,+-0.7,ln2"})
+    return residuals, {"thetas": "0,+-0.7,ln2"}
 
 
-def _coupling_variants(params):
-    yield params
-    if params.alpha_s != 0.0:
-        yield replace(params, alpha_s=0.0)
-    else:
-        yield replace(params, alpha_s=0.4 * params.alpha_v)
-
-
-def _check_ode_first(perturb: bool):
-    def check(params, tol):
-        residuals = []
-        for p in _coupling_variants(params):
-            constants = derive_constants(p)
-            for n in range(1, 6):
-                spinor = assemble_spinor(bound_level(n, p, constants), constants)
-                factor = 1.01 if perturb else 1.0
-                residuals.append(ode_residual_first_order(spinor, perturb_F=factor).residual_max)
-        return VerificationReport.from_residuals("ode_first_order", residuals, tol,
-                                                 context={"n_max": 5, "perturbed": perturb})
-
-    return check
-
-
-def _check_ode_second(params, tol):
+def _check_ode_first(perturb: bool, params):
     residuals = []
-    for p in _coupling_variants(params):
-        constants = derive_constants(p)
-        for n in range(1, 6):
-            level = bound_level(n, p, constants)
-            u_t, v_t = physical_components(level, constants)
-            grid = default_residual_grid(level.a)
-            residuals.append(ode_residual_second_order(v_t, level, constants, grid, "v").residual_max)
-            residuals.append(ode_residual_second_order(u_t, level, constants, grid, "u").residual_max)
-    return VerificationReport.from_residuals("ode_second_order", residuals, tol,
-                                             context={"n_max": 5, "channels": "u,v"})
+    for constants, level in _levels(params, 5):
+        spinor = assemble_spinor(level, constants)
+        factor = 1.01 if perturb else 1.0
+        residuals.append(ode_residual_first_order(spinor, perturb_F=factor).residual_max)
+    return residuals, {"n_max": 5, "perturbed": perturb}
 
 
-def _check_normalization(params, tol):
+def _check_ode_second(params):
     residuals = []
-    for p in _coupling_variants(params):
-        constants = derive_constants(p)
-        for n in range(1, 9):
-            spinor = assemble_spinor(bound_level(n, p, constants), constants)
-            rule = build_rule(max(48, n + 24), 2.0 * constants.s)
-            total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2,
-                                     spinor.level.a, rule)
-            residuals.append(abs(float(np.real(total)) - 1.0))
-    return VerificationReport.from_residuals("normalization", residuals, tol,
-                                             context={"n_max": 8})
+    for constants, level in _levels(params, 5):
+        u_t, v_t = physical_components(level, constants)
+        grid = default_residual_grid(level.a)
+        residuals.append(ode_residual_second_order(v_t, level, constants, grid, "v").residual_max)
+        residuals.append(ode_residual_second_order(u_t, level, constants, grid, "u").residual_max)
+    return residuals, {"n_max": 5, "channels": "u,v"}
 
 
-def _check_generating(params, tol):
+def _check_normalization(params):
+    residuals = []
+    rules = {}  # one rule per coupling variant: order 48 >= n + 24 for every n <= 8
+    for constants, level in _levels(params, 8):
+        if constants.s not in rules:
+            rules[constants.s] = build_rule(48, 2.0 * constants.s)
+        spinor = assemble_spinor(level, constants)
+        total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rules[constants.s])
+        residuals.append(abs(float(np.real(total)) - 1.0))
+    return residuals, {"n_max": 8}
+
+
+def _check_generating(params):
     residuals = []
     ys = [0.3, -0.3, 0.55, -0.55, 0.7, 0.3 + 0.2j, 0.7 * np.exp(2j * np.pi / 3.0)]
     for nu in (1.5, 2.4, 3.0):
@@ -392,11 +339,10 @@ def _check_generating(params, tol):
                 closed = laguerre_generating_closed(nu, y, x)
                 reference = generating_reference_sum(nu, y, x)
                 residuals.append(abs(closed - reference) / max(abs(reference), 1e-30))
-    return VerificationReport.from_residuals("generating_function", residuals, tol,
-                                             context={"nu": "1.5,2.4,3.0", "x": "0.5,1,2"})
+    return residuals, {"nu": "1.5,2.4,3.0", "x": "0.5,1,2"}
 
 
-def _check_perelomov_norm(params, tol):
+def _check_perelomov_norm(params):
     s = derive_constants(params).s
     residuals = []
     for k in (s, s + 1.0):
@@ -405,11 +351,10 @@ def _check_perelomov_norm(params, tol):
                 n_max = truncation_order(k, xi, 1e-14)
                 w = perelomov_weights(k, xi, n_max)
                 residuals.append(abs(float(np.sum(np.abs(w) ** 2)) - 1.0))
-    return VerificationReport.from_residuals("perelomov_norm", residuals, tol,
-                                             context={"xi": "0.2,0.4,0.6"})
+    return residuals, {"xi": "0.2,0.4,0.6"}
 
 
-def _check_coherent_identity(params, tol):
+def _check_coherent_identity(params):
     s = derive_constants(params).s
     grid = np.geomspace(0.01, 40.0, 200)
     residuals = []
@@ -417,35 +362,32 @@ def _check_coherent_identity(params, tol):
         lowest = sturmian(channel, 0 if channel == "u" else 1, s)(grid)
         reduced = sturmian_coherent(channel, s, 0.0)(grid)
         residuals.append(float(np.max(np.abs(reduced - lowest))))
-    return VerificationReport.from_residuals("coherent_identity_limit", residuals, tol,
-                                             context={"xi": 0.0})
+    return residuals, {"xi": 0.0}
 
 
-def _check_coherent_closed(params, tol):
+def _check_coherent_closed(params):
     s = derive_constants(params).s
     residuals = [coherent_closed_residual(channel, s, xi)
                  for channel in ("u", "v") for mod in XI_GRID for xi in (mod, mod * np.exp(2.0j))]
-    return VerificationReport.from_residuals("coherent_closed_vs_sum", residuals, tol,
-                                             context={"xi": "0.2,0.4,0.6", "channels": "u,v"})
+    return residuals, {"xi": "0.2,0.4,0.6", "channels": "u,v"}
 
 
-def _check_coherent_norm(params, tol):
+def _check_coherent_norm(params):
     constants = derive_constants(params)
+    rule = build_rule(48, 2.0 * constants.s)
     residuals = []
     for mod in XI_GRID:
         for xi in (mod, -mod, mod * np.exp(1.1j)):
             spinor = assemble_coherent_spinor(params, constants, xi)
             decay = spinor.a_ref * (1.0 + xi) / (1.0 - xi)
-            rule = build_rule(48, 2.0 * constants.s)
             total = integrate_radial(
                 lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2,
                 complex(decay).real, rule)
             residuals.append(abs(float(np.real(total)) - 1.0))
-    return VerificationReport.from_residuals("coherent_norm", residuals, tol,
-                                             context={"xi": "+-0.2,0.4,0.6"})
+    return residuals, {"xi": "+-0.2,0.4,0.6"}
 
 
-def _check_coherent_ratio(params, tol):
+def _check_coherent_ratio(params):
     constants = derive_constants(params)
     s = constants.s
     ref = bound_level(1, params, constants)
@@ -463,51 +405,74 @@ def _check_coherent_ratio(params, tol):
         ratio_series = ref.omega * leading(u_p, s) / ((2.0 * s + 1.0) * leading(v_p, s + 1.0))
         ratio_closed = coherent_ratio_Bn_prime(s, xi, ref.a, ref.omega)
         residuals.append(abs(ratio_closed - ratio_series) / abs(ratio_closed))
-    return VerificationReport.from_residuals("coherent_ratio_limit", residuals, tol,
-                                             context={"xi": "0,0.4,-0.3,0.3+0.3i"})
+    return residuals, {"xi": "0,0.4,-0.3,0.3+0.3i"}
+
+
+# ----------------------------------------------------------------------
+# the suite
+
+# name -> (default tolerance, check), in report order
+_CHECKS = {
+    "quadrature_moments": (1e-12, _check_quadrature_moments),
+    "spectrum_free_limit": (1e-11, _check_spectrum_free_limit),
+    "sommerfeld_reduction": (1e-12, _check_sommerfeld),
+    "diagonalization_identity": (1e-11, _check_diagonalization),
+    "sturmian_orthonormality_u": (1e-10, partial(_check_orthonormality, "u")),
+    "sturmian_orthonormality_v": (1e-10, partial(_check_orthonormality, "v")),
+    "commutator_k0_kplus": (1e-8, partial(_check_commutator, "commutator_k0_kplus")),
+    "commutator_k0_kminus": (1e-8, partial(_check_commutator, "commutator_k0_kminus")),
+    "commutator_kminus_kplus": (1e-8, partial(_check_commutator, "commutator_kminus_kplus")),
+    "ladder_coefficients": (1e-8, _check_ladder),
+    "casimir": (1e-8, _check_casimir),
+    "a0_eigenvalue": (1e-9, _check_a0),
+    "scaling_identities": (1e-9, _check_scaling),
+    "ode_first_order": (1e-8, partial(_check_ode_first, False)),
+    "ode_second_order": (1e-7, _check_ode_second),
+    "normalization": (1e-8, _check_normalization),
+    "generating_function": (1e-10, _check_generating),
+    "perelomov_norm": (1e-12, _check_perelomov_norm),
+    "coherent_identity_limit": (1e-12, _check_coherent_identity),
+    "coherent_closed_vs_sum": (1e-8, _check_coherent_closed),
+    "coherent_norm": (1e-8, _check_coherent_norm),
+    "coherent_ratio_limit": (1e-9, _check_coherent_ratio),
+}
+
+DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (tol, _) in _CHECKS.items()}
+VERIFY_CHECK_NAMES = tuple(_CHECKS)
+VERIFY_CHECK_COUNT = len(VERIFY_CHECK_NAMES)
 
 
 def _registry(perturb: bool):
-    return {
-        "quadrature_moments": _check_quadrature_moments,
-        "spectrum_free_limit": _check_spectrum_free_limit,
-        "sommerfeld_reduction": _check_sommerfeld,
-        "diagonalization_identity": _check_diagonalization,
-        "sturmian_orthonormality_u": _check_orthonormality("u"),
-        "sturmian_orthonormality_v": _check_orthonormality("v"),
-        "commutator_k0_kplus": _check_commutator("commutator_k0_kplus"),
-        "commutator_k0_kminus": _check_commutator("commutator_k0_kminus"),
-        "commutator_kminus_kplus": _check_commutator("commutator_kminus_kplus"),
-        "ladder_coefficients": _check_ladder,
-        "casimir": _check_casimir,
-        "a0_eigenvalue": _check_a0,
-        "scaling_identities": _check_scaling,
-        "ode_first_order": _check_ode_first(perturb),
-        "ode_second_order": _check_ode_second,
-        "normalization": _check_normalization,
-        "generating_function": _check_generating,
-        "perelomov_norm": _check_perelomov_norm,
-        "coherent_identity_limit": _check_coherent_identity,
-        "coherent_closed_vs_sum": _check_coherent_closed,
-        "coherent_norm": _check_coherent_norm,
-        "coherent_ratio_limit": _check_coherent_ratio,
-    }
+    """{name: check} in report order.  ``perturb`` is the fault-injection
+    hook: its first-order ODE check scales F by 1% and must then fail."""
+    return {name: partial(_check_ode_first, True) if perturb and name == "ode_first_order" else check
+            for name, (_, check) in _CHECKS.items()}
+
+
+def resolve_tolerances(overrides) -> dict[str, float]:
+    """Every check's tolerance: the defaults with the (key, value) pairs of
+    ``overrides`` applied in order.  An unknown key, or a value that is not
+    a finite number, raises DiracCoulombError naming the key."""
+    tolerances = dict(DEFAULT_TOLERANCES)
+    for key, value in overrides:
+        if key not in tolerances:
+            raise DiracCoulombError(f"unknown tolerance key {key!r}")
+        try:
+            tolerances[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise DiracCoulombError(f"tolerance value for {key!r} is not a number: {value!r}") from exc
+        if not math.isfinite(tolerances[key]):
+            raise DiracCoulombError(f"tolerance value for {key!r} must be finite, got {value!r}")
+    return tolerances
 
 
 def run_suite(params: ProblemParams, tolerances: dict[str, float] | None = None,
               perturb: bool = False) -> list[VerificationReport]:
-    """Run every check at its (possibly overridden) tolerance.
-
-    ``perturb`` is the fault-injection hook: it scales F by 1% inside the
-    first-order residual check, which must then fail.
-    """
-    overrides = dict(tolerances or {})
-    unknown = set(overrides) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise DiracCoulombError(f"unknown tolerance keys: {sorted(unknown)}")
-    registry = _registry(perturb)
+    """Run every check at its (possibly overridden) tolerance; see _registry
+    for ``perturb``."""
+    tolerances = resolve_tolerances((tolerances or {}).items())
     reports = []
-    for name in VERIFY_CHECK_NAMES:
-        tol = float(overrides.get(name, DEFAULT_TOLERANCES[name]))
-        reports.append(registry[name](params, tol))
+    for name, check in _registry(perturb).items():
+        residuals, context = check(params)
+        reports.append(VerificationReport.from_residuals(name, residuals, tolerances[name], context))
     return reports

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,6 +149,29 @@ class TestVerify:
         proc = run_cli("verify", "--tolerance", "nonsense=1e-8")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command, key", [
+        ("verify", "casimir"), ("wavefunction", "ode_first_order"),
+        ("wavefunction", "ode_second_order"), ("coherent", "coherent_closed_vs_sum"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_2(self, command, key, value, capsys):
+        assert cli.main([command, "--tolerance", f"{key}={value}", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance value for {key!r} must be finite, got {value!r}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("NaN", "must be finite, got 'nan'"),
+        ('"abc"', "is not a number: 'abc'"),
+    ])
+    def test_bad_tolerance_in_config_exits_2(self, value, message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"tolerance": {"normalization": 1e-8, "casimir": %s}}' % value)
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance value for 'casimir' {message}\n"
+
 
 class TestSweep:
     def test_cartesian_cardinality(self):
@@ -191,6 +215,24 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sweep of 100001 rows exceeds the 100000 row limit\n"
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--alpha-v", "0.1..0.9..1000000", "--n", "1"], 1_000_000),
+        (["--n", "1..2000000"], 2_000_000),
+    ])
+    def test_rejected_sweep_builds_no_axis(self, argv, rows, capsys):
+        # the row count comes from the parsed counts; no axis value is made before the check
+        tracemalloc.start()
+        try:
+            code = cli.main(["sweep", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep of {rows} rows exceeds the 100000 row limit\n"
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("flag, message", [
         ("--alpha-v=-0.1..0.5..3", "alpha_v must be positive, got -0.1"),

@@ -1,5 +1,6 @@
-"""The README commands, two deep-series commands and two spectrum tables print byte for byte
-what tests/golden records.
+"""The README commands, two deep-series commands, two spectrum tables and three
+tolerance or fault-injection runs print byte for byte what tests/golden records,
+and exit with the code recorded beside them.
 
 The golden files are the stdout of ``dirac-coulomb`` for each command;
 regenerate one only for a change that means to alter the output.
@@ -32,10 +33,17 @@ README_COMMANDS = {
                             "--n", "2..6", "--format", "csv"],
     "spectrum_rows.csv": ["spectrum", "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "1..40",
                           "--format", "csv"],
+    # the fault-injected first-order ODE check and an overridden tolerance fail the suite
+    "verify_perturb.json": ["verify", "--_perturb"],
+    "verify_normalization_strict.csv": ["verify", "--tolerance", "normalization=1e-30",
+                                        "--format", "csv"],
+    "wavefunction_n3_tolerance.json": ["wavefunction", "--n", "3", "--tolerance",
+                                       "ode_second_order=1e-3"],
 }
+EXIT_CODES = {"verify_perturb.json": 1, "verify_normalization_strict.csv": 1}  # any other: 0
 
 
 @pytest.mark.parametrize("name", list(README_COMMANDS))
 def test_readme_command_output_is_byte_identical(name, capsys):
-    assert cli.main(README_COMMANDS[name]) == 0
+    assert cli.main(README_COMMANDS[name]) == EXIT_CODES.get(name, 0)
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()

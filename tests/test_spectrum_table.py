@@ -41,9 +41,9 @@ def per_row_stdout(argv):
     cli._apply_config(args)
     cli._fill_defaults(args)
     sweep = args.command == "sweep"
-    av_values = cli._parse_coupling_range(args.alpha_v, "alpha-v", sweep)
-    as_values = cli._parse_coupling_range(args.alpha_s, "alpha-s", sweep)
-    ns = cli._parse_n_range(args.n)
+    av_values = cli._axis(*cli._parse_coupling_range(args.alpha_v, "alpha-v", sweep))
+    as_values = cli._axis(*cli._parse_coupling_range(args.alpha_s, "alpha-s", sweep))
+    ns = list(cli._parse_n_range(args.n))
     rows = [record(cli._problem_params(args, alpha_v=av, alpha_s=as_), n).to_row()
             for av in av_values for as_ in as_values for n in ns]
     base = cli._problem_params(args, alpha_v=av_values[0], alpha_s=as_values[0])
