@@ -136,21 +136,35 @@ def commutator_residual(x: RadialOperator, y: RadialOperator,
     test functions; everything is applied exactly."""
     grid = np.asarray(grid, dtype=float)
     fs = list(test_functions)
-    residuals = []
-    for f in fs:
-        xy = x.apply(y.apply(f))(grid)
-        yx = y.apply(x.apply(f))(grid)
-        zval = np.zeros(grid.shape, dtype=complex)
-        for coef, z in expected:
-            zval = zval + coef * np.asarray(z.apply(f)(grid), dtype=complex)
-        lhs = xy - yx - zval
-        # f itself joins the scale so that identically annihilated states
-        # (K- on the lowest one) do not reduce the residual to 0/0 noise
-        residuals.append(_relative_residual(lhs, [xy, yx, zval, f(grid)]))
+    residuals = [_commutator_residuals(x, y, expected, f, grid) for f in fs]
     return VerificationReport.from_residuals(
         name, np.concatenate(residuals), tolerance,
         context={"functions": len(fs), "points": grid.size},
     )
+
+
+def _commutator_residuals(x: RadialOperator, y: RadialOperator, expected, f: LaguerreSum,
+                          grid: np.ndarray) -> np.ndarray:
+    """Pointwise residual of one test function on the float array grid.  Each
+    operator image of f is built once, and every evaluation shares one cache
+    of r**p, exp(-c r) and Laguerre factors, so no value is computed twice."""
+    cache = ({}, {}, {})
+    images: dict = {}
+
+    def image(op: RadialOperator) -> LaguerreSum:
+        if op not in images:
+            images[op] = op.apply(f)
+        return images[op]
+
+    xy = x.apply(image(y)).evaluate(grid, *cache)
+    yx = y.apply(image(x)).evaluate(grid, *cache)
+    zval = np.zeros(grid.shape, dtype=complex)
+    for coef, z in expected:
+        zval = zval + coef * np.asarray(image(z).evaluate(grid, *cache), dtype=complex)
+    lhs = xy - yx - zval
+    # f itself joins the scale so that identically annihilated states
+    # (K- on the lowest one) do not reduce the residual to 0/0 noise
+    return _relative_residual(lhs, [xy, yx, zval, f.evaluate(grid, *cache)])
 
 
 # The defining relations [X, Y] = sum_j c_j Z_j, keyed by check name.
@@ -199,12 +213,22 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     must equal sqrt((n_g+1)(2k+n_g)) and sqrt(n_g(2k+n_g-1)); for the
     lowest state the down coefficient is the norm of K- f, which vanishes.
     """
+    return _ladder_projections(channel, n, s, build_rule(*_ladder_rule_key(channel, n, s)))
+
+
+def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
+    """(order, alpha) of the quadrature rule behind ladder_matrix_elements."""
+    return max(32, n + 10), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
+
+
+def _ladder_projections(channel: str, n: int, s: float, rule) -> tuple[float, float]:
+    """ladder_matrix_elements on the rule built from _ladder_rule_key, which a
+    caller that projects many states may build once for all of them."""
     sigma = channel_realization(channel, s)
     f_n = sturmian(channel, n, s)
     kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
     km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
     ng = n if channel == "u" else n - 1
-    rule = build_rule(max(32, n + 10), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
 
     f_up = sturmian(channel, n + 1, s)
     up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
@@ -228,10 +252,12 @@ def casimir_residual(channel: str, n: int, s: float, grid,
     km = RadialOperator(OperatorKind.KMINUS, sigma)
     k0 = RadialOperator(OperatorKind.K0, sigma)
     grid = np.asarray(grid, dtype=float)
+    cache = ({}, {}, {})
     k0f = k0.apply(f)
-    lhs = (kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f)(grid)
-    rhs = k_barg * (k_barg - 1.0) * f(grid)
-    res = _relative_residual(lhs - rhs, [lhs, rhs, f(grid)])
+    lhs = (kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f).evaluate(grid, *cache)
+    fv = f.evaluate(grid, *cache)
+    rhs = k_barg * (k_barg - 1.0) * fv
+    res = _relative_residual(lhs - rhs, [lhs, rhs, fv])
     return VerificationReport.from_residuals(
         "casimir", res, tolerance, context={"channel": channel, "n": n, "s": s},
     )
@@ -244,8 +270,9 @@ def a0_eigenvalue_residual(channel: str, n: int, s: float, grid,
     sigma = channel_realization(channel, s)
     f = sturmian(channel, n, s)
     grid = np.asarray(grid, dtype=float)
-    lhs = RadialOperator(OperatorKind.A0, sigma).apply(f)(grid)
-    rhs = (n + s) * f(grid)
+    cache = ({}, {}, {})
+    lhs = RadialOperator(OperatorKind.A0, sigma).apply(f).evaluate(grid, *cache)
+    rhs = (n + s) * f.evaluate(grid, *cache)
     res = _relative_residual(lhs - rhs, [lhs, rhs])
     return VerificationReport.from_residuals(
         "a0_eigenvalue", res, tolerance, context={"channel": channel, "n": n, "s": s},

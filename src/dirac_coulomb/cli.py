@@ -35,7 +35,7 @@ from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_
 
 __all__ = ["main", "entrypoint", "build_parser", "VERIFY_CHECK_COUNT"]
 
-MAX_SWEEP_ROWS = 100_000
+MAX_SWEEP_ROWS = 100_000  # the row limit of every spectrum table, `spectrum` and `sweep`
 
 _CONFIG_KEYS = (
     "dimension", "j", "alignment", "alpha_v", "alpha_s", "mass", "n",
@@ -186,6 +186,12 @@ def _parse_coupling_range(text, name: str, allow_range: bool) -> tuple[float, fl
         raise _UsageError(f"--{name} expects a number, got {text!r}") from exc
 
 
+def _check_rows(command: str, total: int) -> None:
+    """Reject a table of more than MAX_SWEEP_ROWS rows before any row is built."""
+    if total > MAX_SWEEP_ROWS:
+        raise _UsageError(f"{command} of {total} rows exceeds the {MAX_SWEEP_ROWS} row limit")
+
+
 def _axis(start: float, stop: float | None, count: int) -> list[float]:
     return [start] if stop is None else [float(v) for v in np.linspace(start, stop, count)]
 
@@ -272,7 +278,9 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _problem_params(args)
     derive_constants(params)  # supercritical inputs abort before any output
-    ns = list(_parse_n_range(args.n))
+    ns = _parse_n_range(args.n)
+    _check_rows("spectrum", ns.stop - ns.start)  # len() fails past sys.maxsize
+    ns = list(ns)
     _write_text(args, _spectrum_text(args, params, [params.alpha_v], [params.alpha_s], ns, {"n_values": ns}))
     return 0
 
@@ -281,7 +289,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _problem_params(args)
     constants = derive_constants(params)
     ns = _parse_n_range(args.n)
-    if len(ns) != 1:
+    if ns.stop - ns.start != 1:
         raise _UsageError("wavefunction requires a single --n")
     level = bound_level(ns[0], params, constants)
     spinor = assemble_spinor(level, constants)
@@ -366,8 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     as_range = _parse_coupling_range(args.alpha_s, "alpha-s", True)
     ns = _parse_n_range(args.n)
     total = av_range[2] * as_range[2] * (ns.stop - ns.start)  # len() fails past sys.maxsize
-    if total > MAX_SWEEP_ROWS:
-        raise _UsageError(f"sweep of {total} rows exceeds the {MAX_SWEEP_ROWS} row limit")
+    _check_rows("sweep", total)
     av_values, as_values, ns = _axis(*av_range), _axis(*as_range), list(ns)
     # the grid's first invalid cell in row-major order is met first in row 0, then column 0
     base, *_ = [_problem_params(args, alpha_v=av, alpha_s=as_) for av, as_ in

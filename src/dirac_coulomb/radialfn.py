@@ -42,21 +42,24 @@ class LaguerreSum:
     __slots__ = ("_map", "_derivative")
 
     def __init__(self, terms):
-        self._merge(((t.power, complex(t.decay), t.degree, t.alpha, t.argscale), t.coef)
-                    for t in terms)
+        self._merge((((t.power, complex(t.decay), t.degree, t.alpha, t.argscale), complex(t.coef))
+                     for t in terms), {})
 
     @classmethod
-    def _of(cls, pairs) -> "LaguerreSum":
-        """Build from (key, coef) pairs whose key already holds a complex decay."""
+    def _of(cls, pairs, base=()) -> "LaguerreSum":
+        """Build from (key, coef) pairs with complex decays and coefficients,
+        merged into a copy of the map ``base`` of another sum."""
         self = object.__new__(cls)
-        self._merge(pairs)
+        self._merge(pairs, dict(base))
         return self
 
-    def _merge(self, pairs) -> None:
-        merged: dict = {}
+    def _merge(self, pairs, merged: dict) -> None:
+        """Sum the coefficients of equal keys in order, each sum starting at
+        0j (which clears -0.0 parts), and drop the terms that cancel."""
         for key, coef in pairs:
             if coef != 0:
-                merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
+                old = merged.get(key)
+                merged[key] = 0j + coef if old is None else old + coef
         if 0 in merged.values():
             merged = {k: c for k, c in merged.items() if c != 0}
         self._map = merged
@@ -122,7 +125,7 @@ class LaguerreSum:
     def __add__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
             return NotImplemented
-        return LaguerreSum._of([*self._map.items(), *other._map.items()])
+        return LaguerreSum._of(other._map.items(), self._map)
 
     def __sub__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
@@ -133,7 +136,11 @@ class LaguerreSum:
         if isinstance(scalar, LaguerreSum):
             raise DomainError("products of LaguerreSum objects are not supported; "
                               "evaluate pointwise instead")
-        return LaguerreSum._of((key, c * scalar) for key, c in self._map.items())
+        # the keys stay distinct, so each product only gets the 0j + of a merge
+        out = object.__new__(LaguerreSum)
+        out._map = {key: 0j + v for key, c in self._map.items() if (v := c * scalar) != 0}
+        out._derivative = None
+        return out
 
     __rmul__ = __mul__
 

@@ -19,11 +19,12 @@ from functools import partial
 import numpy as np
 
 from .algebra import (
+    _ladder_projections,
+    _ladder_rule_key,
     a0_eigenvalue_residual,
     casimir_residual,
     channel_realization,
     commutator_residual,
-    ladder_matrix_elements,
     scaling_identity_residual,
     su11_relation,
 )
@@ -222,10 +223,16 @@ def _gram_residual(channel, s, n_count):
     fns = [sturmian(channel, n, s) for n in range(n_start, n_start + n_count)]
     alpha = 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
     rule = build_rule(max(48, n_count + 16), alpha)
+    # each function once on the radii integrate_radial uses at scale 1; the
+    # degrees n_start.. are L_0, L_1, ... of one recurrence at x = 2r
+    radii = rule.nodes / 2.0
+    powers, decays = {}, {}
+    values = [f.evaluate(radii, powers, decays, {(degree, alpha, 2.0): lag})
+              for degree, (f, lag) in enumerate(zip(fns, laguerre_sequence(alpha, 2.0 * radii)))]
     worst = 0.0
-    for i, fi in enumerate(fns):
-        for j in range(i, len(fns)):
-            val = integrate_radial(lambda r: fi(r) * fns[j](r) * r, 1.0, rule)
+    for i, fi in enumerate(values):
+        for j in range(i, len(values)):
+            val = integrate_radial(lambda r: fi * values[j] * r, 1.0, rule)
             target = 1.0 if i == j else 0.0
             worst = max(worst, abs(float(np.real(val)) - target))
     return worst
@@ -250,13 +257,17 @@ def _check_commutator(which, params):
 
 def _check_ladder(params):
     residuals = []
+    rules = {}
     s_values = _s_grid(params)
     for s in s_values:
         for channel in ("u", "v"):
             k = channel_realization(channel, s) + 1.0
             n_start = 0 if channel == "u" else 1
             for n in range(n_start, n_start + 5):
-                up, down = ladder_matrix_elements(channel, n, s)
+                key = _ladder_rule_key(channel, n, s)
+                if key not in rules:
+                    rules[key] = build_rule(*key)
+                up, down = _ladder_projections(channel, n, s, rules[key])
                 ng = n if channel == "u" else n - 1
                 up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
                 residuals.append(abs(up - up_want) / up_want)

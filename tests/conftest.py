@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from cli_support import ACCEPTANCE_LINES
 from dirac_coulomb import Alignment, ProblemParams, derive_constants
+
+# Loaded before any test module is imported, so every @settings inherits it:
+# each property test draws the same examples on every run, and with no example
+# database nothing saved in .hypothesis/ by one run replays in the next.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def pytest_terminal_summary(terminalreporter):

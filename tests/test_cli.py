@@ -45,6 +45,25 @@ class TestSpectrum:
         doc = load_json(proc)
         assert [row["n"] for row in doc["rows"]] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("top, rows", [("100001", 100_001), ("100000000000000000000", 10**20)])
+    def test_row_limit_exits_2_before_any_row(self, top, rows, capsys):
+        # the count is stop - start: len() of a range past sys.maxsize raises OverflowError
+        tracemalloc.start()
+        try:
+            code = cli.main(["spectrum", "--n", f"1..{top}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: spectrum of {rows} rows exceeds the {cli.MAX_SWEEP_ROWS} row limit\n"
+        assert peak < 2_000_000
+
+    def test_row_limit_is_inclusive(self, capsys):
+        assert cli.main(["spectrum", "--n", f"1..{cli.MAX_SWEEP_ROWS}", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + cli.MAX_SWEEP_ROWS
+
 
 class TestWavefunction:
     ARGS = ["wavefunction", *BASE, "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "1"]
@@ -82,6 +101,12 @@ class TestWavefunction:
     def test_rejects_range_n(self):
         proc = run_cli(*self.ARGS[:-1], "1..3")
         assert proc.returncode == 2
+
+    def test_rejects_range_longer_than_maxsize(self, capsys):
+        assert cli.main([*self.ARGS[:-1], "1..100000000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: wavefunction requires a single --n\n"
 
 
 class TestCoherent:

@@ -1,0 +1,291 @@
+"""The verify checks compute each intermediate once and print the same bits.
+
+Each reference below is the per-call code the checks ran before they shared
+work: every operator image rebuilt and evaluated with fresh caches, every
+Sturmian evaluated inside each Gram integrand, every ladder rule rebuilt,
+and the LaguerreSum operations merged term by term.  Results are compared
+with ==, never with a tolerance.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, sturmian, verification
+from dirac_coulomb.algebra import (
+    OperatorKind,
+    RadialOperator,
+    _commutator_residuals,
+    _relative_residual,
+    a0_eigenvalue_residual,
+    casimir_residual,
+    channel_realization,
+    commutator_residual,
+    ladder_matrix_elements,
+    su11_relation,
+    SU11_RELATIONS,
+)
+from dirac_coulomb.quadrature import build_rule, integrate_radial
+from dirac_coulomb.report import VerificationReport
+from test_verify_table import test_each_check_builds_each_distinct_rule_once as _builds_each_rule_once
+
+
+def seeded_problem(seed):
+    """A subcritical problem drawn the way the verify benchmark draws them."""
+    rng = np.random.default_rng([6, seed])
+    dimension, j = int(rng.integers(2, 7)), 0.5 + int(rng.integers(0, 3))
+    aligned = bool(rng.random() < 0.5)
+    kap = (2 * j + dimension - 2) / 2.0
+    alpha_v = (0.05 + 0.85 * rng.random()) * kap
+    return ProblemParams(dimension=dimension, j=j,
+                         alignment=Alignment.ALIGNED if aligned else Alignment.UNALIGNED,
+                         alpha_v=alpha_v, alpha_s=0.8 * rng.random() * alpha_v,
+                         mass=10.0 ** rng.uniform(-4.0, 8.0))
+
+
+@pytest.fixture(params=["default", 1, 2, 3])
+def problem(request, default_params):
+    return default_params if request.param == "default" else seeded_problem(request.param)
+
+
+FAMILIES = (("v", range(1, 11)), ("u", range(0, 10)))
+
+
+# ----------------------------------------------------------------------
+# references: the per-call code before evaluations were shared
+
+
+def reference_commutator(x, y, expected, f, grid):
+    xy = x.apply(y.apply(f))(grid)
+    yx = y.apply(x.apply(f))(grid)
+    zval = np.zeros(grid.shape, dtype=complex)
+    for coef, z in expected:
+        zval = zval + coef * np.asarray(z.apply(f)(grid), dtype=complex)
+    return _relative_residual(xy - yx - zval, [xy, yx, zval, f(grid)])
+
+
+def reference_casimir(channel, n, s, grid):
+    sigma = channel_realization(channel, s)
+    k_barg = sigma + 1.0
+    f = sturmian(channel, n, s)
+    kp = RadialOperator(OperatorKind.KPLUS, sigma)
+    km = RadialOperator(OperatorKind.KMINUS, sigma)
+    k0 = RadialOperator(OperatorKind.K0, sigma)
+    k0f = k0.apply(f)
+    lhs = (kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f)(grid)
+    rhs = k_barg * (k_barg - 1.0) * f(grid)
+    return _relative_residual(lhs - rhs, [lhs, rhs, f(grid)])
+
+
+def reference_a0(channel, n, s, grid):
+    f = sturmian(channel, n, s)
+    lhs = RadialOperator(OperatorKind.A0, channel_realization(channel, s)).apply(f)(grid)
+    rhs = (n + s) * f(grid)
+    return _relative_residual(lhs - rhs, [lhs, rhs])
+
+
+def reference_gram(channel, s, n_count):
+    n_start = 0 if channel == "u" else 1
+    fns = [sturmian(channel, n, s) for n in range(n_start, n_start + n_count)]
+    rule = build_rule(max(48, n_count + 16), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
+    return [integrate_radial(lambda r: fi(r) * fns[j](r) * r, 1.0, rule)
+            for i, fi in enumerate(fns) for j in range(i, len(fns))]
+
+
+def reference_merge(pairs):
+    merged = {}
+    for key, coef in pairs:
+        if coef != 0:
+            merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
+    return {k: c for k, c in merged.items() if c != 0}
+
+
+def bits(f):
+    """Terms with each coefficient as its repr, which tells -0.0 from 0.0."""
+    return [(t[1:], repr(t.coef)) for t in f.terms]
+
+
+def reference_bits(merged):
+    return [(key, repr(c)) for key, c in merged.items()]
+
+
+def captured_residuals(monkeypatch):
+    """The residual arrays handed to VerificationReport.from_residuals, in order."""
+    seen = []
+    original = VerificationReport.from_residuals.__func__
+
+    def capture(cls, name, residuals, tolerance, context=None):
+        seen.append(np.array(residuals))
+        return original(cls, name, residuals, tolerance, context)
+
+    monkeypatch.setattr(VerificationReport, "from_residuals", classmethod(capture))
+    return seen
+
+
+# ----------------------------------------------------------------------
+# bit-identical residuals
+
+
+@pytest.mark.parametrize("which", list(SU11_RELATIONS))
+def test_commutator_residuals_per_function(problem, which, monkeypatch):
+    grid = verification._algebra_grid()
+    seen = captured_residuals(monkeypatch)
+    for s in verification._s_grid(problem):
+        for channel, n_range in FAMILIES:
+            relation = su11_relation(which, channel_realization(channel, s), None)
+            fns = [sturmian(channel, n, s) for n in n_range]
+            want = [reference_commutator(*relation, f, grid) for f in fns]
+            for f, w in zip(fns, want):
+                assert np.array_equal(_commutator_residuals(*relation, f, grid), w)
+            commutator_residual(*relation, fns, grid, name=which)
+            assert np.array_equal(seen.pop(), np.concatenate(want))
+
+
+@pytest.mark.parametrize("which", list(SU11_RELATIONS))
+def test_commutator_residuals_with_a_wrong_realization(which):
+    # the commuted pair then differs from the expected side, so no image is shared
+    s, grid = 0.866, verification._algebra_grid()
+    relation = su11_relation(which, s, s * s)
+    for n in range(1, 7):
+        f = sturmian("v", n, s)
+        assert np.array_equal(_commutator_residuals(*relation, f, grid),
+                              reference_commutator(*relation, f, grid))
+
+
+def test_casimir_and_a0_residuals(problem, monkeypatch):
+    grid = verification._algebra_grid()
+    seen = captured_residuals(monkeypatch)
+    for s in verification._s_grid(problem):
+        for channel, n in (("v", 1), ("v", 3), ("u", 0), ("u", 2)):
+            casimir_residual(channel, n, s, grid)
+            assert np.array_equal(seen.pop(), reference_casimir(channel, n, s, grid))
+        for channel, n in (("v", 1), ("v", 2), ("v", 5), ("u", 0), ("u", 1), ("u", 4)):
+            a0_eigenvalue_residual(channel, n, s, grid)
+            assert np.array_equal(seen.pop(), reference_a0(channel, n, s, grid))
+
+
+@pytest.mark.parametrize("channel", ["u", "v"])
+def test_gram_entries(problem, channel, monkeypatch):
+    entries = []
+    original = verification.integrate_radial
+
+    def recorded(f, scale, rule):
+        entries.append(original(f, scale, rule))
+        return entries[-1]
+
+    monkeypatch.setattr(verification, "integrate_radial", recorded)
+    for s in verification._s_grid(problem):
+        worst = verification._gram_residual(channel, s, 12)
+        want = reference_gram(channel, s, 12)
+        assert entries == want
+        targets = [1.0 if i == j else 0.0 for i in range(12) for j in range(i, 12)]
+        assert worst == max(abs(float(np.real(v)) - t) for v, t in zip(want, targets))
+        entries.clear()
+
+
+def test_ladder_check_matches_per_call_rules(problem):
+    residuals, _ = verification._check_ladder(problem)
+    want = []
+    for s in verification._s_grid(problem):
+        for channel in ("u", "v"):
+            k = channel_realization(channel, s) + 1.0
+            n_start = 0 if channel == "u" else 1
+            for n in range(n_start, n_start + 5):
+                up, down = ladder_matrix_elements(channel, n, s)  # builds its own rule
+                ng = n - n_start
+                up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
+                want.append(abs(up - up_want) / up_want)
+                if ng >= 1:
+                    down_want = math.sqrt(ng * (2.0 * k + ng - 1.0))
+                    want.append(abs(down - down_want) / down_want)
+                else:
+                    want.append(abs(down))
+    assert residuals == want
+
+
+# ----------------------------------------------------------------------
+# work done once
+
+
+def test_ladder_builds_each_distinct_rule_once(default_params, monkeypatch):
+    _builds_each_rule_once(default_params, "ladder_coefficients", 10, monkeypatch)
+
+
+def test_default_verify_builds_61_rules_over_27_keys(default_params, monkeypatch):
+    import dirac_coulomb
+
+    built = []
+    original = build_rule
+
+    def counted(order, alpha):
+        built.append((order, alpha))
+        return original(order, alpha)
+
+    for name in ("algebra", "coherent", "radial", "verification"):
+        monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rule", counted)
+    verification.run_suite(default_params)
+    assert (len(built), len(set(built))) == (61, 27)
+
+
+@pytest.mark.parametrize("channel", ["u", "v"])
+def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
+    made, evaluated = [], Counter()
+    original_evaluate = LaguerreSum.evaluate
+
+    def counted(self, *args):
+        evaluated[id(self)] += 1
+        return original_evaluate(self, *args)
+
+    def recorded(*args):
+        made.append(sturmian(*args))
+        return made[-1]
+
+    monkeypatch.setattr(LaguerreSum, "evaluate", counted)
+    monkeypatch.setattr(verification, "sturmian", recorded)
+    verification._gram_residual(channel, 0.866, 12)
+    assert len(made) == 12
+    assert [evaluated[id(f)] for f in made] == [1] * 12
+
+
+# ----------------------------------------------------------------------
+# LaguerreSum operations keep the merged coefficients bit for bit
+
+
+def mixed_sum():
+    # repeated keys, a complex coefficient and a complex decay
+    parts = [LaguerreSum.single(c, power=p, decay=d, degree=n, alpha=2.1, argscale=2.0)
+             for c, p, d, n in [(1.3, 0.87, 0.6, 3), (-0.4, 1.87, 0.6, 2), (0.25 - 0.5j, 0.87, 0.6, 2),
+                                (0.7, 0.87, 0.6 + 0.2j, 3), (-1e-300, 1.87, 0.6, 3)]]
+    return sum(parts[1:], parts[0])
+
+
+@pytest.mark.parametrize("scalar", [-1.0, 2.5, -1.0j, 0.5 - 0.25j, 0.0, 1e-310, -0.0])
+def test_scalar_product(scalar):
+    f = mixed_sum()
+    want = reference_merge((key, c * scalar) for key, c in f._map.items())
+    assert bits(f * scalar) == bits(scalar * f) == reference_bits(want)
+
+
+def test_negation_clears_negative_zero_parts():
+    f = mixed_sum() * -1.0
+    assert all(math.copysign(1.0, t.coef.imag) == 1.0 for t in f.terms if t.coef.imag == 0.0)
+
+
+def test_sum_difference_and_power():
+    f, g = mixed_sum(), mixed_sum().derivative()
+    assert bits(f + g) == reference_bits(reference_merge([*f._map.items(), *g._map.items()]))
+    assert bits(f - f) == []
+    minus = reference_merge((key, c * -1.0) for key, c in g._map.items())
+    assert bits(f - g) == reference_bits(reference_merge([*f._map.items(), *minus.items()]))
+    for k in (1, -1, 0.5):
+        shifted = reference_merge(((p + k, d, n, a, b), c) for (p, d, n, a, b), c in f._map.items())
+        assert bits(f.times_power(k)) == reference_bits(shifted)
+
+
+def test_times_power_merges_powers_that_round_together():
+    f = (LaguerreSum.single(1.0, power=1e-17, decay=1.0)
+         + LaguerreSum.single(2.0, power=0.0, decay=1.0))
+    assert len(f) == 2
+    assert [(t.power, t.coef) for t in f.times_power(1.0).terms] == [(1.0, 3.0 + 0j)]
