@@ -148,7 +148,6 @@ def _commutator_residuals(x: RadialOperator, y: RadialOperator, expected, f: Lag
     """Pointwise residual of one test function on the float array grid.  Each
     operator image of f is built once, and every evaluation shares one cache
     of r**p, exp(-c r) and Laguerre factors, so no value is computed twice."""
-    cache = ({}, {}, {})
     images: dict = {}
 
     def image(op: RadialOperator) -> LaguerreSum:
@@ -156,15 +155,15 @@ def _commutator_residuals(x: RadialOperator, y: RadialOperator, expected, f: Lag
             images[op] = op.apply(f)
         return images[op]
 
-    xy = x.apply(image(y)).evaluate(grid, *cache)
-    yx = y.apply(image(x)).evaluate(grid, *cache)
+    xy, yx, fv, *zs = LaguerreSum.evaluate_all(grid, x.apply(image(y)), y.apply(image(x)), f,
+                                               *(image(z) for _, z in expected))
     zval = np.zeros(grid.shape, dtype=complex)
-    for coef, z in expected:
-        zval = zval + coef * np.asarray(image(z).evaluate(grid, *cache), dtype=complex)
+    for (coef, _), z in zip(expected, zs):
+        zval = zval + coef * np.asarray(z, dtype=complex)
     lhs = xy - yx - zval
     # f itself joins the scale so that identically annihilated states
     # (K- on the lowest one) do not reduce the residual to 0/0 noise
-    return _relative_residual(lhs, [xy, yx, zval, f.evaluate(grid, *cache)])
+    return _relative_residual(lhs, [xy, yx, zval, fv])
 
 
 # The defining relations [X, Y] = sum_j c_j Z_j, keyed by check name.
@@ -229,14 +228,15 @@ def _ladder_projections(channel: str, n: int, s: float, rule) -> tuple[float, fl
     kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
     km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
     ng = n if channel == "u" else n - 1
-
-    f_up = sturmian(channel, n + 1, s)
-    up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
-    if ng >= 1:
-        f_dn = sturmian(channel, n - 1, s)
-        down = integrate_radial(lambda r: f_dn(r) * km(r) * r, 1.0, rule)
+    below = [sturmian(channel, n - 1, s)] if ng >= 1 else []
+    # every function once, with one cache, on the radii integrate_radial uses at scale 1
+    f_up, kp_v, km_v, *f_dn = LaguerreSum.evaluate_all(
+        rule.nodes / 2.0, sturmian(channel, n + 1, s), kp, km, *below)
+    up = integrate_radial(lambda r: f_up * kp_v * r, 1.0, rule)
+    if f_dn:
+        down = integrate_radial(lambda r: f_dn[0] * km_v * r, 1.0, rule)
     else:
-        norm_sq = integrate_radial(lambda r: abs(km(r)) ** 2 * r, 1.0, rule)
+        norm_sq = integrate_radial(lambda r: abs(km_v) ** 2 * r, 1.0, rule)
         down = math.sqrt(max(float(np.real(norm_sq)), 0.0))
     return float(np.real(up)), float(np.real(down))
 
@@ -252,10 +252,8 @@ def casimir_residual(channel: str, n: int, s: float, grid,
     km = RadialOperator(OperatorKind.KMINUS, sigma)
     k0 = RadialOperator(OperatorKind.K0, sigma)
     grid = np.asarray(grid, dtype=float)
-    cache = ({}, {}, {})
     k0f = k0.apply(f)
-    lhs = (kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f).evaluate(grid, *cache)
-    fv = f.evaluate(grid, *cache)
+    lhs, fv = LaguerreSum.evaluate_all(grid, kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f, f)
     rhs = k_barg * (k_barg - 1.0) * fv
     res = _relative_residual(lhs - rhs, [lhs, rhs, fv])
     return VerificationReport.from_residuals(
@@ -270,9 +268,8 @@ def a0_eigenvalue_residual(channel: str, n: int, s: float, grid,
     sigma = channel_realization(channel, s)
     f = sturmian(channel, n, s)
     grid = np.asarray(grid, dtype=float)
-    cache = ({}, {}, {})
-    lhs = RadialOperator(OperatorKind.A0, sigma).apply(f).evaluate(grid, *cache)
-    rhs = (n + s) * f.evaluate(grid, *cache)
+    lhs, fv = LaguerreSum.evaluate_all(grid, RadialOperator(OperatorKind.A0, sigma).apply(f), f)
+    rhs = (n + s) * fv
     res = _relative_residual(lhs - rhs, [lhs, rhs])
     return VerificationReport.from_residuals(
         "a0_eigenvalue", res, tolerance, context={"channel": channel, "n": n, "s": s},
@@ -299,9 +296,9 @@ def scaling_identity_residual(theta: float, test_functions, grid, sigma: float,
     residuals = []
     for f in fs:
         f_scaled = f.scaled(theta)
-        a0f, a1f = a0.apply(f)(grid), a1.apply(f)(grid)
-        conj0 = a0.apply(f_scaled).scaled(-theta)(grid)
-        conj1 = a1.apply(f_scaled).scaled(-theta)(grid)
+        # A0 f and A1 f share their factors, the conjugates theirs
+        a0f, a1f, conj0, conj1 = LaguerreSum.evaluate_all(
+            grid, a0.apply(f), a1.apply(f), a0.apply(f_scaled).scaled(-theta), a1.apply(f_scaled).scaled(-theta))
         checks = [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),
             (conj1 - (sh * a0f + ch * a1f), [conj1, a0f, a1f]),

@@ -232,16 +232,19 @@ def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
     return np.geomspace(r_min, r_max, points)
 
 
-def _write(args: argparse.Namespace, document: dict, rows: list[dict]) -> None:
-    _write_text(args, emit_json(document) if args.format == "json" else emit_csv(rows))
-
-
 def _write_text(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_columns(args: argparse.Namespace, meta: dict, columns: dict, reports: list[dict]) -> None:
+    """The document {meta, rows, reports} of the rows in ``columns`` (key -> array of reals),
+    or in CSV the rows; each value is formatted once."""
+    _write_text(args, emit_table(args.format, meta, tuple(columns), {},
+                                 zip(*(format_reals(v) for v in columns.values())), reports))
 
 
 def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: list[float],
@@ -295,7 +298,6 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     spinor = assemble_spinor(level, constants)
     grid = _grid(args, level.a)
     fv, gv = spinor(grid)
-    rows = [{"r": float(r), "F": float(f), "G": float(g)} for r, f, g in zip(grid, fv, gv)]
 
     tolerances = _parse_tolerances(args)
     res_grid = default_residual_grid(level.a)
@@ -303,17 +305,11 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     u_t, v_t = physical_components(level, constants)
     second = ode_residual_second_order(v_t, level, constants, res_grid, "v",
                                        tolerance=tolerances["ode_second_order"])
-    reports = [spinor.normalization.to_row(), first.to_row(), second.to_row()]
-    document = {
-        "meta": _meta(args, params, {
-            "n": level.n, "energy_over_mass": level.energy / params.mass,
-            "scale_a": level.a, "omega": level.omega,
-            "grid_points": int(args.r_points), "grid_spacing": args.r_spacing,
-        }),
-        "rows": rows,
-        "reports": reports,
-    }
-    _write(args, document, rows)
+    _write_columns(args, _meta(args, params, {
+        "n": level.n, "energy_over_mass": level.energy / params.mass,
+        "scale_a": level.a, "omega": level.omega,
+        "grid_points": int(args.r_points), "grid_spacing": args.r_spacing,
+    }), {"r": grid, "F": fv, "G": gv}, [spinor.normalization.to_row(), first.to_row(), second.to_row()])
     return 0
 
 
@@ -325,12 +321,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
         raise _UsageError(f"coherent label requires |xi| < 1, got |xi| = {abs(xi):.6g}")
     spinor = assemble_coherent_spinor(params, constants, xi)
     grid = _grid(args, spinor.a_ref)
-    fv, gv = spinor(grid)
-    fv, gv = np.asarray(fv, dtype=complex), np.asarray(gv, dtype=complex)
-    rows = [
-        {"r": float(r), "F_re": f.real, "F_im": f.imag, "G_re": g.real, "G_im": g.imag}
-        for r, f, g in zip(grid, fv, gv)
-    ]
+    fv, gv = (np.asarray(v, dtype=complex) for v in spinor(grid))
 
     residuals = [coherent_closed_residual(channel, constants.s, xi) for channel in ("u", "v")]
     tolerances = _parse_tolerances(args)
@@ -338,18 +329,13 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
         "coherent_closed_vs_sum", residuals, tolerances["coherent_closed_vs_sum"],
         context={"xi_re": xi.real, "xi_im": xi.imag},
     )
-    reports = [spinor.normalization.to_row(), closed_report.to_row()]
-    document = {
-        "meta": _meta(args, params, {
-            "xi_re": xi.real, "xi_im": xi.imag,
-            "a_ref": spinor.a_ref, "omega_ref": spinor.omega_ref,
-            "tau": spinor.label.tau, "phi": spinor.label.phi, "eta": spinor.label.eta,
-            "grid_points": int(args.r_points), "grid_spacing": args.r_spacing,
-        }),
-        "rows": rows,
-        "reports": reports,
-    }
-    _write(args, document, rows)
+    _write_columns(args, _meta(args, params, {
+        "xi_re": xi.real, "xi_im": xi.imag,
+        "a_ref": spinor.a_ref, "omega_ref": spinor.omega_ref,
+        "tau": spinor.label.tau, "phi": spinor.label.phi, "eta": spinor.label.eta,
+        "grid_points": int(args.r_points), "grid_spacing": args.r_spacing,
+    }), {"r": grid, "F_re": fv.real, "F_im": fv.imag, "G_re": gv.real, "G_im": gv.imag},
+        [spinor.normalization.to_row(), closed_report.to_row()])
     return 0
 
 
@@ -365,7 +351,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "rows": rows,
         "reports": rows,
     }
-    _write(args, document, rows)
+    # emit_table would not quote the contexts that csv.writer may quote
+    _write_text(args, emit_json(document) if args.format == "json" else emit_csv(rows))
     return 0 if overall.all_passed else 1
 
 

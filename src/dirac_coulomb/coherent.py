@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -95,13 +96,16 @@ def perelomov_weights(k: float, xi: complex, n_max: int) -> np.ndarray:
         raise DomainError(f"Bargmann index must be positive, got {k}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    return np.fromiter(islice(_perelomov_weight_sequence(k, xi), n_max + 1), dtype=complex)
+
+
+def _perelomov_weight_sequence(k: float, xi: complex):
+    """Yield the weights c_0, c_1, ... of perelomov_weights for a complex xi, one per step."""
     pref = (1.0 - abs(xi) ** 2) ** k
     lg2k = log_gamma(2.0 * k)
-    out = np.empty(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
+    for n in count():
         amp = math.exp(0.5 * (log_gamma(n + 2.0 * k) - log_gamma(n + 1.0) - lg2k))
-        out[n] = pref * amp * xi**n
-    return out
+        yield pref * amp * xi**n
 
 
 def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
@@ -237,7 +241,7 @@ class CoherentSpinor:
     normalization: NormalizationComparison
 
     def __call__(self, r):
-        return self.F(r), self.G(r)
+        return LaguerreSum.evaluate_all(r, self.F, self.G)
 
 
 def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
@@ -276,10 +280,11 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
         + LaguerreSum.single(pref * (s - k) * w_over, power=s + 1.0, decay=decay)
     )
 
-    norm_sq = integrate_radial(
-        lambda r: np.abs(f_expr(r)) ** 2 + np.abs(g_expr(r)) ** 2,
-        decay.real, build_rule(32, 2.0 * s),
-    )
+    def density(r):
+        fv, gv = LaguerreSum.evaluate_all(r, f_expr, g_expr)
+        return np.abs(fv) ** 2 + np.abs(gv) ** 2
+
+    norm_sq = integrate_radial(density, decay.real, build_rule(32, 2.0 * s))
     sign = 1.0 if (s - k) - constants.alpha_minus * omega_ref / (a_ref * (2.0 * s + 1.0)) >= 0.0 else -1.0
     a_prime = sign / math.sqrt(float(np.real(norm_sq)))
 

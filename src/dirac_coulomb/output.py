@@ -100,10 +100,11 @@ def emit_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows) -> str:
-    """emit_json({"meta": meta, "rows": ..., "reports": []}) for fmt "json", else emit_csv, of
-    non-empty rows that need no CSV quoting, without a dict per row: the `fixed` values are
-    rendered once into a row template; each tuple of `rows` holds the other keys' tokens."""
+def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows, reports=()) -> str:
+    """emit_json({"meta": meta, "rows": ..., "reports": list(reports)}) for fmt "json", else
+    emit_csv, of non-empty rows that need no CSV quoting, without a dict per row: the `fixed`
+    values are rendered once into a row template; each tuple of `rows` holds the other keys'
+    tokens."""
     slots = [token(fixed[k], fmt).replace("%", "%%") if k in fixed else "%s" for k in keys]
     if fmt != "json":
         template = ",".join(slots) + "\n"
@@ -112,7 +113,8 @@ def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows) -> str:
         f"      {json.dumps(k).replace('%', '%%')}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
     head = emit_json({"meta": meta})[:-len("\n}\n")]
     body = ",\n".join([template % row for row in rows])
-    return f'{head},\n  "rows": [\n{body}\n  ],\n  "reports": []\n}}\n'
+    tail = emit_json({"reports": list(reports)})[len("{\n"):]
+    return f'{head},\n  "rows": [\n{body}\n  ],\n{tail}'
 
 
 def parse_csv_text(text: str) -> list[dict]:

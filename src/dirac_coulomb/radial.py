@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NoBoundState
 from .problem import DerivedConstants
 from .quadrature import build_rule, integrate_radial
-from .radialfn import LaguerreSum
+from .radialfn import LaguerreSum, LaguerreTerm
 from .report import NormalizationComparison, VerificationReport
 from .special import log_gamma
 from .spectrum import BoundLevel
@@ -53,20 +53,23 @@ def sturmian(channel: str, n: int, s: float) -> LaguerreSum:
     v-channel (n >= 1):  2 sqrt((n-1)!/Gamma(n+2s+1)) (2r)^s     e^-r L_{n-1}^{2s+1}(2r)
     u-channel (n >= 0):  2 sqrt(n!/Gamma(n+2s))       (2r)^{s-1} e^-r L_n^{2s-1}(2r)
     """
+    return LaguerreSum([_sturmian_term(channel, n, s)])
+
+
+def _sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:
+    """The single term of sturmian(channel, n, s)."""
     if s <= 0.0:
         raise DomainError(f"Sturmian functions require s > 0, got {s}")
     if channel == "v":
         if n < 1:
             raise DomainError(f"v-channel Sturmian requires n >= 1, got {n}")
         norm = 2.0 * math.exp(0.5 * (log_gamma(n) - log_gamma(n + 2.0 * s + 1.0)))
-        return LaguerreSum.single(norm * 2.0**s, power=s, decay=1.0,
-                                  degree=n - 1, alpha=2.0 * s + 1.0, argscale=2.0)
+        return LaguerreTerm(norm * 2.0**s, s, 1.0, n - 1, 2.0 * s + 1.0, 2.0)
     if channel == "u":
         if n < 0:
             raise DomainError(f"u-channel Sturmian requires n >= 0, got {n}")
         norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + 2.0 * s)))
-        return LaguerreSum.single(norm * 2.0 ** (s - 1.0), power=s - 1.0, decay=1.0,
-                                  degree=n, alpha=2.0 * s - 1.0, argscale=2.0)
+        return LaguerreTerm(norm * 2.0 ** (s - 1.0), s - 1.0, 1.0, n, 2.0 * s - 1.0, 2.0)
     raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
@@ -124,7 +127,7 @@ class RadialSpinor:
     normalization: NormalizationComparison
 
     def __call__(self, r):
-        return self.F(r), self.G(r)
+        return LaguerreSum.evaluate_all(r, self.F, self.G)
 
 
 def _spinor_parts(level: BoundLevel, constants: DerivedConstants):
@@ -172,7 +175,12 @@ def assemble_spinor(level: BoundLevel, constants: DerivedConstants) -> RadialSpi
         raise NoBoundState("cannot assemble a spinor at a = 0 (free-limit degenerate case)")
     (f1, f2, g1, g2), f_expr, g_expr = _spinor_parts(level, constants)
     rule = build_rule(max(32, level.n + 16), 2.0 * constants.s)
-    norm_sq = integrate_radial(lambda r: f_expr(r) ** 2 + g_expr(r) ** 2, level.a, rule)
+
+    def density(r):
+        fv, gv = LaguerreSum.evaluate_all(r, f_expr, g_expr)
+        return fv**2 + gv**2
+
+    norm_sq = integrate_radial(density, level.a, rule)
     a_n = math.copysign(1.0 / math.sqrt(float(norm_sq)), f1)
     comparison = NormalizationComparison(
         quadrature_constant=abs(a_n),
@@ -222,10 +230,8 @@ def ode_residual_first_order(spinor: RadialSpinor, grid: np.ndarray | None = Non
     m, e = level.mass, level.energy
 
     f_expr = spinor.F * perturb_F
-    fv = f_expr(grid)
-    gv = spinor.G(grid)
-    fp = f_expr.derivative()(grid)
-    gp = spinor.G.derivative()(grid)
+    fv, gv, fp, gp = LaguerreSum.evaluate_all(grid, f_expr, spinor.G, f_expr.derivative(),
+                                              spinor.G.derivative())
 
     row1 = fp + (k * fv - constants.alpha_minus * gv) / grid - (m + e) * gv
     row2 = gp + (constants.alpha_plus * fv - k * gv) / grid - (m - e) * fv
@@ -263,9 +269,8 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     as_ = 0.5 * (constants.alpha_plus - constants.alpha_minus)
     coulomb = av * e + as_ * m
 
-    fv = component(grid)
-    fp = component.derivative()(grid)
-    fpp = component.derivative().derivative()(grid)
+    fv, fp, fpp = LaguerreSum.evaluate_all(grid, component, component.derivative(),
+                                           component.derivative().derivative())
     row = -fpp - 2.0 * fp / grid + cent * fv / grid**2 - 2.0 * coulomb * fv / grid + (m * m - e * e) * fv
 
     op_mag = abs(m * m - e * e) + abs(cent) / grid**2 + 2.0 * abs(coulomb) / grid

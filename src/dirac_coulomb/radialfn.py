@@ -79,14 +79,25 @@ class LaguerreSum:
         return tuple(LaguerreTerm(c, *k) for k, c in self._map.items())
 
     def __call__(self, r):
+        return LaguerreSum.evaluate_all(r, self)[0]
+
+    @staticmethod
+    def evaluate_all(r, *sums, polys=None) -> tuple:
+        """Each sum at r (a number or an array), with one cache of r**power,
+        exp(-decay r) and L_n^alpha(argscale r) for all of them; ``polys`` may
+        hold Laguerre values already made, keyed as in evaluate."""
         scalar = np.isscalar(r)
-        out = self.evaluate(np.asarray(r, dtype=float), {}, {}, {})
-        return out.item() if scalar else out
+        rv = np.asarray(r, dtype=float)
+        cache = ({}, {}, {} if polys is None else polys)
+        return tuple(out.item() if scalar else out for out in (f.evaluate(rv, *cache) for f in sums))
 
     def evaluate(self, rv: np.ndarray, powers: dict, decays: dict, polys: dict):
         """Add the terms on the float array rv in order, computing each distinct
         r**power, exp(-decay r) and L_n^alpha(argscale r) once; the dicts hold
-        them by power, decay and (degree, alpha, argscale) and may be shared."""
+        them by power, decay and (degree, alpha, argscale) and may be shared.
+        verification.coherent_truncated_sum repeats the arithmetic of one real
+        term, the real part of ((coef * r**power) * exp(-decay r)) * L with complex
+        coef and exp, to keep the bits of its series; keep the two in step."""
         out = np.zeros(rv.shape, dtype=complex)
         for (p, d, n, a, b), c in self._map.items():
             if p not in powers:

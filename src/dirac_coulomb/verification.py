@@ -29,6 +29,7 @@ from .algebra import (
     su11_relation,
 )
 from .coherent import (
+    _perelomov_weight_sequence,
     assemble_coherent_spinor,
     coherent_ratio_Bn_prime,
     perelomov_weights,
@@ -40,6 +41,7 @@ from .errors import DiracCoulombError
 from .problem import Alignment, ProblemParams, derive_constants
 from .quadrature import build_rule, integrate_radial
 from .radial import (
+    _sturmian_term,
     assemble_spinor,
     default_residual_grid,
     ode_residual_first_order,
@@ -47,6 +49,7 @@ from .radial import (
     physical_components,
     sturmian,
 )
+from .radialfn import LaguerreSum
 from .report import VerificationReport
 from .special import laguerre_generating_closed, laguerre_sequence, log_gamma
 from .spectrum import bound_level, energy
@@ -101,19 +104,23 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     (values, N_used, N_l2).
     """
     k = channel_realization(channel, s) + 1.0
+    xi = complex(xi)
     n_l2 = truncation_order(k, xi, l2_tail)
     grid = np.asarray(grid, dtype=float)
     total = np.zeros(grid.shape, dtype=complex)
-    weights = perelomov_weights(k, xi, n_l2 + 400)
     scale = 0.0
     quiet = 0
     n_used = 0
-    # the basis shares r**power and e^-r; L_ng^alpha(2r) comes from one recurrence
-    alpha = 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
-    powers, decays = {}, {}
-    for ng, lag in zip(range(weights.size), laguerre_sequence(alpha, 2.0 * grid)):
-        basis = sturmian(channel, ng if channel == "u" else ng + 1, s)
-        term = weights[ng] * basis.evaluate(grid, powers, decays, {(ng, alpha, 2.0): lag})
+    # each weight and Sturmian coefficient is made when the loop reaches its degree, and
+    # L_ng^alpha(2r) comes from one recurrence; each basis value is ((c r^p) e^-r) L with
+    # complex c and e^-r, the operations of LaguerreSum.evaluate in its order (its
+    # docstring names this copy)
+    alpha, power = (2.0 * s + 1.0, s) if channel == "v" else (2.0 * s - 1.0, s - 1.0)
+    r_p, e_r = grid ** power, np.exp(-(1.0 + 0j) * grid)
+    for ng, weight, lag in zip(range(n_l2 + 401), _perelomov_weight_sequence(k, xi),
+                               laguerre_sequence(alpha, 2.0 * grid)):
+        coef = _sturmian_term(channel, ng if channel == "u" else ng + 1, s).coef
+        term = weight * (complex(coef) * r_p * e_r * lag).real
         total += term
         scale = max(scale, float(np.max(np.abs(total))))
         n_used = ng
@@ -226,9 +233,8 @@ def _gram_residual(channel, s, n_count):
     # each function once on the radii integrate_radial uses at scale 1; the
     # degrees n_start.. are L_0, L_1, ... of one recurrence at x = 2r
     radii = rule.nodes / 2.0
-    powers, decays = {}, {}
-    values = [f.evaluate(radii, powers, decays, {(degree, alpha, 2.0): lag})
-              for degree, (f, lag) in enumerate(zip(fns, laguerre_sequence(alpha, 2.0 * radii)))]
+    values = LaguerreSum.evaluate_all(radii, *fns, polys={
+        (degree, alpha, 2.0): lag for degree, lag in zip(range(n_count), laguerre_sequence(alpha, 2.0 * radii))})
     worst = 0.0
     for i, fi in enumerate(values):
         for j in range(i, len(values)):

@@ -1,6 +1,6 @@
-"""The README commands, two deep-series commands, two spectrum tables and three
-tolerance or fault-injection runs print byte for byte what tests/golden records,
-and exit with the code recorded beside them.
+"""The README commands, two deep-series commands, two spectrum tables, three
+tolerance or fault-injection runs and two more state tables print byte for byte
+what tests/golden records, and exit with the code recorded beside them.
 
 The golden files are the stdout of ``dirac-coulomb`` for each command;
 regenerate one only for a change that means to alter the output.
@@ -39,6 +39,11 @@ README_COMMANDS = {
                                         "--format", "csv"],
     "wavefunction_n3_tolerance.json": ["wavefunction", "--n", "3", "--tolerance",
                                        "ode_second_order=1e-3"],
+    # a coherent table as CSV, and a high level on a linear grid
+    "coherent_xi_neg085.csv": ["coherent", "--alpha-v", "0.5", "--alpha-s", "0.2", "--xi-re=-0.85",
+                               "--format", "csv"],
+    "wavefunction_n7_linear.json": ["wavefunction", "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "7",
+                                    "--r-spacing", "linear"],
 }
 EXIT_CODES = {"verify_perturb.json": 1, "verify_normalization_strict.csv": 1}  # any other: 0
 

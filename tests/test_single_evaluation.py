@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, sturmian, verification
+from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, physical_components, sturmian, verification
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
@@ -23,7 +23,10 @@ from dirac_coulomb.algebra import (
     casimir_residual,
     channel_realization,
     commutator_residual,
+    _ladder_projections,
+    _ladder_rule_key,
     ladder_matrix_elements,
+    scaling_identity_residual,
     su11_relation,
     SU11_RELATIONS,
 )
@@ -92,6 +95,42 @@ def reference_gram(channel, s, n_count):
     rule = build_rule(max(48, n_count + 16), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
     return [integrate_radial(lambda r: fi(r) * fns[j](r) * r, 1.0, rule)
             for i, fi in enumerate(fns) for j in range(i, len(fns))]
+
+
+def reference_ladder(channel, n, s, rule):
+    sigma = channel_realization(channel, s)
+    f_n = sturmian(channel, n, s)
+    kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
+    km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
+    f_up = sturmian(channel, n + 1, s)
+    up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
+    if (n if channel == "u" else n - 1) >= 1:
+        f_dn = sturmian(channel, n - 1, s)
+        down = integrate_radial(lambda r: f_dn(r) * km(r) * r, 1.0, rule)
+    else:
+        norm_sq = integrate_radial(lambda r: abs(km(r)) ** 2 * r, 1.0, rule)
+        down = math.sqrt(max(float(np.real(norm_sq)), 0.0))
+    return float(np.real(up)), float(np.real(down))
+
+
+def reference_scaling(theta, fns, grid, sigma):
+    a0 = RadialOperator(OperatorKind.A0, sigma)
+    a1 = RadialOperator(OperatorKind.A1, sigma)
+    ch, sh = math.cosh(theta), math.sinh(theta)
+    residuals = []
+    for f in fns:
+        f_scaled = f.scaled(theta)
+        a0f, a1f = a0.apply(f)(grid), a1.apply(f)(grid)
+        conj0 = a0.apply(f_scaled).scaled(-theta)(grid)
+        conj1 = a1.apply(f_scaled).scaled(-theta)(grid)
+        for lhs, parts in [
+            (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),
+            (conj1 - (sh * a0f + ch * a1f), [conj1, a0f, a1f]),
+            ((conj0 + conj1) - math.exp(theta) * (a0f + a1f), [conj0 + conj1, a0f + a1f]),
+            ((conj0 - conj1) - math.exp(-theta) * (a0f - a1f), [conj0 - conj1, a0f - a1f]),
+        ]:
+            residuals.append(_relative_residual(lhs, parts))
+    return np.concatenate(residuals)
 
 
 def reference_merge(pairs):
@@ -205,6 +244,25 @@ def test_ladder_check_matches_per_call_rules(problem):
     assert residuals == want
 
 
+def test_ladder_projections_match_per_call_body(problem):
+    for s in verification._s_grid(problem):
+        for channel in ("u", "v"):
+            n_start = 0 if channel == "u" else 1
+            for n in range(n_start, n_start + 5):
+                rule = build_rule(*_ladder_rule_key(channel, n, s))
+                assert _ladder_projections(channel, n, s, rule) == reference_ladder(channel, n, s, rule)
+
+
+def test_scaling_residuals_match_per_call_body(problem, monkeypatch):
+    grid = verification._algebra_grid()
+    s = verification._s_grid(problem)[-1]
+    fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
+    seen = captured_residuals(monkeypatch)
+    for theta in (0.0, 0.7, -0.7, math.log(2.0), 2.9):
+        scaling_identity_residual(theta, fns, grid, s)
+        assert seen.pop().tobytes() == reference_scaling(theta, fns, grid, s).tobytes()
+
+
 # ----------------------------------------------------------------------
 # work done once
 
@@ -227,6 +285,34 @@ def test_default_verify_builds_61_rules_over_27_keys(default_params, monkeypatch
         monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rule", counted)
     verification.run_suite(default_params)
     assert (len(built), len(set(built))) == (61, 27)
+
+
+def test_oracles_compute_each_laguerre_factor_once(default_params, default_constants, monkeypatch):
+    from dirac_coulomb import radial, radialfn, spectrum
+
+    computed = []
+    original = radialfn.laguerre
+
+    def recorded(n, alpha, x):
+        computed.append((n, alpha, np.asarray(x).tobytes()))
+        return original(n, alpha, x)
+
+    def once(call):
+        computed.clear()
+        call()
+        assert computed and len(computed) == len(set(computed))
+
+    monkeypatch.setattr(radialfn, "laguerre", recorded)
+    s, grid = default_constants.s, verification._algebra_grid()
+    for n in (1, 2, 5):
+        level = spectrum.bound_level(n, default_params, default_constants)
+        once(lambda: radial.ode_residual_first_order(radial.assemble_spinor(level, default_constants)))
+        for channel, component in zip("uv", physical_components(level, default_constants)):
+            once(lambda: radial.ode_residual_second_order(component, level, default_constants,
+                                                          channel=channel))
+    for channel, n in (("u", 0), ("u", 3), ("v", 1), ("v", 4)):
+        once(lambda: _ladder_projections(channel, n, s, build_rule(*_ladder_rule_key(channel, n, s))))
+        once(lambda: scaling_identity_residual(0.7, [sturmian(channel, n, s)], grid, s))
 
 
 @pytest.mark.parametrize("channel", ["u", "v"])

@@ -120,7 +120,8 @@ def test_emit_table_matches_emit_json_and_emit_csv(fmt):
     varying = [(0.1, True, 3), (-2.5e-300, False, -1)]
     rows = [dict(zip(keys, (label, x, None, flag, k))) for x, flag, k in varying]
     meta = {"command": "table", "values": [1.5, None]}
-    expected = (emit_json({"meta": meta, "rows": rows, "reports": []}) if fmt == "json"
-                else emit_csv(rows))
     tokens = [tuple(token(v, fmt) for v in row) for row in varying]
-    assert emit_table(fmt, meta, keys, {"label": label, "missing": None}, tokens) == expected
+    for reports in ([], [{"check": "a", "value": -0.0, "context": "n=1;s=2"}, {"passed": True}]):
+        expected = (emit_json({"meta": meta, "rows": rows, "reports": reports}) if fmt == "json"
+                    else emit_csv(rows))
+        assert emit_table(fmt, meta, keys, {"label": label, "missing": None}, tokens, reports) == expected
