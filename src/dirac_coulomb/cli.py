@@ -48,50 +48,84 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None,
+_PROG = "dirac-coulomb"
+_SUBCOMMAND_HELP = {
+    "spectrum": "tabulate bound-state energies",
+    "wavefunction": "tabulate one radial spinor on a grid",
+    "coherent": "tabulate the coherent spinor on a grid",
+    "verify": "run the full oracle suite",
+    "sweep": "spectrum over a coupling grid",
+}
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The flags every subcommand takes."""
+    parser.add_argument("--config", type=str, default=None,
                         help="JSON config file; explicit flags override its values")
-    common.add_argument("--dimension", type=int, default=None, help="spatial dimension D >= 2")
-    common.add_argument("--j", type=float, default=None, help="total angular momentum (half-integer)")
-    align = common.add_mutually_exclusive_group()
+    parser.add_argument("--dimension", type=int, default=None, help="spatial dimension D >= 2")
+    parser.add_argument("--j", type=float, default=None, help="total angular momentum (half-integer)")
+    align = parser.add_mutually_exclusive_group()
     align.add_argument("--aligned", dest="alignment", action="store_const",
                        const="aligned", help="spin aligned, j = l + 1/2 (default)")
     align.add_argument("--unaligned", dest="alignment", action="store_const",
                        const="unaligned", help="spin unaligned, j = l - 1/2")
-    common.set_defaults(alignment=None)
-    common.add_argument("--alpha-v", dest="alpha_v", type=str, default=None,
+    parser.set_defaults(alignment=None)
+    parser.add_argument("--alpha-v", dest="alpha_v", type=str, default=None,
                         help="vector coupling > 0 (sweep accepts start..stop..count)")
-    common.add_argument("--alpha-s", dest="alpha_s", type=str, default=None,
+    parser.add_argument("--alpha-s", dest="alpha_s", type=str, default=None,
                         help="scalar coupling >= 0 (sweep accepts start..stop..count)")
-    common.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
-    common.add_argument("--n", type=str, default=None, help="radial label, single value or range a..b")
-    common.add_argument("--xi-re", dest="xi_re", type=float, default=None, help="Re xi of the coherent label")
-    common.add_argument("--xi-im", dest="xi_im", type=float, default=None, help="Im xi of the coherent label")
-    common.add_argument("--r-min", dest="r_min", type=float, default=None, help="grid start (default 1e-2/a)")
-    common.add_argument("--r-max", dest="r_max", type=float, default=None, help="grid end (default 40/a)")
-    common.add_argument("--r-points", dest="r_points", type=int, default=None, help="grid size (default 200)")
-    common.add_argument("--r-spacing", dest="r_spacing", choices=("linear", "log"), default=None,
+    parser.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
+    parser.add_argument("--n", type=str, default=None, help="radial label, single value or range a..b")
+    parser.add_argument("--xi-re", dest="xi_re", type=float, default=None, help="Re xi of the coherent label")
+    parser.add_argument("--xi-im", dest="xi_im", type=float, default=None, help="Im xi of the coherent label")
+    parser.add_argument("--r-min", dest="r_min", type=float, default=None, help="grid start (default 1e-2/a)")
+    parser.add_argument("--r-max", dest="r_max", type=float, default=None, help="grid end (default 40/a)")
+    parser.add_argument("--r-points", dest="r_points", type=int, default=None, help="grid size (default 200)")
+    parser.add_argument("--r-spacing", dest="r_spacing", choices=("linear", "log"), default=None,
                         help="grid spacing (default log)")
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default json)")
-    common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    common.add_argument("--tolerance", action="append", default=None, metavar="KEY=VAL",
+    parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default json)")
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument("--tolerance", action="append", default=None, metavar="KEY=VAL",
                         help="override one check tolerance (repeatable)")
-
-    parser = argparse.ArgumentParser(
-        prog="dirac-coulomb",
-        description="Relativistic Kepler-Coulomb bound states, radial spinors and "
-                    "SU(1,1) coherent states in D+1 dimensions, with built-in verification.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="tabulate bound-state energies")
-    sub.add_parser("wavefunction", parents=[common], help="tabulate one radial spinor on a grid")
-    sub.add_parser("coherent", parents=[common], help="tabulate the coherent spinor on a grid")
-    verify = sub.add_parser("verify", parents=[common], help="run the full oracle suite")
-    verify.add_argument("--_perturb", dest="perturb", action="store_true", help=argparse.SUPPRESS)
-    sub.add_parser("sweep", parents=[common], help="spectrum over a coupling grid")
     return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser; with ``command``, only that subcommand's parser, which
+    has the same prog and arguments as the full parser's subparser."""
+    if command is not None:
+        parser = _add_common_arguments(argparse.ArgumentParser(prog=f"{_PROG} {command}"))
+        subparsers = {command: parser}
+    else:
+        parser = argparse.ArgumentParser(
+            prog=_PROG,
+            description="Relativistic Kepler-Coulomb bound states, radial spinors and "
+                        "SU(1,1) coherent states in D+1 dimensions, with built-in verification.",
+        )
+        parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+        sub = parser.add_subparsers(dest="command", required=True)
+        common = _add_common_arguments(argparse.ArgumentParser(add_help=False))
+        subparsers = {name: sub.add_parser(name, parents=[common], help=help_text)
+                      for name, help_text in _SUBCOMMAND_HELP.items()}
+    if "verify" in subparsers:
+        subparsers["verify"].add_argument("--_perturb", dest="perturb", action="store_true",
+                                          help=argparse.SUPPRESS)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the full parser does, building only the named subcommand's
+    parser when that gives the same result.  The full parser handles every
+    other argv: no subcommand, --help or --version first, arguments the
+    subcommand leaves unrecognized (reported with the top-level usage), and
+    a '--=...' token, which the top level reads as an ambiguous option."""
+    command = argv[0] if argv and argv[0] in _SUBCOMMAND_HELP else None
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        args, extras = build_parser(command).parse_known_args(argv[1:])
+        if not extras:
+            args.command = command
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -383,8 +417,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         _apply_config(args)
         _fill_defaults(args)

@@ -22,9 +22,13 @@ gives the coherent spinor
 
 The coherent state is exact in the Sturmian picture; as an energy object
 it is tied to the reference scale (a_ref, omega_ref) of the n = 1
-level, which the spinor reports.  A' is fixed by quadrature;
-the conventional closed-form constant is computed for the comparison
-report only.
+level, which the spinor reports.  A' is exact: |F|^2 + |G|^2 is |P|^2 times
+r^{2s} e^{-2 Re(beta) r} times a quadratic in r, so its integral is a sum
+of three Gamma-function moments (the ``coherent_norm`` check confirms it
+by quadrature).  The conventional closed-form constant is reported beside
+it.  Its sigma' is right, but its tau' carries a spurious Gamma(2s+1) and
+its chi' carries Gamma(2s+3) where (2s+1)(2s+2)/4 belongs, so its ratio to
+the exact constant collapses as s grows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizable
 from .problem import DerivedConstants, ProblemParams
-from .quadrature import build_rule, integrate_radial
+from .radial import constant_from_log_norm
 from .radialfn import LaguerreSum
 from .report import NormalizationComparison
 from .special import log_gamma
@@ -249,9 +253,11 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
     """Build the normalized coherent spinor at label xi.
 
     The reference scale is that of the n = 1 level.  The constant A' is
-    fixed by quadrature of int (|F|^2 + |G|^2) dr = 1; its sign makes F
-    real positive at r_0 = 1/a_ref for real xi, and complex xi inherits
-    the continuous phase (the sign factor is xi-independent).
+    exact: the three Gamma moments of int (|F|^2 + |G|^2) dr share the
+    factors of the prefactor, which reduce to s |1-xi|^2 / (a_ref^3 (1-|xi|^2)),
+    and the rest is taken in log space.  Its sign makes F real positive at
+    r_0 = 1/a_ref for real xi, and complex xi inherits the continuous phase
+    (the sign factor is xi-independent).
     """
     xi = complex(xi)
     if abs(xi) >= 1.0:
@@ -280,13 +286,20 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
         + LaguerreSum.single(pref * (s - k) * w_over, power=s + 1.0, decay=decay)
     )
 
-    def density(r):
-        fv, gv = LaguerreSum.evaluate_all(r, f_expr, g_expr)
-        return np.abs(fv) ** 2 + np.abs(gv) ** 2
-
-    norm_sq = integrate_radial(density, decay.real, build_rule(32, 2.0 * s))
+    # |F|^2 + |G|^2 = (|pref| A')^2 r^{2s} e^{-2 Re(decay) r} (C_0 + C_1 r + C_2 r^2), so
+    # 1 / A'^2 = |pref|^2 sum_q C_q Gamma(2s+1+q) / (2 Re decay)^{2s+1+q}, where
+    # |pref|^2 Gamma(2s+1) / (2 Re decay)^{2s+1} = s |1-xi|^2 / (a_ref^3 (1-|xi|^2))
+    c0 = (s - k) ** 2 + constants.alpha_plus**2
+    c1 = -2.0 * (s - k) * w_over * (constants.alpha_minus + constants.alpha_plus)
+    c2 = w_over**2 * ((s - k) ** 2 + constants.alpha_minus**2)
+    two_b = 2.0 * decay.real
+    bracket = c0 + (2.0 * s + 1.0) / two_b * (c1 + (2.0 * s + 2.0) / two_b * c2)
+    if not bracket > 0.0:
+        raise NonNormalizable(f"coherent norm bracket is not positive: {bracket}")
+    log_norm_sq = (math.log(s) + 2.0 * math.log(abs(1.0 - xi)) - 3.0 * math.log(a_ref) - math.log1p(-mod2)
+                   + math.log(bracket))
     sign = 1.0 if (s - k) - constants.alpha_minus * omega_ref / (a_ref * (2.0 * s + 1.0)) >= 0.0 else -1.0
-    a_prime = sign / math.sqrt(float(np.real(norm_sq)))
+    a_prime = sign * constant_from_log_norm(log_norm_sq)
 
     comparison = NormalizationComparison(
         quadrature_constant=abs(a_prime),

@@ -28,5 +28,5 @@ class ConvergenceFailure(DiracCoulombError, RuntimeError):
 
 
 class NonNormalizable(DiracCoulombError, ValueError):
-    """The requested state has a non-decaying envelope and cannot be
-    normalized."""
+    """The requested state has a non-decaying envelope, or a norm whose
+    constant lies outside double range, and cannot be normalized."""

@@ -9,10 +9,11 @@ coefficients
     F1 = s - kappa, F2 = -2 omega s (alpha_v - alpha_s) / (n (n + 2s)),
     G1 = -(alpha_v + alpha_s), G2 = 2 omega s (s - kappa) / (n (n + 2s)).
 
-The overall constant is fixed by quadrature on int (F^2 + G^2) dr = 1.
-The conventional closed-form expression for that constant is computed
-alongside for comparison only: its cross and quadratic pieces could not
-be confirmed independently, so disagreement is reported, never asserted.
+The overall constant A_n is exact: int (F^2 + G^2) dr is a finite sum of
+Gamma-function moments, summed in log space (the ``normalization`` check
+confirms it by quadrature).  The conventional closed form is reported
+beside it: its sigma is right, but its tau and chi lack the factors 1/a
+and 1/a^2 of the exact bracket, and its tau carries alpha_- for alpha_v.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoBoundState
+from .errors import DomainError, NoBoundState, NonNormalizable
 from .problem import DerivedConstants
-from .quadrature import build_rule, integrate_radial
 from .radialfn import LaguerreSum, LaguerreTerm
 from .report import NormalizationComparison, VerificationReport
-from .special import log_gamma
+from .special import log_gamma, log_gamma_ratio
 from .spectrum import BoundLevel
 
 __all__ = [
@@ -164,24 +164,51 @@ def closed_form_normalization_constant(level: BoundLevel, constants: DerivedCons
     )
 
 
+def _log_norm_sq(n: int, a: float, s: float, coefficients) -> float:
+    """ln int (F^2 + G^2) dr of the unnormalized channel sums of _spinor_parts.
+
+    With x = 2ar each channel is (2a)^{s-1} e^{-ar} (c_p r^s L_n^{2s-1} + c_l r^{s+1} L_{n-1}^{2s+1}),
+    and its square integrates to (2a)^{2s-2} times
+
+        c_p^2 Gamma(n+2s) (2n+2s) / (n! (2a)^{2s+1})
+        - 4 c_p c_l Gamma(n+2s+1) / ((n-1)! (2a)^{2s+2})
+        + c_l^2 Gamma(n+2s+1) (2n+2s) / ((n-1)! (2a)^{2s+3}),
+
+    the cross term by L_n^{2s-1} = L_n^{2s} - L_{n-1}^{2s},
+    L_{n-1}^{2s+1} = sum_{j<n} L_j^{2s} and the x L_m recurrence.  Relative to
+    the first term the others carry -2 n (n+2s) / ((n+s) 2a) and
+    n (n+2s) / (2a)^2, so the channels add inside one bracket, and the
+    powers of 2a leave (2a)^-3.
+    """
+    f1, f2, g1, g2 = coefficients
+    two_a, nn = 2.0 * a, n * (n + 2.0 * s)
+    bracket = (f1 * f1 + g1 * g1) - 2.0 * nn / ((n + s) * two_a) * (f1 * f2 + g1 * g2) \
+        + nn / (two_a * two_a) * (f2 * f2 + g2 * g2)
+    if not bracket > 0.0:
+        raise NonNormalizable(f"spinor norm bracket is not positive: {bracket}")
+    return (log_gamma_ratio(n + 1.0, 2.0 * s - 1.0) + math.log(2.0 * (n + s))
+            - 3.0 * math.log(two_a) + math.log(bracket))
+
+
+def constant_from_log_norm(log_norm_sq: float) -> float:
+    """1 / sqrt(N) from ln N; NonNormalizable unless it is a positive finite double."""
+    if not abs(log_norm_sq) < 1400.0:  # also nan; exp(-700) and exp(700) are still doubles
+        raise NonNormalizable(f"normalization constant exp({-0.5 * log_norm_sq}) is out of range")
+    return math.exp(-0.5 * log_norm_sq)
+
+
 def assemble_spinor(level: BoundLevel, constants: DerivedConstants) -> RadialSpinor:
     """Build the normalized spinor of one level.
 
-    The constant is fixed by Gauss-Laguerre quadrature of
-    int (F^2 + G^2) dr = 1; its sign makes F(r -> 0+) positive.  The
-    closed-form constant rides along in the normalization report.
+    A_n is exact (see _log_norm_sq), with the sign that makes F(r -> 0+)
+    positive.  The conventional closed-form constant rides along in the
+    normalization report.
     """
     if not level.a > 0.0:
         raise NoBoundState("cannot assemble a spinor at a = 0 (free-limit degenerate case)")
     (f1, f2, g1, g2), f_expr, g_expr = _spinor_parts(level, constants)
-    rule = build_rule(max(32, level.n + 16), 2.0 * constants.s)
-
-    def density(r):
-        fv, gv = LaguerreSum.evaluate_all(r, f_expr, g_expr)
-        return fv**2 + gv**2
-
-    norm_sq = integrate_radial(density, level.a, rule)
-    a_n = math.copysign(1.0 / math.sqrt(float(norm_sq)), f1)
+    log_norm_sq = _log_norm_sq(level.n, level.a, constants.s, (f1, f2, g1, g2))
+    a_n = math.copysign(constant_from_log_norm(log_norm_sq), f1)
     comparison = NormalizationComparison(
         quadrature_constant=abs(a_n),
         closed_form=closed_form_normalization_constant(level, constants),

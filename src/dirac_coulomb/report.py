@@ -156,11 +156,13 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class NormalizationComparison:
-    """Quadrature-fixed normalization constant vs its analytic closed form.
+    """Exact normalization constant vs its conventional closed form.
 
-    The quadrature value is authoritative; the closed form is computed for
-    comparison only and the record is flagged when the two differ by more
-    than one part in 10^6 (or the closed form is undefined).
+    ``quadrature_constant`` keeps the name of its row key, but holds the
+    exact constant the assemblers sum from Gamma-function moments (the verify
+    suite checks it by quadrature).  The conventional closed form is computed
+    for comparison only, and the record is flagged when the two differ by
+    more than one part in 10^6 (or the closed form is undefined).
     """
 
     quadrature_constant: float

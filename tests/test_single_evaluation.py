@@ -271,7 +271,8 @@ def test_ladder_builds_each_distinct_rule_once(default_params, monkeypatch):
     _builds_each_rule_once(default_params, "ladder_coefficients", 10, monkeypatch)
 
 
-def test_default_verify_builds_61_rules_over_27_keys(default_params, monkeypatch):
+def test_default_verify_builds_26_rules_over_25_keys(default_params, default_constants, monkeypatch):
+    # the assemblers build none: their constants are exact, so every rule here belongs to a check
     import dirac_coulomb
 
     built = []
@@ -282,9 +283,12 @@ def test_default_verify_builds_61_rules_over_27_keys(default_params, monkeypatch
         return original(order, alpha)
 
     for name in ("algebra", "coherent", "radial", "verification"):
-        monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rule", counted)
+        monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rule", counted, raising=False)
     verification.run_suite(default_params)
-    assert (len(built), len(set(built))) == (61, 27)
+    assert (len(built), len(set(built))) == (26, 25)
+    assert Counter(order for order, _ in built) == {16: 1, 32: 11, 48: 14}
+    # normalization's rule for the problem's own s, which coherent_norm builds again
+    assert [key for key, times in Counter(built).items() if times > 1] == [(48, 2.0 * default_constants.s)]
 
 
 def test_oracles_compute_each_laguerre_factor_once(default_params, default_constants, monkeypatch):

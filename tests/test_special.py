@@ -14,6 +14,7 @@ from dirac_coulomb import (
     laguerre_zero_value,
     log_gamma,
 )
+from dirac_coulomb.special import log_gamma_ratio
 from dirac_coulomb.verification import generating_reference_sum
 
 
@@ -119,6 +120,15 @@ class TestLogGamma:
     def test_gamma_ratio(self):
         # ratios are formed in log space: Gamma(5)/Gamma(3) = 12
         assert math.exp(log_gamma(5.0) - log_gamma(3.0)) == pytest.approx(12.0, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 9.99, 10.0, 12.0, 451.0, 2001.0, 1e9])
+    @pytest.mark.parametrize("d", [-0.999, -0.5, 0.0, 0.94, 1.7, 40.0])
+    def test_log_gamma_ratio_against_mpmath(self, x, d):
+        # to a few ulps of max(1, |result|) on both sides of the switch to Stirling at x = 10,
+        # where a difference of two log_gamma values would lose up to 2e-13 at x = 2000
+        with mp.workdps(40):
+            want = float(mp.loggamma(mp.mpf(x) + d) - mp.loggamma(x))
+        assert log_gamma_ratio(x, d) == pytest.approx(want, rel=4e-15, abs=4e-15)
 
 
 class TestGeneratingFunction:
