@@ -55,7 +55,6 @@ from .algebra import (
     apply_operator,
     casimir_residual,
     channel_realization,
-    commutator_residual,
     ladder_matrix_elements,
     scaling_identity_residual,
     su11_commutator_report,

@@ -13,6 +13,14 @@ reproduces [K0, K+-] = +-K+- and [K-, K+] = 2 K0.  The identification is
 itself one of the tested invariants, not an assumption.  Applied to
 LaguerreSum functions every operator image is exact, so the residuals
 reported here are pure floating-point noise unless an identity is wrong.
+
+All four generator images of a function come from one place,
+_ladder_images, which shares the derivative, the P_r^2 chain and the term
+r P_r^2 + sigma(sigma+1)/r between them.  The commutator relations are
+checked one family of test functions at a time: a single pass builds the
+ladder images of each function and of each of those images, and evaluates
+them with one cache for the whole family, so each image serves every
+relation that needs it (su11_commutator_report).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -33,9 +42,7 @@ __all__ = [
     "OperatorKind",
     "RadialOperator",
     "apply_operator",
-    "commutator_residual",
     "SU11_RELATIONS",
-    "su11_relation",
     "su11_commutator_report",
     "ladder_matrix_elements",
     "casimir_residual",
@@ -87,26 +94,37 @@ class RadialOperator:
         """Exact operator image of a LaguerreSum."""
         kind = self.kind
         if kind is OperatorKind.PR2:
-            return self._pr2(f)
+            return _pr2(f)
         if kind is OperatorKind.A2:
             # -i r (d/dr + 1/r) f = -i (r f' + f)
             return (f.derivative().times_power(1) + f) * (-1.0j)
-        if kind in (OperatorKind.A0, OperatorKind.A1, OperatorKind.K0):
-            sign = -1.0 if kind is OperatorKind.A1 else 1.0
-            return (
-                self._pr2(f).times_power(1)
-                + f.times_power(-1) * self._cent()
-                + f.times_power(1) * sign
-            ) * 0.5
-        if kind in (OperatorKind.KPLUS, OperatorKind.KMINUS):
-            a1 = RadialOperator(OperatorKind.A1, self.s, self.centrifugal).apply(f)
-            i_a2 = f.derivative().times_power(1) + f  # i A2 f = r f' + f
-            return a1 + i_a2 if kind is OperatorKind.KPLUS else a1 - i_a2
+        if kind in _IMAGE_INDEX:
+            return next(islice(_ladder_images(f, self._cent()), _IMAGE_INDEX[kind], None))
         raise DomainError(f"unknown operator kind {kind}")
 
-    @staticmethod
-    def _pr2(f: LaguerreSum) -> LaguerreSum:
-        return f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
+
+def _pr2(f: LaguerreSum) -> LaguerreSum:
+    return f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
+
+
+# the images _ladder_images yields, in order, and the position of each generator's (A0 = K0)
+_LADDER = (OperatorKind.K0, OperatorKind.A1, OperatorKind.KPLUS, OperatorKind.KMINUS)
+_IMAGE_INDEX = {OperatorKind.A0: 0, **{kind: i for i, kind in enumerate(_LADDER)}}
+
+
+def _ladder_images(g: LaguerreSum, centrifugal: float):
+    """Yield K0 g (= A0 g), A1 g, K+ g and K- g in turn, each built once from
+    one derivative of g, one P_r^2 chain and one base P_r^2 r g + cent g / r;
+    a caller that needs only the first images stops early.  K+- = A1 +- i A2
+    with i A2 g = r g' + g."""
+    base = _pr2(g).times_power(1) + g.times_power(-1) * centrifugal
+    rg = g.times_power(1)
+    yield (base + rg * 1.0) * 0.5
+    a1 = (base + rg * -1.0) * 0.5
+    yield a1
+    i_a2 = g.derivative().times_power(1) + g
+    yield a1 + i_a2
+    yield a1 - i_a2
 
 
 def apply_operator(op: RadialOperator, f: LaguerreSum, r):
@@ -127,45 +145,6 @@ def _relative_residual(lhs: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
     return np.abs(lhs) / np.maximum(pointwise, 1e-3 * glob)
 
 
-def commutator_residual(x: RadialOperator, y: RadialOperator,
-                        expected: list[tuple[complex, RadialOperator]],
-                        test_functions, grid,
-                        tolerance: float = ALGEBRA_TOL,
-                        name: str = "commutator") -> VerificationReport:
-    """Residual of [X, Y] f - sum_j c_j Z_j f over a family of closed-form
-    test functions; everything is applied exactly."""
-    grid = np.asarray(grid, dtype=float)
-    fs = list(test_functions)
-    residuals = [_commutator_residuals(x, y, expected, f, grid) for f in fs]
-    return VerificationReport.from_residuals(
-        name, np.concatenate(residuals), tolerance,
-        context={"functions": len(fs), "points": grid.size},
-    )
-
-
-def _commutator_residuals(x: RadialOperator, y: RadialOperator, expected, f: LaguerreSum,
-                          grid: np.ndarray) -> np.ndarray:
-    """Pointwise residual of one test function on the float array grid.  Each
-    operator image of f is built once, and every evaluation shares one cache
-    of r**p, exp(-c r) and Laguerre factors, so no value is computed twice."""
-    images: dict = {}
-
-    def image(op: RadialOperator) -> LaguerreSum:
-        if op not in images:
-            images[op] = op.apply(f)
-        return images[op]
-
-    xy, yx, fv, *zs = LaguerreSum.evaluate_all(grid, x.apply(image(y)), y.apply(image(x)), f,
-                                               *(image(z) for _, z in expected))
-    zval = np.zeros(grid.shape, dtype=complex)
-    for (coef, _), z in zip(expected, zs):
-        zval = zval + coef * np.asarray(z, dtype=complex)
-    lhs = xy - yx - zval
-    # f itself joins the scale so that identically annihilated states
-    # (K- on the lowest one) do not reduce the residual to 0/0 noise
-    return _relative_residual(lhs, [xy, yx, zval, fv])
-
-
 # The defining relations [X, Y] = sum_j c_j Z_j, keyed by check name.
 SU11_RELATIONS = {
     "commutator_k0_kplus": (OperatorKind.K0, OperatorKind.KPLUS, ((1.0, OperatorKind.KPLUS),)),
@@ -174,32 +153,56 @@ SU11_RELATIONS = {
 }
 
 
-def su11_relation(name: str, sigma: float, fault_centrifugal: float | None):
-    """Operators (X, Y, [(c_j, Z_j)]) of one relation in SU11_RELATIONS at
-    realization parameter sigma, ready for commutator_residual.
+def _su11_family_residuals(sigma: float, test_functions, grid: np.ndarray,
+                           fault_centrifugal: float | None) -> dict[str, np.ndarray]:
+    """Pointwise residuals of [X, Y] f - sum_j c_j Z_j f for every relation of
+    SU11_RELATIONS on a family of test functions, in one pass.
 
-    A ``fault_centrifugal`` other than None replaces sigma(sigma+1) in
-    the commuted pair only (the expected side keeps the true
-    realization); the three operators close su(1,1) for any constant when
-    perturbed together, so this is the injection that actually exposes a
-    wrong realization.
+    For each f the pass builds the ladder images of f and the ladder images
+    of each of those, so every first- and second-order image is built once
+    for all three relations, and it evaluates them all through one cache of
+    r**p, exp(-c r) and Laguerre factors shared by the whole family.  A
+    ``fault_centrifugal`` other than None replaces sigma(sigma+1) in the
+    commuted pair only (the Z side keeps the true realization); the three
+    operators close su(1,1) for any constant when perturbed together, so this
+    is the injection that actually exposes a wrong realization.
     """
-    x, y, expected = SU11_RELATIONS[name]
-    return (
-        RadialOperator(x, sigma, fault_centrifugal),
-        RadialOperator(y, sigma, fault_centrifugal),
-        [(coef, RadialOperator(z, sigma)) for coef, z in expected],
-    )
+    true_cent = sigma * (sigma + 1.0)
+    pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
+    cache = ({}, {}, {})
+    residuals = {name: [] for name in SU11_RELATIONS}
+    for f in test_functions:
+        true = dict(zip(_LADDER, _ladder_images(f, true_cent)))
+        pair = true if fault_centrifugal is None else dict(zip(_LADDER, _ladder_images(f, pair_cent)))
+        # second[Y][X] is X Y f
+        second = {kind: dict(zip(_LADDER, _ladder_images(g, pair_cent))) for kind, g in pair.items()
+                  if kind is not OperatorKind.A1}
+        fv = f.evaluate(grid, *cache)
+        for name, (x, y, expected) in SU11_RELATIONS.items():
+            xy = second[y][x].evaluate(grid, *cache)
+            yx = second[x][y].evaluate(grid, *cache)
+            zval = np.zeros(grid.shape, dtype=complex)
+            for coef, z in expected:
+                zval = zval + coef * np.asarray(true[z].evaluate(grid, *cache), dtype=complex)
+            # f itself joins the scale so that identically annihilated states
+            # (K- on the lowest one) do not reduce the residual to 0/0 noise
+            residuals[name].append(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
+    return {name: np.concatenate(arrays) for name, arrays in residuals.items()}
 
 
 def su11_commutator_report(sigma: float, test_functions, grid,
                            tolerance: float = ALGEBRA_TOL,
                            fault_centrifugal: float | None = None) -> list[VerificationReport]:
     """Reports of the three relations of SU11_RELATIONS at realization
-    parameter sigma: [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0."""
+    parameter sigma, [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0, over a
+    family of closed-form test functions; everything is applied exactly.
+    See _su11_family_residuals for ``fault_centrifugal``."""
+    grid = np.asarray(grid, dtype=float)
     fs = list(test_functions)
+    residuals = _su11_family_residuals(sigma, fs, grid, fault_centrifugal)
     return [
-        commutator_residual(*su11_relation(name, sigma, fault_centrifugal), fs, grid, tolerance, name)
+        VerificationReport.from_residuals(name, residuals[name], tolerance,
+                                          context={"functions": len(fs), "points": grid.size})
         for name in SU11_RELATIONS
     ]
 

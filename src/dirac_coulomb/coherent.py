@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -59,6 +60,8 @@ __all__ = [
     "assemble_coherent_spinor",
     "closed_form_coherent_normalization",
 ]
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,15 @@ def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
             raise DomainError("truncation order did not converge; |xi| too close to 1")
 
 
+def _sqrt_gamma(x: float) -> float:
+    """sqrt(Gamma(x)), from exp(ln Gamma(x)) while that is a double and from
+    exp(ln Gamma(x) / 2) past it (from x of about 171.6 on)."""
+    log_g = log_gamma(x)
+    if log_g < _LOG_DOUBLE_MAX:
+        return math.sqrt(math.exp(log_g))
+    return math.exp(0.5 * log_g)
+
+
 def sturmian_coherent(channel: str, s: float, xi: complex) -> LaguerreSum:
     """Closed form of the coherent superposition of one channel's basis.
 
@@ -156,17 +168,20 @@ def sturmian_coherent(channel: str, s: float, xi: complex) -> LaguerreSum:
         raise DomainError(f"coherent state requires |xi| < 1, got |xi| = {abs(xi)}")
     if s <= 0.0:
         raise DomainError(f"coherent state requires s > 0, got {s}")
+    if channel not in ("u", "v"):
+        raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
     one_m = 1.0 - abs(xi) ** 2
     decay = (1.0 + xi) / (1.0 - xi)
-    if channel == "v":
-        coef = 2.0 * one_m ** (s + 1.0) / math.sqrt(math.exp(log_gamma(2.0 * s + 2.0)))
-        coef = coef * 2.0**s * (1.0 - xi) ** (-(2.0 * s + 2.0))
-        return LaguerreSum.single(coef, power=s, decay=decay)
-    if channel == "u":
-        coef = 2.0 * one_m**s / math.sqrt(math.exp(log_gamma(2.0 * s)))
-        coef = coef * 2.0 ** (s - 1.0) * (1.0 - xi) ** (-2.0 * s)
-        return LaguerreSum.single(coef, power=s - 1.0, decay=decay)
-    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
+    try:
+        if channel == "v":
+            coef = 2.0 * one_m ** (s + 1.0) / _sqrt_gamma(2.0 * s + 2.0)
+            coef = coef * 2.0**s * (1.0 - xi) ** (-(2.0 * s + 2.0))
+        else:
+            coef = 2.0 * one_m**s / _sqrt_gamma(2.0 * s)
+            coef = coef * 2.0 ** (s - 1.0) * (1.0 - xi) ** (-2.0 * s)
+    except OverflowError:
+        raise NonNormalizable(f"coherent state coefficient is out of double range at s = {s}") from None
+    return LaguerreSum.single(coef, power=s if channel == "v" else s - 1.0, decay=decay)
 
 
 def physical_coherent_components(s: float, xi: complex, a_ref: float) -> tuple[LaguerreSum, LaguerreSum]:
@@ -210,20 +225,25 @@ def closed_form_coherent_normalization(s: float, kappa: float, alpha_plus: float
              ((alpha_v-alpha_s)^2 + (s-k)^2),
     A'     = sqrt(a^3 (1-|xi|^2) / (s (1-xi)(1-xi*) (sigma'+tau'+chi'))).
 
-    Returns None when the bracket is not positive.
+    Returns None when the bracket is not positive, or when Gamma(2s+1) or
+    Gamma(2s+3) is past the double range (from s of about 85 on).
     """
     xi = complex(xi)
     mod2 = abs(xi) ** 2
     abs1mxi2 = abs(1.0 - xi) ** 2
     alpha_v = 0.5 * (alpha_plus + alpha_minus)
     sigma_p = (s - kappa) ** 2 + alpha_plus**2
+    try:
+        gamma_1, gamma_3 = math.exp(log_gamma(2.0 * s + 1.0)), math.exp(log_gamma(2.0 * s + 3.0))
+    except OverflowError:
+        return None
     tau_p = (
         -2.0 * omega_ref * (s - kappa) * alpha_v * abs1mxi2
-        * math.exp(log_gamma(2.0 * s + 1.0)) / (a_ref * (1.0 - mod2))
+        * gamma_1 / (a_ref * (1.0 - mod2))
     )
     chi_p = (
         (omega_ref * abs1mxi2 / ((2.0 * s + 1.0) * a_ref * (1.0 - mod2))) ** 2
-        * math.exp(log_gamma(2.0 * s + 3.0))
+        * gamma_3
         * (alpha_minus**2 + (s - kappa) ** 2)
     )
     bracket = sigma_p + tau_p + chi_p
@@ -272,10 +292,13 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
         raise NonNormalizable(f"coherent envelope does not decay: Re(a(1+xi)/(1-xi)) = {decay.real}")
 
     mod2 = abs(xi) ** 2
-    pref = (
-        (1.0 - mod2) ** s * 2.0**s * a_ref ** (s - 1.0)
-        / (math.sqrt(math.exp(log_gamma(2.0 * s))) * (1.0 - xi) ** (2.0 * s))
-    )
+    try:
+        pref = (
+            (1.0 - mod2) ** s * 2.0**s * a_ref ** (s - 1.0)
+            / (_sqrt_gamma(2.0 * s) * (1.0 - xi) ** (2.0 * s))
+        )
+    except OverflowError:
+        raise NonNormalizable(f"coherent spinor prefactor is out of double range at s = {s}") from None
     w_over = omega_ref / (2.0 * s + 1.0)
     f_expr = (
         LaguerreSum.single(pref * (s - k), power=s, decay=decay)

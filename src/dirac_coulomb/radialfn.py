@@ -125,7 +125,15 @@ class LaguerreSum:
 
     def times_power(self, k) -> "LaguerreSum":
         """Multiply by r**k (k may be negative or fractional)."""
-        return LaguerreSum._of(((p + k, d, n, a, b), c) for (p, d, n, a, b), c in self._map.items())
+        pairs = [((p + k, d, n, a, b), c) for (p, d, n, a, b), c in self._map.items()]
+        shifted = dict(pairs)
+        if len(shifted) < len(pairs):  # two powers rounded together: merge their terms
+            return LaguerreSum._of(pairs)
+        # distinct keys keep their coefficients, which a merge would leave as they are
+        out = object.__new__(LaguerreSum)
+        out._map = shifted
+        out._derivative = None
+        return out
 
     def scaled(self, theta: float) -> "LaguerreSum":
         """The dilation image e^theta f(e^theta r)."""

@@ -13,6 +13,7 @@ residuals and context, and run_suite turns each into a VerificationReport.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -24,9 +25,8 @@ from .algebra import (
     a0_eigenvalue_residual,
     casimir_residual,
     channel_realization,
-    commutator_residual,
     scaling_identity_residual,
-    su11_relation,
+    su11_commutator_report,
 )
 from .coherent import (
     _perelomov_weight_sequence,
@@ -249,15 +249,20 @@ def _check_orthonormality(channel, params):
     return residuals, {"channel": channel, "count": 12}
 
 
-def _check_commutator(which, params):
-    """One residual per family: the first Sturmians of one channel at one s."""
+def _check_commutator(which, families, params):
+    """One residual per family: the first Sturmians of one channel at one s.
+    ``families`` maps (s, channel) to that family's residual maximum of each
+    relation; _registry gives the three commutator checks of one suite the
+    same fresh dict, so whichever runs first computes each family once."""
     grid = _algebra_grid()
     residuals = []
     for s in _s_grid(params):
         for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
-            relation = su11_relation(which, channel_realization(channel, s), None)
-            fns = [sturmian(channel, n, s) for n in n_range]
-            residuals.append(commutator_residual(*relation, fns, grid, name=which).residual_max)
+            if (s, channel) not in families:
+                fns = [sturmian(channel, n, s) for n in n_range]
+                reports = su11_commutator_report(channel_realization(channel, s), fns, grid)
+                families[s, channel] = {rep.name: rep.residual_max for rep in reports}
+            residuals.append(families[s, channel][which])
     return residuals, {"families": len(residuals)}
 
 
@@ -415,8 +420,12 @@ def _check_coherent_ratio(params):
         r2 = 0.5 * r1
 
         def leading(f, power):
-            c1 = f(r1) / r1**power
-            c2 = f(r2) / r2**power
+            f1, f2 = f(r1), f(r2)
+            if min(abs(f2), r2**power) >= sys.float_info.min:
+                c1 = f1 / r1**power
+                c2 = f2 / r2**power
+            else:  # f(r) or r**power is not a normal double (large s): divide r**power out of f's terms
+                c1, c2 = f.times_power(-power)(np.array([r1, r2]))
             return 2.0 * c2 - c1  # Richardson: removes the O(r) correction
 
         ratio_series = ref.omega * leading(u_p, s) / ((2.0 * s + 1.0) * leading(v_p, s + 1.0))
@@ -436,9 +445,9 @@ _CHECKS = {
     "diagonalization_identity": (1e-11, _check_diagonalization),
     "sturmian_orthonormality_u": (1e-10, partial(_check_orthonormality, "u")),
     "sturmian_orthonormality_v": (1e-10, partial(_check_orthonormality, "v")),
-    "commutator_k0_kplus": (1e-8, partial(_check_commutator, "commutator_k0_kplus")),
-    "commutator_k0_kminus": (1e-8, partial(_check_commutator, "commutator_k0_kminus")),
-    "commutator_kminus_kplus": (1e-8, partial(_check_commutator, "commutator_kminus_kplus")),
+    "commutator_k0_kplus": (1e-8, _check_commutator),
+    "commutator_k0_kminus": (1e-8, _check_commutator),
+    "commutator_kminus_kplus": (1e-8, _check_commutator),
     "ladder_coefficients": (1e-8, _check_ladder),
     "casimir": (1e-8, _check_casimir),
     "a0_eigenvalue": (1e-9, _check_a0),
@@ -460,10 +469,19 @@ VERIFY_CHECK_COUNT = len(VERIFY_CHECK_NAMES)
 
 
 def _registry(perturb: bool):
-    """{name: check} in report order.  ``perturb`` is the fault-injection
-    hook: its first-order ODE check scales F by 1% and must then fail."""
-    return {name: partial(_check_ode_first, True) if perturb and name == "ode_first_order" else check
-            for name, (_, check) in _CHECKS.items()}
+    """{name: check} in report order.  The commutator checks are bound to
+    their name and to one fresh memo of su(1,1) family passes, which lives as
+    long as this registry.  ``perturb`` is the fault-injection hook: its
+    first-order ODE check scales F by 1% and must then fail."""
+    families = {}
+    registry = {}
+    for name, (_, check) in _CHECKS.items():
+        if check is _check_commutator:
+            check = partial(_check_commutator, name, families)
+        elif perturb and name == "ode_first_order":
+            check = partial(_check_ode_first, True)
+        registry[name] = check
+    return registry
 
 
 def resolve_tolerances(overrides) -> dict[str, float]:

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,20 +80,53 @@ class TestCommutators:
 
 
 class TestVerifyCommutatorChecks:
+    @staticmethod
+    def count_family_passes(monkeypatch):
+        """The realization parameter of each su(1,1) family pass, in call order."""
+        passes = []
+        original = algebra._su11_family_residuals
+
+        def counted(sigma, fns, grid, fault_centrifugal):
+            passes.append(sigma)
+            return original(sigma, fns, grid, fault_centrifugal)
+
+        monkeypatch.setattr(algebra, "_su11_family_residuals", counted)
+        return passes
+
     def test_each_relation_runs_once_per_family(self, default_params, monkeypatch):
-        calls = Counter()
-        original = algebra.commutator_residual
+        # one pass gives a family's three relations: 5 s-values (the acceptance
+        # grid plus the problem's own) x 2 channels, where each relation was a call of its own
+        passes = self.count_family_passes(monkeypatch)
+        reports = {rep.name: rep for rep in run_suite(default_params)}
+        s_values = verification._s_grid(default_params)
+        assert sorted(passes) == sorted(channel_realization(channel, s)
+                                        for s in s_values for channel in ("v", "u"))
+        assert len(set(passes)) == 10
+        for name in algebra.SU11_RELATIONS:
+            assert reports[name].context == {"families": 10}
 
-        def counted(*args, **kwargs):
-            report = original(*args, **kwargs)
-            calls[report.name] += 1
-            return report
-
-        for module in (algebra, verification):
-            monkeypatch.setattr(module, "commutator_residual", counted)
+    def test_each_suite_computes_each_family_once(self, default_params, monkeypatch):
+        # the memo belongs to one suite: nothing is kept for the next run_suite
+        passes = self.count_family_passes(monkeypatch)
         run_suite(default_params)
-        # 5 s-values (the acceptance grid plus the problem's own) x 2 channels
-        assert calls == {name: 10 for name in algebra.SU11_RELATIONS}
+        first = list(passes)
+        passes.clear()
+        run_suite(default_params)
+        assert passes == first and len(set(first)) == len(first) == 10
+
+    def test_a_check_alone_matches_the_suite(self, default_params, monkeypatch):
+        # alone, a check fills its own memo; in a suite the third check only reads the first's
+        inside = {}
+        original = verification._registry
+
+        def recording(perturb):
+            return {name: (lambda params, name=name, check=check: inside.setdefault(name, check(params)))
+                    for name, check in original(perturb).items()}
+
+        monkeypatch.setattr(verification, "_registry", recording)
+        run_suite(default_params)
+        for name in reversed(algebra.SU11_RELATIONS):
+            assert original(False)[name](default_params) == inside[name]
 
 
 class TestLadder:

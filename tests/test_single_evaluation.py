@@ -1,10 +1,11 @@
 """The verify checks compute each intermediate once and print the same bits.
 
 Each reference below is the per-call code the checks ran before they shared
-work: every operator image rebuilt and evaluated with fresh caches, every
-Sturmian evaluated inside each Gram integrand, every ladder rule rebuilt,
-and the LaguerreSum operations merged term by term.  Results are compared
-with ==, never with a tolerance.
+work: every operator image rebuilt from its own formula and evaluated with
+fresh caches, one commutator relation at a time, every Sturmian evaluated
+inside each Gram integrand, every ladder rule rebuilt, and the LaguerreSum
+operations merged term by term.  Results are compared with ==, never with a
+tolerance.
 """
 
 import math
@@ -17,17 +18,16 @@ from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, physical_compon
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
-    _commutator_residuals,
     _relative_residual,
+    _su11_family_residuals,
     a0_eigenvalue_residual,
     casimir_residual,
     channel_realization,
-    commutator_residual,
     _ladder_projections,
     _ladder_rule_key,
     ladder_matrix_elements,
     scaling_identity_residual,
-    su11_relation,
+    su11_commutator_report,
     SU11_RELATIONS,
 )
 from dirac_coulomb.quadrature import build_rule, integrate_radial
@@ -60,12 +60,38 @@ FAMILIES = (("v", range(1, 11)), ("u", range(0, 10)))
 # references: the per-call code before evaluations were shared
 
 
+def reference_apply(op, f):
+    """op.apply(f) as it was written before the generators shared their parts:
+    one formula per kind, K+- building their own A1 image."""
+    kind = op.kind
+    if kind in (OperatorKind.A0, OperatorKind.A1, OperatorKind.K0):
+        sign = -1.0 if kind is OperatorKind.A1 else 1.0
+        pr2 = f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
+        return (pr2.times_power(1) + f.times_power(-1) * op._cent() + f.times_power(1) * sign) * 0.5
+    if kind in (OperatorKind.KPLUS, OperatorKind.KMINUS):
+        a1 = reference_apply(RadialOperator(OperatorKind.A1, op.s, op.centrifugal), f)
+        i_a2 = f.derivative().times_power(1) + f
+        return a1 + i_a2 if kind is OperatorKind.KPLUS else a1 - i_a2
+    return op.apply(f)  # P_r^2 and A2 keep their own formulas
+
+
+def su11_relation(name, sigma, fault_centrifugal):
+    """Operators (X, Y, [(c_j, Z_j)]) of one relation; a fault constant
+    replaces sigma(sigma+1) in the commuted pair only."""
+    x, y, expected = SU11_RELATIONS[name]
+    return (
+        RadialOperator(x, sigma, fault_centrifugal),
+        RadialOperator(y, sigma, fault_centrifugal),
+        [(coef, RadialOperator(z, sigma)) for coef, z in expected],
+    )
+
+
 def reference_commutator(x, y, expected, f, grid):
-    xy = x.apply(y.apply(f))(grid)
-    yx = y.apply(x.apply(f))(grid)
+    xy = reference_apply(x, reference_apply(y, f))(grid)
+    yx = reference_apply(y, reference_apply(x, f))(grid)
     zval = np.zeros(grid.shape, dtype=complex)
     for coef, z in expected:
-        zval = zval + coef * np.asarray(z.apply(f)(grid), dtype=complex)
+        zval = zval + coef * np.asarray(reference_apply(z, f)(grid), dtype=complex)
     return _relative_residual(xy - yx - zval, [xy, yx, zval, f(grid)])
 
 
@@ -76,15 +102,15 @@ def reference_casimir(channel, n, s, grid):
     kp = RadialOperator(OperatorKind.KPLUS, sigma)
     km = RadialOperator(OperatorKind.KMINUS, sigma)
     k0 = RadialOperator(OperatorKind.K0, sigma)
-    k0f = k0.apply(f)
-    lhs = (kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f)(grid)
+    k0f = reference_apply(k0, f)
+    lhs = (reference_apply(kp, reference_apply(km, f)) * (-1.0) + reference_apply(k0, k0f) - k0f)(grid)
     rhs = k_barg * (k_barg - 1.0) * f(grid)
     return _relative_residual(lhs - rhs, [lhs, rhs, f(grid)])
 
 
 def reference_a0(channel, n, s, grid):
     f = sturmian(channel, n, s)
-    lhs = RadialOperator(OperatorKind.A0, channel_realization(channel, s)).apply(f)(grid)
+    lhs = reference_apply(RadialOperator(OperatorKind.A0, channel_realization(channel, s)), f)(grid)
     rhs = (n + s) * f(grid)
     return _relative_residual(lhs - rhs, [lhs, rhs])
 
@@ -100,8 +126,8 @@ def reference_gram(channel, s, n_count):
 def reference_ladder(channel, n, s, rule):
     sigma = channel_realization(channel, s)
     f_n = sturmian(channel, n, s)
-    kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
-    km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
+    kp = reference_apply(RadialOperator(OperatorKind.KPLUS, sigma), f_n)
+    km = reference_apply(RadialOperator(OperatorKind.KMINUS, sigma), f_n)
     f_up = sturmian(channel, n + 1, s)
     up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
     if (n if channel == "u" else n - 1) >= 1:
@@ -120,9 +146,9 @@ def reference_scaling(theta, fns, grid, sigma):
     residuals = []
     for f in fns:
         f_scaled = f.scaled(theta)
-        a0f, a1f = a0.apply(f)(grid), a1.apply(f)(grid)
-        conj0 = a0.apply(f_scaled).scaled(-theta)(grid)
-        conj1 = a1.apply(f_scaled).scaled(-theta)(grid)
+        a0f, a1f = reference_apply(a0, f)(grid), reference_apply(a1, f)(grid)
+        conj0 = reference_apply(a0, f_scaled).scaled(-theta)(grid)
+        conj1 = reference_apply(a1, f_scaled).scaled(-theta)(grid)
         for lhs, parts in [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),
             (conj1 - (sh * a0f + ch * a1f), [conj1, a0f, a1f]),
@@ -167,30 +193,50 @@ def captured_residuals(monkeypatch):
 # bit-identical residuals
 
 
+@pytest.mark.parametrize("centrifugal", [None, 0.3])
+def test_generator_images_match_the_per_kind_formulas(centrifugal):
+    f = sturmian("v", 3, 0.866)
+    for g in (f, mixed_sum(), reference_apply(RadialOperator(OperatorKind.KPLUS, 0.866), f)):
+        for kind in OperatorKind:
+            op = RadialOperator(kind, 0.866, centrifugal)
+            assert bits(op.apply(g)) == bits(reference_apply(op, g)), kind
+
+
+def per_function(residuals, count):
+    """The concatenated residual array of a family, split per test function."""
+    return np.split(residuals, count)
+
+
 @pytest.mark.parametrize("which", list(SU11_RELATIONS))
 def test_commutator_residuals_per_function(problem, which, monkeypatch):
+    # the family pass gives every relation's residuals; each must be the per-relation body's
     grid = verification._algebra_grid()
     seen = captured_residuals(monkeypatch)
     for s in verification._s_grid(problem):
         for channel, n_range in FAMILIES:
-            relation = su11_relation(which, channel_realization(channel, s), None)
+            sigma = channel_realization(channel, s)
+            relation = su11_relation(which, sigma, None)
             fns = [sturmian(channel, n, s) for n in n_range]
             want = [reference_commutator(*relation, f, grid) for f in fns]
-            for f, w in zip(fns, want):
-                assert np.array_equal(_commutator_residuals(*relation, f, grid), w)
-            commutator_residual(*relation, fns, grid, name=which)
-            assert np.array_equal(seen.pop(), np.concatenate(want))
+            got = _su11_family_residuals(sigma, fns, grid, None)[which]
+            for g, w in zip(per_function(got, len(fns)), want):
+                assert np.array_equal(g, w)
+            su11_commutator_report(sigma, fns, grid)
+            reports = dict(zip(SU11_RELATIONS, seen[-3:]))
+            assert np.array_equal(reports[which], np.concatenate(want))
 
 
 @pytest.mark.parametrize("which", list(SU11_RELATIONS))
 def test_commutator_residuals_with_a_wrong_realization(which):
     # the commuted pair then differs from the expected side, so no image is shared
     s, grid = 0.866, verification._algebra_grid()
-    relation = su11_relation(which, s, s * s)
-    for n in range(1, 7):
-        f = sturmian("v", n, s)
-        assert np.array_equal(_commutator_residuals(*relation, f, grid),
-                              reference_commutator(*relation, f, grid))
+    for channel, n_range in FAMILIES:
+        sigma = channel_realization(channel, s)
+        relation = su11_relation(which, sigma, s * s)
+        fns = [sturmian(channel, n, s) for n in n_range]
+        got = _su11_family_residuals(sigma, fns, grid, s * s)[which]
+        for g, f in zip(per_function(got, len(fns)), fns):
+            assert np.array_equal(g, reference_commutator(*relation, f, grid))
 
 
 def test_casimir_and_a0_residuals(problem, monkeypatch):
@@ -379,3 +425,15 @@ def test_times_power_merges_powers_that_round_together():
          + LaguerreSum.single(2.0, power=0.0, decay=1.0))
     assert len(f) == 2
     assert [(t.power, t.coef) for t in f.times_power(1.0).terms] == [(1.0, 3.0 + 0j)]
+
+
+@pytest.mark.parametrize("k", [1, -1, 0.5, 2.0])
+def test_times_power_fast_path_matches_the_merge(k):
+    # distinct shifted keys skip the merge; keys that round together fall back to it
+    colliding = (LaguerreSum.single(1.0, power=1e-17, decay=1.0)
+                 + LaguerreSum.single(2.0, power=0.0, decay=1.0))
+    images = RadialOperator(OperatorKind.KMINUS, 0.866).apply(sturmian("v", 3, 0.866))
+    for f in (mixed_sum(), mixed_sum().derivative(), mixed_sum() * -1.0, images, colliding):
+        merged = LaguerreSum._of(((p + k, d, n, a, b), c) for (p, d, n, a, b), c in f._map.items())
+        assert bits(f.times_power(k)) == bits(merged)
+    assert len(colliding.times_power(k)) == 1
