@@ -30,7 +30,6 @@ from .special import (
     laguerre,
     laguerre_sequence,
     laguerre_generating_closed,
-    laguerre_zero_value,
     log_gamma,
 )
 from .quadrature import QuadratureRule, build_rule, integrate_radial
@@ -39,7 +38,6 @@ from .radialfn import LaguerreSum, LaguerreTerm
 from .radial import (
     RadialSpinor,
     assemble_spinor,
-    coefficient_ratio_Bn,
     default_residual_grid,
     ode_residual_first_order,
     ode_residual_second_order,
@@ -52,7 +50,6 @@ from .algebra import (
     OperatorKind,
     RadialOperator,
     a0_eigenvalue_residual,
-    apply_operator,
     casimir_residual,
     channel_realization,
     ladder_matrix_elements,
@@ -74,8 +71,6 @@ from .report import (
     NormalizationComparison,
     SpectrumRecord,
     VerificationReport,
-    VerificationSummary,
-    summarize,
 )
 from .verification import (
     DEFAULT_TOLERANCES,

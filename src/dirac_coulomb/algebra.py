@@ -41,7 +41,6 @@ from .radial import sturmian
 __all__ = [
     "OperatorKind",
     "RadialOperator",
-    "apply_operator",
     "SU11_RELATIONS",
     "su11_commutator_report",
     "ladder_matrix_elements",
@@ -57,8 +56,6 @@ ALGEBRA_TOL = 1e-8
 class OperatorKind(Enum):
     A0 = "A0"
     A1 = "A1"
-    A2 = "A2"
-    PR2 = "Pr2"
     KPLUS = "K+"
     KMINUS = "K-"
     K0 = "K0"
@@ -92,15 +89,7 @@ class RadialOperator:
 
     def apply(self, f: LaguerreSum) -> LaguerreSum:
         """Exact operator image of a LaguerreSum."""
-        kind = self.kind
-        if kind is OperatorKind.PR2:
-            return _pr2(f)
-        if kind is OperatorKind.A2:
-            # -i r (d/dr + 1/r) f = -i (r f' + f)
-            return (f.derivative().times_power(1) + f) * (-1.0j)
-        if kind in _IMAGE_INDEX:
-            return next(islice(_ladder_images(f, self._cent()), _IMAGE_INDEX[kind], None))
-        raise DomainError(f"unknown operator kind {kind}")
+        return next(islice(_ladder_images(f, self._cent()), _IMAGE_INDEX[self.kind], None))
 
 
 def _pr2(f: LaguerreSum) -> LaguerreSum:
@@ -125,15 +114,6 @@ def _ladder_images(g: LaguerreSum, centrifugal: float):
     i_a2 = g.derivative().times_power(1) + g
     yield a1 + i_a2
     yield a1 - i_a2
-
-
-def apply_operator(op: RadialOperator, f: LaguerreSum, r):
-    """Apply an operator to a LaguerreSum exactly and evaluate at r > 0."""
-    if not isinstance(f, LaguerreSum):
-        raise DomainError(f"operators act on LaguerreSum closed forms, got {type(f).__name__}")
-    if np.any(np.asarray(r, dtype=float) <= 0.0):
-        raise DomainError("radial operators are defined for r > 0 only")
-    return op.apply(f)(r)
 
 
 def _relative_residual(lhs: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:

@@ -28,7 +28,7 @@ from .radial import (
     ode_residual_second_order,
     physical_components,
 )
-from .report import SpectrumRecord, VerificationReport, summarize
+from .report import SpectrumRecord, VerificationReport
 from .output import emit_csv, emit_json, emit_table, format_reals, token
 from .spectrum import bound_level
 from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_tolerances, run_suite
@@ -36,13 +36,6 @@ from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_
 __all__ = ["main", "entrypoint", "build_parser", "VERIFY_CHECK_COUNT"]
 
 MAX_SWEEP_ROWS = 100_000  # the row limit of every spectrum table, `spectrum` and `sweep`
-
-_CONFIG_KEYS = (
-    "dimension", "j", "alignment", "alpha_v", "alpha_s", "mass", "n",
-    "xi_re", "xi_im", "r_min", "r_max", "r_points", "r_spacing",
-    "format", "out", "tolerance",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -58,6 +51,12 @@ _SUBCOMMAND_HELP = {
 }
 
 
+def _number_or_text(text: str) -> str:
+    """Type of --alpha-v, --alpha-s and --n, whose text the subcommand parses as
+    a number or a range; a config file may give them a JSON number too."""
+    return text
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """The flags every subcommand takes."""
     parser.add_argument("--config", type=str, default=None,
@@ -70,12 +69,13 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentP
     align.add_argument("--unaligned", dest="alignment", action="store_const",
                        const="unaligned", help="spin unaligned, j = l - 1/2")
     parser.set_defaults(alignment=None)
-    parser.add_argument("--alpha-v", dest="alpha_v", type=str, default=None,
+    parser.add_argument("--alpha-v", dest="alpha_v", type=_number_or_text, default=None,
                         help="vector coupling > 0 (sweep accepts start..stop..count)")
-    parser.add_argument("--alpha-s", dest="alpha_s", type=str, default=None,
+    parser.add_argument("--alpha-s", dest="alpha_s", type=_number_or_text, default=None,
                         help="scalar coupling >= 0 (sweep accepts start..stop..count)")
     parser.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
-    parser.add_argument("--n", type=str, default=None, help="radial label, single value or range a..b")
+    parser.add_argument("--n", type=_number_or_text, default=None,
+                        help="radial label, single value or range a..b")
     parser.add_argument("--xi-re", dest="xi_re", type=float, default=None, help="Re xi of the coherent label")
     parser.add_argument("--xi-im", dest="xi_im", type=float, default=None, help="Im xi of the coherent label")
     parser.add_argument("--r-min", dest="r_min", type=float, default=None, help="grid start (default 1e-2/a)")
@@ -138,20 +138,38 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise _UsageError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise _UsageError("config file must hold a single JSON object")
-    unknown = set(config) - set(_CONFIG_KEYS)
+    flags = _add_common_arguments(argparse.ArgumentParser(add_help=False))._actions
+    unknown = set(config) - ({action.dest for action in flags} - {"config"})
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
-        if key == "tolerance":
+        if key == "tolerance" or value is None:
             continue
+        _check_config_value(key, value, [action for action in flags if action.dest == key])
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    if isinstance(config.get("tolerance"), dict):
+    if config.get("tolerance") is not None:
+        if not isinstance(config["tolerance"], dict):
+            raise _UsageError(f"config value for 'tolerance' has the wrong type: {config['tolerance']!r}")
         merged = {str(k): v for k, v in config["tolerance"].items()}
         for item in args.tolerance or []:
             key, _, val = item.partition("=")
             merged[key] = val
         args.tolerance = [f"{k}={v}" for k, v in merged.items()]
+
+
+def _check_config_value(key: str, value, actions: list[argparse.Action]) -> None:
+    """Reject a config value that the flags of ``key`` could not give.  The flag
+    type fixes the JSON type: an integer for int, any number for float, a number
+    or a string for _number_or_text, else a string.  The flag's choices, or the
+    consts of --aligned and --unaligned, fix the values."""
+    flag_type = actions[0].type or str
+    allowed = {float: (int, float), _number_or_text: (int, float, str)}.get(flag_type, (flag_type,))
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise _UsageError(f"config value for {key!r} has the wrong type: {value!r}")
+    choices = actions[0].choices or [action.const for action in actions if action.const is not None]
+    if choices and value not in choices:
+        raise _UsageError(f"config value for {key!r} must be one of {list(choices)}, got {value!r}")
 
 
 def _fill_defaults(args: argparse.Namespace) -> None:
@@ -378,16 +396,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tolerances = _parse_tolerances(args)
     reports = run_suite(params, tolerances, perturb=getattr(args, "perturb", False))
     rows = [rep.to_row() for rep in reports]
-    overall = summarize(reports)
+    all_passed = all(rep.passed for rep in reports)
     document = {
-        "meta": _meta(args, params, {"check_count": VERIFY_CHECK_COUNT,
-                                     "all_passed": overall.all_passed}),
+        "meta": _meta(args, params, {"check_count": VERIFY_CHECK_COUNT, "all_passed": all_passed}),
         "rows": rows,
         "reports": rows,
     }
     # emit_table would not quote the contexts that csv.writer may quote
     _write_text(args, emit_json(document) if args.format == "json" else emit_csv(rows))
-    return 0 if overall.all_passed else 1
+    return 0 if all_passed else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

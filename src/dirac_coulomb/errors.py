@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DiracCoulombError", "DomainError", "SupercriticalCoupling", "SingularTransform",
+           "NoBoundState", "ConvergenceFailure", "NonNormalizable"]
+
 
 class DiracCoulombError(Exception):
     """Base class for all package errors."""

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-__all__ = ["format_value", "format_reals", "token", "emit_json", "emit_csv", "emit_table", "parse_csv_text"]
+__all__ = ["format_value", "format_reals", "token", "emit_json", "emit_csv", "emit_table"]
 
 
 def format_value(value) -> str:
@@ -115,9 +115,3 @@ def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows, reports=()) -> str
     body = ",\n".join([template % row for row in rows])
     tail = emit_json({"reports": list(reports)})[len("{\n"):]
     return f'{head},\n  "rows": [\n{body}\n  ],\n{tail}'
-
-
-def parse_csv_text(text: str) -> list[dict]:
-    """Inverse of emit_csv at the string level (values stay strings)."""
-    reader = csv.DictReader(io.StringIO(text))
-    return [dict(row) for row in reader]

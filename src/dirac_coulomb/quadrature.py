@@ -1,23 +1,28 @@
 """Gauss-Laguerre quadrature with generalized weight x^alpha e^-x.
 
-Rules keep their weights in log space so that large orders (N up to 512,
-where the raw weights underflow doubles) remain usable; integration always
-works with the exponentially rescaled weights exp(log w + x).
+Rules hold orders up to 128 and keep their weights in log space, where
+raw weights of a large order or alpha would leave the double range;
+integration always works with the exponentially rescaled weights
+exp(log w + x).  At those orders |L_k^alpha| on the nodes stays below 1e204
+for alpha up to 1e4, so the plain recurrence of special.laguerre_sequence
+gives L_{N-1}, L_N and L_{N+1} without rescaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from itertools import islice
 from math import lgamma, log
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
+from .special import laguerre_sequence
 
 __all__ = ["QuadratureRule", "build_rule", "integrate_radial"]
 
-MAX_ORDER = 512
+MAX_ORDER = 128
 _NEWTON_RTOL = 1e-14
 
 
@@ -39,28 +44,6 @@ class QuadratureRule:
         return float(np.sum(np.exp(self.log_weights + k * np.log(self.nodes))))
 
 
-def _laguerre_top_scaled(n: int, alpha: float, x: np.ndarray):
-    """Run the recurrence up to degree n with per-element rescaling.
-
-    Returns (L_{n-1}, L_n, logscale) where the true values are the returned
-    ones times exp(logscale).  Rescaling keeps the iteration inside double
-    range for orders up to ~512 where |L| reaches e^1000 territory.
-    """
-    prev = np.ones_like(x)
-    logs = np.zeros_like(x)
-    if n == 0:
-        return np.zeros_like(x), prev, logs
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-        big = np.abs(cur) > 1e250
-        if np.any(big):
-            prev = np.where(big, prev * 1e-250, prev)
-            cur = np.where(big, cur * 1e-250, cur)
-            logs = np.where(big, logs + 250.0 * np.log(10.0), logs)
-    return prev, cur, logs
-
-
 def build_rule(order: int, alpha: float) -> QuadratureRule:
     """Build a generalized Gauss-Laguerre rule.
 
@@ -68,6 +51,8 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     recurrence (Golub-Welsch); each node is then polished by Newton
     iteration on L_N^alpha to relative 1e-14, and the weights come from the
     standard closed form through L_{N+1}^alpha, evaluated in log space.
+    Orders run up to MAX_ORDER = 128, where the unscaled recurrence of
+    laguerre_sequence stays inside the double range on the nodes.
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
         raise DomainError(f"rule order must be an integer in [1, {MAX_ORDER}], got {order}")
@@ -88,7 +73,7 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     best = math.inf
     stalled = 0
     for _ in range(100):
-        lprev, lcur, _ = _laguerre_top_scaled(n, alpha, x)
+        lprev, lcur = islice(laguerre_sequence(alpha, x), n - 1, n + 1)
         deriv = (n * lcur - (n + alpha) * lprev) / x
         step = lcur / deriv
         x = x - step
@@ -107,13 +92,13 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     if np.any(x <= 0.0) or np.any(np.diff(x) <= 1e-13 * x[1:]):
         raise ConvergenceFailure(f"node set for (N={n}, alpha={alpha}) is not strictly increasing and positive")
 
-    _, ltop, logs = _laguerre_top_scaled(n + 1, alpha, x)
+    ltop = next(islice(laguerre_sequence(alpha, x), n + 1, None))
     log_w = (
         lgamma(n + alpha + 1.0)
         - lgamma(n + 1.0)
         - 2.0 * log(n + 1.0)
         + np.log(x)
-        - 2.0 * (np.log(np.abs(ltop)) + logs)
+        - 2.0 * np.log(np.abs(ltop))
     )
     return QuadratureRule(order=n, alpha=alpha, nodes=x, log_weights=log_w)
 

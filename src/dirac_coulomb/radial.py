@@ -35,7 +35,6 @@ __all__ = [
     "sturmian",
     "physical_components",
     "spinor_coefficients",
-    "coefficient_ratio_Bn",
     "assemble_spinor",
     "closed_form_normalization_constant",
     "ode_residual_first_order",
@@ -60,16 +59,19 @@ def _sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:
     """The single term of sturmian(channel, n, s)."""
     if s <= 0.0:
         raise DomainError(f"Sturmian functions require s > 0, got {s}")
-    if channel == "v":
-        if n < 1:
-            raise DomainError(f"v-channel Sturmian requires n >= 1, got {n}")
-        norm = 2.0 * math.exp(0.5 * (log_gamma(n) - log_gamma(n + 2.0 * s + 1.0)))
-        return LaguerreTerm(norm * 2.0**s, s, 1.0, n - 1, 2.0 * s + 1.0, 2.0)
-    if channel == "u":
-        if n < 0:
-            raise DomainError(f"u-channel Sturmian requires n >= 0, got {n}")
-        norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + 2.0 * s)))
-        return LaguerreTerm(norm * 2.0 ** (s - 1.0), s - 1.0, 1.0, n, 2.0 * s - 1.0, 2.0)
+    try:
+        if channel == "v":
+            if n < 1:
+                raise DomainError(f"v-channel Sturmian requires n >= 1, got {n}")
+            norm = 2.0 * math.exp(0.5 * (log_gamma(n) - log_gamma(n + 2.0 * s + 1.0)))
+            return LaguerreTerm(norm * 2.0**s, s, 1.0, n - 1, 2.0 * s + 1.0, 2.0)
+        if channel == "u":
+            if n < 0:
+                raise DomainError(f"u-channel Sturmian requires n >= 0, got {n}")
+            norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + 2.0 * s)))
+            return LaguerreTerm(norm * 2.0 ** (s - 1.0), s - 1.0, 1.0, n, 2.0 * s - 1.0, 2.0)
+    except OverflowError:  # 2^s past s = 1024
+        raise NonNormalizable(f"Sturmian prefactor is out of double range at s = {s}") from None
     raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
@@ -97,18 +99,6 @@ def spinor_coefficients(n: int, constants: DerivedConstants, omega: float) -> tu
     g1 = -constants.alpha_plus
     g2 = 2.0 * omega * s * (s - k) / denom
     return f1, f2, g1, g2
-
-
-def coefficient_ratio_Bn(level: BoundLevel, constants: DerivedConstants) -> float:
-    """B_n / A_n = omega s / (a n (n + 2s)).
-
-    Fixed by the r -> 0 limit of the first row of the coupled channel
-    system; n = 0 is rejected (the ratio diverges and the v-component of
-    the lowest u-only state is undefined).
-    """
-    if level.n < 1:
-        raise DomainError("coefficient ratio requires n >= 1")
-    return level.omega * constants.s / (level.a * level.n * (level.n + 2.0 * constants.s))
 
 
 @dataclass(frozen=True)

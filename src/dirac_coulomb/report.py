@@ -1,6 +1,6 @@
 """Result and verification-report records shared by the library and CLI.
 
-Pure data model: construction, invariants and dict round-trips live here;
+Pure data model: construction, invariants and the row dicts live here;
 rendering to JSON/CSV is the CLI's job.
 """
 
@@ -11,14 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Alignment, ProblemParams
+from .problem import ProblemParams
 
 __all__ = [
     "SpectrumRecord",
     "VerificationReport",
     "NormalizationComparison",
-    "VerificationSummary",
-    "summarize",
 ]
 
 NORMALIZATION_FLAG_TOL = 1e-6
@@ -57,36 +55,6 @@ class SpectrumRecord:
             "valid": self.valid,
             "status": self.status,
         }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "SpectrumRecord":
-        """Inverse of to_row; accepts both JSON-typed and CSV string values
-        (missing optionals arrive as null or as the empty string)."""
-
-        def opt(v):
-            return None if v is None or v == "" else float(v)
-
-        def flag(v):
-            return v == "true" if isinstance(v, str) else bool(v)
-
-        params = ProblemParams(
-            dimension=int(row["dimension"]),
-            j=float(row["j"]),
-            alignment=Alignment(row["alignment"]),
-            alpha_v=float(row["alpha_v"]),
-            alpha_s=float(row["alpha_s"]),
-            mass=float(row["mass"]),
-        )
-        return cls(
-            params=params,
-            n=int(row["n"]),
-            kappa=float(row["kappa"]),
-            s=opt(row["s"]),
-            energy_over_mass=opt(row["energy_over_mass"]),
-            scale_a=opt(row["scale_a"]),
-            valid=flag(row["valid"]),
-            status=str(row["status"]),
-        )
 
 
 def _context_string(context: dict) -> str:
@@ -135,24 +103,6 @@ class VerificationReport:
             "context": _context_string(self.context),
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> "VerificationReport":
-        """Inverse of to_row.  Context values come back as strings (the
-        canonical row rendering is not typed); `passed` is recomputed and
-        must agree with the row."""
-        context = {}
-        if row.get("context"):
-            for item in str(row["context"]).split(";"):
-                key, _, val = item.partition("=")
-                context[key] = val
-        rep = cls(name=str(row["check"]), residual_max=float(row["residual_max"]),
-                  residual_rms=float(row["residual_rms"]), tolerance=float(row["tolerance"]),
-                  context=context)
-        stated = row["passed"] == "true" if isinstance(row["passed"], str) else bool(row["passed"])
-        if stated != rep.passed:
-            raise ValueError(f"inconsistent row: passed={stated} but residuals say {rep.passed}")
-        return rep
-
 
 @dataclass(frozen=True)
 class NormalizationComparison:
@@ -191,37 +141,3 @@ class NormalizationComparison:
             "ratio": self.ratio,
             "flagged": self.flagged,
         }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "NormalizationComparison":
-        closed = row["closed_form"]
-        closed = None if closed in (None, "") else float(closed)
-        return cls(quadrature_constant=float(row["quadrature_constant"]),
-                   closed_form=closed)
-
-
-@dataclass(frozen=True)
-class VerificationSummary:
-    total: int
-    n_passed: int
-    n_failed: int
-    all_passed: bool
-    worst_by_check: dict
-
-
-def summarize(reports) -> VerificationSummary:
-    """Count pass/fail and track the worst residual per check name."""
-    reports = list(reports)
-    worst: dict = {}
-    for rep in reports:
-        cur = worst.get(rep.name)
-        if cur is None or rep.residual_max > cur:
-            worst[rep.name] = rep.residual_max
-    n_passed = sum(1 for rep in reports if rep.passed)
-    return VerificationSummary(
-        total=len(reports),
-        n_passed=n_passed,
-        n_failed=len(reports) - n_passed,
-        all_passed=n_passed == len(reports),
-        worst_by_check=worst,
-    )

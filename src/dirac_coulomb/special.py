@@ -19,7 +19,6 @@ from .errors import DomainError
 __all__ = [
     "laguerre",
     "laguerre_sequence",
-    "laguerre_zero_value",
     "log_gamma",
     "log_gamma_ratio",
     "laguerre_generating_closed",
@@ -53,15 +52,6 @@ def laguerre_sequence(alpha: float, x):
     for k in count(1):
         yield float(cur) if scalar else cur
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - xv) * cur - (k + alpha) * prev) / (k + 1.0)
-
-
-def laguerre_zero_value(n: int, alpha: float) -> float:
-    """L_n^alpha(0) = Gamma(n+alpha+1) / (n! Gamma(alpha+1))."""
-    if n < 0:
-        raise DomainError(f"Laguerre degree must be >= 0, got {n}")
-    if alpha <= -1.0:
-        raise DomainError(f"Laguerre order must exceed -1, got {alpha}")
-    return math.exp(log_gamma(n + alpha + 1.0) - log_gamma(n + 1.0) - log_gamma(alpha + 1.0))
 
 
 def log_gamma(x: float) -> float:

@@ -6,6 +6,7 @@ asserts.  Tolerances are fixed here, not calibrated.
 """
 
 import cmath
+import csv
 import json
 import math
 import sys
@@ -38,7 +39,6 @@ from dirac_coulomb import (
     su11_commutator_report,
     truncation_order,
 )
-from dirac_coulomb.output import parse_csv_text
 from dirac_coulomb.verification import (
     coherent_truncated_sum,
     generating_reference_sum,
@@ -278,7 +278,7 @@ def test_c12_cli_contract():
     checks["byte_identical_csv"] = c.stdout == d.stdout and bool(c.stdout)
 
     doc = json.loads(a.stdout.decode())
-    csv_rows = parse_csv_text(c.stdout.decode())
+    csv_rows = list(csv.DictReader(c.stdout.decode().splitlines()))
     same = len(doc["rows"]) == len(csv_rows)
     for jrow, crow in zip(doc["rows"], csv_rows):
         for key, jval in jrow.items():
@@ -295,7 +295,7 @@ def test_c12_cli_contract():
 
     verify = run_cli("verify", "--format", "csv")
     checks["verify_exit_0"] = verify.returncode == 0
-    checks["verify_count"] = len(parse_csv_text(verify.stdout.decode())) == VERIFY_CHECK_COUNT
+    checks["verify_count"] = len(list(csv.DictReader(verify.stdout.decode().splitlines()))) == VERIFY_CHECK_COUNT
     checks["perturb_exit_1"] = run_cli("verify", "--_perturb").returncode == 1
     checks["usage_exit_2"] = run_cli("spectrum", "--no-such-flag").returncode == 2
     checks["domain_exit_2"] = run_cli(

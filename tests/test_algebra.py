@@ -10,7 +10,6 @@ from dirac_coulomb import (
     OperatorKind,
     RadialOperator,
     a0_eigenvalue_residual,
-    apply_operator,
     casimir_residual,
     channel_realization,
     ladder_matrix_elements,
@@ -30,38 +29,30 @@ def sturmian_family(s, channel="v", count=6):
 
 class TestApplyOperator:
     def test_a2_on_exponential(self):
-        # A2 e^-r = -i r (d/dr + 1/r) e^-r = -i (-r e^-r + e^-r)
+        # i A2 = K+ - A1, and A2 e^-r = -i r (d/dr + 1/r) e^-r = -i (-r e^-r + e^-r)
         f = LaguerreSum.single(1.0, power=0.0, decay=1.0)
-        op = RadialOperator(OperatorKind.A2, 0.9)
+        i_a2 = (RadialOperator(OperatorKind.KPLUS, 0.9).apply(f)
+                - RadialOperator(OperatorKind.A1, 0.9).apply(f))
         for r in (0.3, 1.0, 4.2):
             want = -1.0j * (-r * math.exp(-r) + math.exp(-r))
-            assert apply_operator(op, f, r) == pytest.approx(want, rel=1e-13)
+            assert -1.0j * i_a2(r) == pytest.approx(want, rel=1e-13)
 
     def test_pr2_annihilates_inverse_r(self):
+        # A0 + A1 = r P_r^2 + sigma(sigma+1)/r, which is r P_r^2 at centrifugal constant 0
         f = LaguerreSum.single(1.0, power=-1.0, decay=0.0)
-        op = RadialOperator(OperatorKind.PR2, 0.9)
+        r_pr2 = (RadialOperator(OperatorKind.A0, 0.9, centrifugal=0.0).apply(f)
+                 + RadialOperator(OperatorKind.A1, 0.9, centrifugal=0.0).apply(f))
         for r in (0.5, 2.0, 9.0):
-            assert abs(apply_operator(op, f, r)) < 1e-12
+            assert abs(r_pr2(r)) < 1e-12
 
     def test_a0_eigenrelation_on_sturmians(self):
         s = 0.866
         f = sturmian("v", 2, s)
         op = RadialOperator(OperatorKind.A0, s)
         r = np.geomspace(0.1, 20.0, 40)
-        got = apply_operator(op, f, r)
+        got = op.apply(f)(r)
         want = (2 + s) * f(r)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
-
-    def test_rejects_nonpositive_radius(self):
-        f = LaguerreSum.single(1.0, power=0.0, decay=1.0)
-        with pytest.raises(DomainError):
-            apply_operator(RadialOperator(OperatorKind.A0, 1.0), f, 0.0)
-
-    def test_rejects_plain_callables(self):
-        # only closed forms have exact operator images
-        f_raw = lambda r: r**1.3 * np.exp(-0.8 * r)
-        with pytest.raises(DomainError):
-            apply_operator(RadialOperator(OperatorKind.A0, 1.2), f_raw, 0.7)
 
 
 class TestCommutators:

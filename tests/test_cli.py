@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tracemalloc
@@ -8,7 +9,6 @@ import pytest
 
 from cli_support import run_cli
 from dirac_coulomb import VERIFY_CHECK_COUNT, cli
-from dirac_coulomb.output import parse_csv_text
 from dirac_coulomb.verification import sommerfeld_energy
 
 BASE = ["--dimension", "3", "--j", "0.5", "--aligned", "--mass", "1"]
@@ -205,7 +205,7 @@ class TestVerify:
         # the coherent checks raised OverflowError (Gamma(2s+2)) and then ZeroDivisionError
         # (coherent_ratio_limit's f(r) / r**s, with both below the normal doubles) here
         assert cli.main(["verify", *LARGE_S, "--format", "csv"]) == 1
-        rows = {row["check"]: row for row in parse_csv_text(capsys.readouterr().out)}
+        rows = {row["check"]: row for row in csv.DictReader(capsys.readouterr().out.splitlines())}
         assert len(rows) == VERIFY_CHECK_COUNT
         for name in ("commutator_k0_kplus", "commutator_k0_kminus", "commutator_kminus_kplus",
                      "coherent_ratio_limit"):
@@ -223,17 +223,23 @@ class TestVerify:
         assert code in (0, 1, 2)
         assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", captured.out)
 
+    def test_sturmian_overflow_exits_2(self):
+        # s = 1499.5: 2^s in the Sturmian prefactor leaves the double range
+        proc = run_cli("verify", "--dimension", "3000", "--j", "0.5", "--alpha-v", "0.5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
     def test_default_suite_passes(self):
         proc = run_cli("verify", "--format", "csv")
         assert proc.returncode == 0, proc.stderr.decode()
-        rows = parse_csv_text(proc.stdout.decode())
+        rows = list(csv.DictReader(proc.stdout.decode().splitlines()))
         assert len(rows) == VERIFY_CHECK_COUNT
         assert all(row["passed"] == "true" for row in rows)
 
     def test_fault_injection_exits_1(self):
         proc = run_cli("verify", "--_perturb", "--format", "csv")
         assert proc.returncode == 1
-        rows = parse_csv_text(proc.stdout.decode())
+        rows = list(csv.DictReader(proc.stdout.decode().splitlines()))
         failed = [row["check"] for row in rows if row["passed"] == "false"]
         assert failed == ["ode_first_order"]
 
@@ -381,7 +387,7 @@ class TestFormatsAndDeterminism:
     def test_json_and_csv_encode_identical_values(self):
         args = ("spectrum", *BASE, "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "1..4")
         doc = load_json(run_cli(*args))
-        rows_csv = parse_csv_text(run_cli(*args, "--format", "csv").stdout.decode())
+        rows_csv = list(csv.DictReader(run_cli(*args, "--format", "csv").stdout.decode().splitlines()))
         assert len(doc["rows"]) == len(rows_csv)
         for jrow, crow in zip(doc["rows"], rows_csv):
             assert set(jrow) == set(crow)
@@ -433,6 +439,19 @@ class TestConfigFile:
     def test_missing_config_exits_2(self):
         proc = run_cli("spectrum", "--config", "/no/such/file.json")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("entry", [
+        '"mass": "x"', '"r_points": "abc"', '"r_min": "0.1"', '"mass": true', '"dimension": 3.0',
+        '"out": 5', '"n": [1]', '"tolerance": 5', '"alignment": "foo"', '"format": "xml"',
+        '"r_spacing": "cubic"',
+    ])
+    def test_config_value_outside_its_flag_exits_2(self, entry, tmp_path, capsys):
+        # each value fails the type or choices check of its flag
+        config = tmp_path / "bad.json"
+        config.write_text("{%s}" % entry)
+        assert cli.main(["wavefunction", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: config value for ")
 
 
 class TestGridValidation:

@@ -78,7 +78,7 @@ def mp_constant(n, a, s, coefficients) -> float:
 
 @pytest.mark.parametrize("n", [450, 2000])
 def test_bound_constant_at_high_levels(n, default_params, default_constants):
-    # assembly once built a rule of order n + 16 <= MAX_ORDER = 512; n = 2000 is far past that
+    # assembly once built a rule of order n + 16 <= MAX_ORDER, then 512; n = 2000 is far past that
     level = bound_level(n, default_params, default_constants)
     spinor = assemble_spinor(level, default_constants)
     want = mp_constant(n, level.a, default_constants.s, spinor_coefficients(n, default_constants, level.omega))

@@ -11,7 +11,9 @@ from dirac_coulomb import (
     build_rule,
     integrate_radial,
     log_gamma,
+    run_suite,
 )
+from dirac_coulomb import algebra, verification
 
 
 class TestBuildRule:
@@ -44,18 +46,91 @@ class TestBuildRule:
             assert rule.integrate_moment(k) == pytest.approx(want, rel=1e-11)
 
     def test_large_order_stays_finite(self):
-        rule = build_rule(512, 2.2)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        assert np.all(np.isfinite(rule.log_weights))
-        assert rule.integrate_moment(0) == pytest.approx(math.exp(log_gamma(3.2)), rel=1e-12)
+        for alpha in (2.2, 40.0, 1e3, 1e4):
+            rule = build_rule(128, alpha)
+            assert np.all(np.diff(rule.nodes) > 0.0)
+            assert np.all(np.isfinite(rule.log_weights))
+            # the zeroth moment Gamma(alpha + 1), in log space past alpha ~ 170
+            total = np.logaddexp.reduce(rule.log_weights)
+            assert total == pytest.approx(log_gamma(alpha + 1.0), rel=1e-14, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             build_rule(0, 0.0)
         with pytest.raises(DomainError):
-            build_rule(513, 0.0)
+            build_rule(129, 0.0)
         with pytest.raises(DomainError):
             build_rule(8, -1.0)
+
+
+def scaled_top(n, alpha, x):
+    """(L_{n-1}, L_n, logscale) by the three-term recurrence with per-element
+    rescaling: the true values are the returned ones times exp(logscale).  This
+    is the evaluator build_rule ran on before it took laguerre_sequence."""
+    prev = np.ones_like(x)
+    logs = np.zeros_like(x)
+    if n == 0:
+        return np.zeros_like(x), prev, logs
+    cur = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        big = np.abs(cur) > 1e250
+        if np.any(big):
+            prev = np.where(big, prev * 1e-250, prev)
+            cur = np.where(big, cur * 1e-250, cur)
+            logs = np.where(big, logs + 250.0 * np.log(10.0), logs)
+    return prev, cur, logs
+
+
+def reference_rule(n, alpha):
+    """(nodes, log_weights) of build_rule's algorithm on scaled_top."""
+    diag = 2.0 * np.arange(n) + alpha + 1.0
+    off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + alpha))
+    x = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+    x = np.clip(x, np.finfo(float).tiny, None)
+    best, stalled = math.inf, 0
+    for _ in range(100):
+        lprev, lcur, _ = scaled_top(n, alpha, x)
+        step = lcur / ((n * lcur - (n + alpha) * lprev) / x)
+        x = x - step
+        resid = float(np.max(np.abs(step) / (1.0 + np.abs(x))))
+        if resid < 1e-14:
+            break
+        if resid < 1e-11:
+            stalled = stalled + 1 if resid >= 0.7 * best else 0
+            if stalled >= 3:
+                break
+        best = min(best, resid)
+    _, ltop, logs = scaled_top(n + 1, alpha, x)
+    log_w = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0) - 2.0 * math.log(n + 1.0)
+             + np.log(x) - 2.0 * (np.log(np.abs(ltop)) + logs))
+    return x, log_w
+
+
+def assert_matches_reference(order, alpha):
+    rule = build_rule(order, alpha)
+    nodes, log_weights = reference_rule(order, alpha)
+    assert np.array_equal(rule.nodes, nodes), (order, alpha)
+    assert np.array_equal(rule.log_weights, log_weights), (order, alpha)
+
+
+class TestBitIdentityWithScaledRecurrence:
+    """build_rule on the plain recurrence gives the scaled recurrence's rules bit for bit."""
+
+    def test_every_rule_of_a_default_verify(self, default_params, monkeypatch):
+        keys = set()
+        for module in (verification, algebra):
+            monkeypatch.setattr(module, "build_rule",
+                                lambda order, alpha, f=module.build_rule: keys.add((order, alpha)) or f(order, alpha))
+        run_suite(default_params)
+        assert len(keys) == 25
+        for order, alpha in sorted(keys):
+            assert_matches_reference(order, alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.8, 2.6, 40.0, 1e3, 1e4])
+    def test_order_alpha_grid(self, alpha):
+        for order in (1, 2, 3, 16, 33, 48, 64, 96, 127, 128):
+            assert_matches_reference(order, alpha)
 
 
 def quad_half_line(f):

@@ -6,18 +6,15 @@ import pytest
 
 from dirac_coulomb import (
     Alignment,
-    BoundLevel,
     DomainError,
     NoBoundState,
     ProblemParams,
     assemble_spinor,
     bound_level,
     build_rule,
-    coefficient_ratio_Bn,
     default_residual_grid,
     derive_constants,
     integrate_radial,
-    laguerre_zero_value,
     log_gamma,
     ode_residual_first_order,
     ode_residual_second_order,
@@ -122,27 +119,20 @@ class TestPhysicalComponents:
 
 
 class TestCoefficientRatio:
-    def test_free_limit_vanishes(self, default_constants):
-        level = BoundLevel(n=1, energy=1.0, a=0.5, theta=math.log(0.5), omega=0.0, mass=1.0)
-        assert coefficient_ratio_Bn(level, default_constants) == 0.0
-
-    def test_functional_form(self, default_params, default_constants):
-        # ratio * a * n(n+2s) / (omega s) == 1 for every level
-        for n in (1, 2, 5):
-            level = bound_level(n, default_params, default_constants)
-            ratio = coefficient_ratio_Bn(level, default_constants)
-            s = default_constants.s
-            assert ratio * level.a * n * (n + 2.0 * s) / (level.omega * s) == pytest.approx(1.0, rel=1e-14)
-
     def test_substitute_and_check_oracle(self, default_params, default_constants):
-        # the r->0 relation: B 2a(s+1) L(0) = -B 2as L(0) + omega A L(0)
+        # the r->0 relation: B 2a(s+1) L(0) = -B 2as L(0) + omega A L(0),
+        # with B/A = omega s / (a n (n+2s)) and L_n^a(0) = Gamma(n+a+1)/(n! Gamma(a+1))
         c = default_constants
         level = bound_level(1, default_params, c)
         s, a, n = c.s, level.a, level.n
-        b_over_a = coefficient_ratio_Bn(level, c)
-        lhs = b_over_a * 2.0 * a * (s + 1.0) * laguerre_zero_value(n - 1, 2.0 * s + 1.0)
-        rhs = (-b_over_a * 2.0 * a * s * laguerre_zero_value(n - 1, 2.0 * s + 1.0)
-               + level.omega * laguerre_zero_value(n, 2.0 * s - 1.0))
+        b_over_a = level.omega * s / (a * n * (n + 2.0 * s))
+
+        def at_zero(n, alpha):
+            return math.exp(log_gamma(n + alpha + 1.0) - log_gamma(n + 1.0) - log_gamma(alpha + 1.0))
+
+        lhs = b_over_a * 2.0 * a * (s + 1.0) * at_zero(n - 1, 2.0 * s + 1.0)
+        rhs = (-b_over_a * 2.0 * a * s * at_zero(n - 1, 2.0 * s + 1.0)
+               + level.omega * at_zero(n, 2.0 * s - 1.0))
         assert abs(lhs - rhs) < 1e-11
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -8,9 +9,29 @@ from dirac_coulomb import (
     ProblemParams,
     SpectrumRecord,
     VerificationReport,
-    summarize,
 )
-from dirac_coulomb.output import emit_csv, emit_json, parse_csv_text
+from dirac_coulomb.output import emit_csv, emit_json
+
+
+def csv_row(row):
+    """emit_csv of one row dict, read back with csv.DictReader and each field
+    given the type of the row's own value: bit-faithful rendering makes it
+    equal to the row."""
+    (text,) = csv.DictReader(emit_csv([row]).splitlines())
+
+    def typed(field, value):
+        if value is None:
+            return None if field == "" else field
+        if isinstance(value, bool):
+            return {"true": True, "false": False}.get(field, field)
+        return type(value)(field)
+
+    return {key: typed(text[key], value) for key, value in row.items()}
+
+
+def json_row(row):
+    """emit_json of one row dict, read back with json.loads."""
+    return json.loads(emit_json({"rows": [row]}))["rows"][0]
 
 
 def sample_record():
@@ -56,57 +77,24 @@ class TestNormalizationComparison:
             NormalizationComparison(0.0, 1.0)
 
 
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s.total == 0 and s.n_passed == 0 and s.n_failed == 0 and s.all_passed
-
-    def test_single_pass(self):
-        s = summarize([VerificationReport.from_residuals("a", [0.0], 1e-8)])
-        assert s.total == 1 and s.n_passed == 1 and s.n_failed == 0
-
-    def test_mixed_counts_and_worst(self):
-        reports = [
-            VerificationReport.from_residuals("a", [1e-12], 1e-8),
-            VerificationReport.from_residuals("a", [1e-6], 1e-8),
-            VerificationReport.from_residuals("b", [1e-9], 1e-8),
-            VerificationReport.from_residuals("c", [2e-8], 1e-8),
-            VerificationReport.from_residuals("c", [1e-11], 1e-8),
-        ]
-        s = summarize(reports)
-        assert s.total == 5 and s.n_passed == 3 and s.n_failed == 2
-        assert not s.all_passed
-        assert s.worst_by_check["a"] == 1e-6
-        assert s.worst_by_check["c"] == 2e-8
-
-
 class TestRoundTrip:
     def test_spectrum_columns_are_the_row_keys(self):
         assert tuple(sample_record().to_row()) == SpectrumRecord.COLUMNS
 
     def test_spectrum_record_survives_json(self):
-        rec = sample_record()
-        text = emit_json({"rows": [rec.to_row()]})
-        parsed = json.loads(text)
-        back = SpectrumRecord.from_row(parsed["rows"][0])
-        assert back == rec  # bit-faithful floats via 17 significant digits
+        row = sample_record().to_row()
+        assert json_row(row) == row  # bit-faithful floats via 17 significant digits
 
     def test_spectrum_record_survives_csv(self):
-        rec = sample_record()
-        text = emit_csv([rec.to_row()])
-        row = parse_csv_text(text)[0]
-        coerced = dict(row)
-        coerced["valid"] = row["valid"] == "true"
-        back = SpectrumRecord.from_row(coerced)
-        assert back == rec
+        row = sample_record().to_row()
+        assert csv_row(row) == row
 
     def test_invalid_cell_round_trip(self):
         params = ProblemParams(3, 0.5, Alignment.ALIGNED, 2.0, 0.0, 1.0)
         rec = SpectrumRecord(params=params, n=1, kappa=-1.0, s=None,
                              energy_over_mass=None, scale_a=None,
                              valid=False, status="supercritical")
-        parsed = json.loads(emit_json({"rows": [rec.to_row()]}))
-        assert SpectrumRecord.from_row(parsed["rows"][0]) == rec
+        assert json_row(rec.to_row()) == rec.to_row()
 
 
 class TestCsvInvalidCells:
@@ -115,49 +103,44 @@ class TestCsvInvalidCells:
         rec = SpectrumRecord(params=params, n=2, kappa=-1.0, s=None,
                              energy_over_mass=None, scale_a=None,
                              valid=False, status="supercritical")
-        row = parse_csv_text(emit_csv([rec.to_row()]))[0]
-        assert SpectrumRecord.from_row(row) == rec
+        assert csv_row(rec.to_row()) == rec.to_row()
 
     def test_valid_row_survives_csv_without_coercion(self):
-        rec = sample_record()
-        row = parse_csv_text(emit_csv([rec.to_row()]))[0]
-        assert SpectrumRecord.from_row(row) == rec
+        row = sample_record().to_row()
+        (text,) = csv.DictReader(emit_csv([row]).splitlines())
+        assert text["valid"] == "true"
+        assert csv_row(row) == row
 
 
 class TestReportRoundTrips:
     def test_verification_report_round_trip(self):
         rep = VerificationReport.from_residuals("ode_first_order", [1.5e-12, 3.7e-11],
                                                 1e-8, context={"n": 3, "channel": "v"})
-        parsed = json.loads(emit_json({"rows": [rep.to_row()]}))
-        back = VerificationReport.from_row(parsed["rows"][0])
-        assert back.name == rep.name
-        assert back.residual_max == rep.residual_max
-        assert back.residual_rms == rep.residual_rms
-        assert back.tolerance == rep.tolerance
-        assert back.passed == rep.passed
-        assert back.to_row()["context"] == rep.to_row()["context"]
+        back = json_row(rep.to_row())
+        assert back["check"] == rep.name
+        assert back["residual_max"] == rep.residual_max
+        assert back["residual_rms"] == rep.residual_rms
+        assert back["tolerance"] == rep.tolerance
+        assert back["passed"] == rep.passed
+        assert back["context"] == rep.to_row()["context"]
 
     def test_verification_report_csv_round_trip(self):
         rep = VerificationReport.from_residuals("casimir", [2e-9], 1e-8, context={"s": 0.6})
-        row = parse_csv_text(emit_csv([rep.to_row()]))[0]
-        back = VerificationReport.from_row(row)
-        assert back.to_row() == rep.to_row()
+        assert csv_row(rep.to_row()) == rep.to_row()
 
     def test_inconsistent_passed_rejected(self):
+        # passed is derived from the residuals: a report cannot state its own
         rep = VerificationReport.from_residuals("x", [1e-6], 1e-8)
-        row = rep.to_row()
-        row["passed"] = True
-        with pytest.raises(ValueError):
-            VerificationReport.from_row(row)
+        assert rep.to_row()["passed"] is False
+        with pytest.raises(TypeError):
+            VerificationReport(name="x", residual_max=1e-6, residual_rms=1e-6, tolerance=1e-8, passed=True)
 
     def test_normalization_comparison_round_trip(self):
-        comp = NormalizationComparison(0.13002634482142336, 0.12109845844035204)
-        parsed = json.loads(emit_json({"rows": [comp.to_row()]}))
-        assert NormalizationComparison.from_row(parsed["rows"][0]) == comp
-        row = parse_csv_text(emit_csv([comp.to_row()]))[0]
-        assert NormalizationComparison.from_row(row) == comp
+        row = NormalizationComparison(0.13002634482142336, 0.12109845844035204).to_row()
+        assert json_row(row) == row
+        assert csv_row(row) == row
 
     def test_normalization_comparison_missing_closed_form_round_trip(self):
-        comp = NormalizationComparison(0.5, None)
-        row = parse_csv_text(emit_csv([comp.to_row()]))[0]
-        assert NormalizationComparison.from_row(row) == comp
+        row = NormalizationComparison(0.5, None).to_row()
+        assert row["closed_form"] is None and row["ratio"] is None
+        assert csv_row(row) == row

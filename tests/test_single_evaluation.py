@@ -68,11 +68,9 @@ def reference_apply(op, f):
         sign = -1.0 if kind is OperatorKind.A1 else 1.0
         pr2 = f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
         return (pr2.times_power(1) + f.times_power(-1) * op._cent() + f.times_power(1) * sign) * 0.5
-    if kind in (OperatorKind.KPLUS, OperatorKind.KMINUS):
-        a1 = reference_apply(RadialOperator(OperatorKind.A1, op.s, op.centrifugal), f)
-        i_a2 = f.derivative().times_power(1) + f
-        return a1 + i_a2 if kind is OperatorKind.KPLUS else a1 - i_a2
-    return op.apply(f)  # P_r^2 and A2 keep their own formulas
+    a1 = reference_apply(RadialOperator(OperatorKind.A1, op.s, op.centrifugal), f)
+    i_a2 = f.derivative().times_power(1) + f
+    return a1 + i_a2 if kind is OperatorKind.KPLUS else a1 - i_a2
 
 
 def su11_relation(name, sigma, fault_centrifugal):

@@ -13,7 +13,6 @@ from dirac_coulomb import (
     ProblemParams,
     SingularTransform,
     bound_level,
-    coefficient_ratio_Bn,
     derive_constants,
     energy,
     omega,
@@ -93,7 +92,7 @@ class TestOmega:
         # pair with B/A fixed by omega must vanish as r -> 0
         p, c = default_params, default_constants
         level = bound_level(1, p, c)
-        ratio = coefficient_ratio_Bn(level, c)
+        ratio = level.omega * c.s / (level.a * level.n * (level.n + 2.0 * c.s))  # B_n / A_n
         with mp.workdps(30):
             s, a, e, m, w = (mp.mpf(c.s), mp.mpf(level.a), mp.mpf(level.energy),
                              mp.mpf(p.mass), mp.mpf(level.omega))

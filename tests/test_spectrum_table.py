@@ -96,7 +96,7 @@ def test_table_matches_per_row_path(name, fmt, capsys):
 
 def test_config_format_other_than_json_prints_csv(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text('{"format": "table"}')
+    config.write_text('{"format": "csv"}')
     for argv in (["spectrum", "--config", str(config)], ["sweep", "--config", str(config)]):
         expected = per_row_stdout(argv)
         assert expected.startswith("dimension,j,")

@@ -183,7 +183,7 @@ def test_negative_zero_and_nan_in_the_grid(command, fmt, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["wavefunction", "coherent"])
 def test_config_format_other_than_json_prints_csv(command, tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text('{"format": "table", "xi_im": 0.2, "n": 3, "r_points": 17}')
+    config.write_text('{"format": "csv", "xi_im": 0.2, "n": 3, "r_points": 17}')
     argv = [command, "--config", str(config)]
     expected = per_row_stdout(argv)
     assert expected.startswith("r,") and expected.count("\n") == 18
