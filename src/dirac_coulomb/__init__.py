@@ -49,8 +49,6 @@ from .radial import (
 from .algebra import (
     OperatorKind,
     RadialOperator,
-    a0_eigenvalue_residual,
-    casimir_residual,
     channel_realization,
     ladder_matrix_elements,
     scaling_identity_residual,

@@ -16,11 +16,13 @@ reported here are pure floating-point noise unless an identity is wrong.
 
 All four generator images of a function come from one place,
 _ladder_images, which shares the derivative, the P_r^2 chain and the term
-r P_r^2 + sigma(sigma+1)/r between them.  The commutator relations are
-checked one family of test functions at a time: a single pass builds the
-ladder images of each function and of each of those images, and evaluates
-them with one cache for the whole family, so each image serves every
-relation that needs it (su11_commutator_report).
+r P_r^2 + sigma(sigma+1)/r between them.  The pointwise algebra is
+checked one family of Sturmians at a time: a single pass builds the ladder
+images of each function and of each of those images, and evaluates them
+with one cache for the whole family, so each image serves every identity
+that needs it: the three commutator relations, the Casimir
+-K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n
+(su11_commutator_report).
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "SU11_RELATIONS",
     "su11_commutator_report",
     "ladder_matrix_elements",
-    "casimir_residual",
-    "a0_eigenvalue_residual",
     "scaling_identity_residual",
     "channel_realization",
 ]
@@ -133,58 +133,81 @@ SU11_RELATIONS = {
 }
 
 
-def _su11_family_residuals(sigma: float, test_functions, grid: np.ndarray,
-                           fault_centrifugal: float | None) -> dict[str, np.ndarray]:
-    """Pointwise residuals of [X, Y] f - sum_j c_j Z_j f for every relation of
-    SU11_RELATIONS on a family of test functions, in one pass.
+def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
+                           fault_centrifugal: float | None) -> dict[str, list[np.ndarray]]:
+    """Pointwise residuals, one array per Sturmian f = sturmian(channel, n, s)
+    with n in ``levels``, of every relation of SU11_RELATIONS,
+    [X, Y] f - sum_j c_j Z_j f, of the Casimir, (-K+K- + K0 K0 - K0) f against
+    k(k-1) f with Bargmann index k, and of the A0 eigenvalue, A0 f against
+    (n + s) f; in one pass.
 
     For each f the pass builds the ladder images of f and the ladder images
     of each of those, so every first- and second-order image is built once
-    for all three relations, and it evaluates them all through one cache of
-    r**p, exp(-c r) and Laguerre factors shared by the whole family.  A
+    for all five, and it evaluates them all through one cache of r**p,
+    exp(-c r) and Laguerre factors shared by the whole family.  A
     ``fault_centrifugal`` other than None replaces sigma(sigma+1) in the
     commuted pair only (the Z side keeps the true realization); the three
     operators close su(1,1) for any constant when perturbed together, so this
-    is the injection that actually exposes a wrong realization.
+    is the injection that actually exposes a wrong realization.  The Casimir
+    takes its images from the commuted pair, so the fault reaches it too; A0 f
+    is the Z side's K0 f.
     """
+    sigma = channel_realization(channel, s)
+    k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
     pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
     cache = ({}, {}, {})
-    residuals = {name: [] for name in SU11_RELATIONS}
-    for f in test_functions:
+    residuals = {name: [] for name in (*SU11_RELATIONS, "casimir", "a0_eigenvalue")}
+    for n in levels:
+        f = sturmian(channel, n, s)
         true = dict(zip(_LADDER, _ladder_images(f, true_cent)))
         pair = true if fault_centrifugal is None else dict(zip(_LADDER, _ladder_images(f, pair_cent)))
         # second[Y][X] is X Y f
         second = {kind: dict(zip(_LADDER, _ladder_images(g, pair_cent))) for kind, g in pair.items()
                   if kind is not OperatorKind.A1}
         fv = f.evaluate(grid, *cache)
+        # K0 f, K+ f and K- f of the true realization, for the Z sides and for A0 f
+        zvals = {kind: true[kind].evaluate(grid, *cache) for kind in second}
         for name, (x, y, expected) in SU11_RELATIONS.items():
             xy = second[y][x].evaluate(grid, *cache)
             yx = second[x][y].evaluate(grid, *cache)
             zval = np.zeros(grid.shape, dtype=complex)
             for coef, z in expected:
-                zval = zval + coef * np.asarray(true[z].evaluate(grid, *cache), dtype=complex)
+                zval = zval + coef * np.asarray(zvals[z], dtype=complex)
             # f itself joins the scale so that identically annihilated states
             # (K- on the lowest one) do not reduce the residual to 0/0 noise
             residuals[name].append(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
-    return {name: np.concatenate(arrays) for name, arrays in residuals.items()}
+        lhs = (second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
+               + second[OperatorKind.K0][OperatorKind.K0] - pair[OperatorKind.K0]).evaluate(grid, *cache)
+        rhs = k_barg * (k_barg - 1.0) * fv
+        residuals["casimir"].append(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
+        lhs = zvals[OperatorKind.K0]
+        rhs = (n + s) * fv
+        residuals["a0_eigenvalue"].append(_relative_residual(lhs - rhs, [lhs, rhs]))
+    return residuals
 
 
-def su11_commutator_report(sigma: float, test_functions, grid,
+def su11_commutator_report(channel: str, s: float, levels, grid,
                            tolerance: float = ALGEBRA_TOL,
                            fault_centrifugal: float | None = None) -> list[VerificationReport]:
-    """Reports of the three relations of SU11_RELATIONS at realization
-    parameter sigma, [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0, over a
-    family of closed-form test functions; everything is applied exactly.
-    See _su11_family_residuals for ``fault_centrifugal``."""
+    """Reports of the su(1,1) structure on the Sturmians sturmian(channel, n, s),
+    n in ``levels``; everything is applied exactly.  First the three
+    relations of SU11_RELATIONS, [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0,
+    each over the whole family; then for each Sturmian in turn its ``casimir``
+    and ``a0_eigenvalue`` reports, with context channel, n and s.  Every
+    report is judged at ``tolerance``.  See _su11_family_residuals for
+    ``fault_centrifugal``."""
     grid = np.asarray(grid, dtype=float)
-    fs = list(test_functions)
-    residuals = _su11_family_residuals(sigma, fs, grid, fault_centrifugal)
-    return [
-        VerificationReport.from_residuals(name, residuals[name], tolerance,
-                                          context={"functions": len(fs), "points": grid.size})
-        for name in SU11_RELATIONS
-    ]
+    levels = list(levels)
+    residuals = _su11_family_residuals(channel, s, levels, grid, fault_centrifugal)
+    family = {"functions": len(levels), "points": grid.size}
+    reports = [VerificationReport.from_residuals(name, np.concatenate(residuals[name]), tolerance, family)
+               for name in SU11_RELATIONS]
+    for n, casimir, a0 in zip(levels, residuals["casimir"], residuals["a0_eigenvalue"]):
+        context = {"channel": channel, "n": n, "s": s}
+        reports.append(VerificationReport.from_residuals("casimir", casimir, tolerance, context))
+        reports.append(VerificationReport.from_residuals("a0_eigenvalue", a0, tolerance, context))
+    return reports
 
 
 def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float]:
@@ -222,41 +245,6 @@ def _ladder_projections(channel: str, n: int, s: float, rule) -> tuple[float, fl
         norm_sq = integrate_radial(lambda r: abs(km_v) ** 2 * r, 1.0, rule)
         down = math.sqrt(max(float(np.real(norm_sq)), 0.0))
     return float(np.real(up)), float(np.real(down))
-
-
-def casimir_residual(channel: str, n: int, s: float, grid,
-                     tolerance: float = ALGEBRA_TOL) -> VerificationReport:
-    """Pointwise residual of (-K+K- + K0(K0-1)) f = k(k-1) f on a Sturmian
-    function, with k the channel Bargmann index."""
-    sigma = channel_realization(channel, s)
-    k_barg = sigma + 1.0
-    f = sturmian(channel, n, s)
-    kp = RadialOperator(OperatorKind.KPLUS, sigma)
-    km = RadialOperator(OperatorKind.KMINUS, sigma)
-    k0 = RadialOperator(OperatorKind.K0, sigma)
-    grid = np.asarray(grid, dtype=float)
-    k0f = k0.apply(f)
-    lhs, fv = LaguerreSum.evaluate_all(grid, kp.apply(km.apply(f)) * (-1.0) + k0.apply(k0f) - k0f, f)
-    rhs = k_barg * (k_barg - 1.0) * fv
-    res = _relative_residual(lhs - rhs, [lhs, rhs, fv])
-    return VerificationReport.from_residuals(
-        "casimir", res, tolerance, context={"channel": channel, "n": n, "s": s},
-    )
-
-
-def a0_eigenvalue_residual(channel: str, n: int, s: float, grid,
-                           tolerance: float = 1e-9) -> VerificationReport:
-    """A0 f_n = (n + s) f_n pointwise on either channel; this eigenvalue is
-    the algebraic origin of the spectrum."""
-    sigma = channel_realization(channel, s)
-    f = sturmian(channel, n, s)
-    grid = np.asarray(grid, dtype=float)
-    lhs, fv = LaguerreSum.evaluate_all(grid, RadialOperator(OperatorKind.A0, sigma).apply(f), f)
-    rhs = (n + s) * fv
-    res = _relative_residual(lhs - rhs, [lhs, rhs])
-    return VerificationReport.from_residuals(
-        "a0_eigenvalue", res, tolerance, context={"channel": channel, "n": n, "s": s},
-    )
 
 
 def scaling_identity_residual(theta: float, test_functions, grid, sigma: float,

@@ -36,6 +36,8 @@ from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_
 __all__ = ["main", "entrypoint", "build_parser", "VERIFY_CHECK_COUNT"]
 
 MAX_SWEEP_ROWS = 100_000  # the row limit of every spectrum table, `spectrum` and `sweep`
+MAX_GRID_POINTS = 1_000_000  # the --r-points limit of `wavefunction` and `coherent`
+MAX_LEVEL = 100_000  # the --n limit of `wavefunction`, whose spinor costs O(n)
 
 class _UsageError(Exception):
     pass
@@ -277,6 +279,8 @@ def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
     points = int(args.r_points)
     if points < 2:
         raise _UsageError("grid needs at least 2 points")
+    if points > MAX_GRID_POINTS:
+        raise _UsageError(f"grid of {points} points exceeds the {MAX_GRID_POINTS} point limit")
     if not 0.0 < r_min < r_max < math.inf:
         raise _UsageError(f"grid requires 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")
     if args.r_spacing == "linear":
@@ -346,6 +350,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     if ns.stop - ns.start != 1:
         raise _UsageError("wavefunction requires a single --n")
+    if ns[0] > MAX_LEVEL:
+        raise _UsageError(f"wavefunction --n {ns[0]} exceeds the {MAX_LEVEL} level limit")
     level = bound_level(ns[0], params, constants)
     spinor = assemble_spinor(level, constants)
     grid = _grid(args, level.a)

@@ -22,8 +22,7 @@ import numpy as np
 from .algebra import (
     _ladder_projections,
     _ladder_rule_key,
-    a0_eigenvalue_residual,
-    casimir_residual,
+    SU11_RELATIONS,
     channel_realization,
     scaling_identity_residual,
     su11_commutator_report,
@@ -249,21 +248,32 @@ def _check_orthonormality(channel, params):
     return residuals, {"channel": channel, "count": 12}
 
 
-def _check_commutator(which, families, params):
-    """One residual per family: the first Sturmians of one channel at one s.
-    ``families`` maps (s, channel) to that family's residual maximum of each
-    relation; _registry gives the three commutator checks of one suite the
-    same fresh dict, so whichever runs first computes each family once."""
+# For each pointwise algebra check, the levels n per channel whose residual
+# it reads from a family pass; n None reads a relation's maximum over the family.
+_FAMILY_PROBES = {
+    **{name: {"v": (None,), "u": (None,)} for name in SU11_RELATIONS},
+    "casimir": {"v": (1, 3), "u": (0, 2)},
+    "a0_eigenvalue": {"v": (1, 2, 5), "u": (0, 1, 4)},
+}
+
+
+def _check_family(which, families, params):
+    """The residuals of one pointwise algebra check, read from the su(1,1)
+    passes over the families of the first Sturmians of one channel at one s.
+    ``families`` maps (s, channel) to that family's residual maxima, keyed
+    (name, n) with n None for a relation over the whole family; _registry
+    gives the five checks of one suite the same fresh dict, so whichever runs
+    first computes each family once."""
     grid = _algebra_grid()
+    s_values = _s_grid(params)
     residuals = []
-    for s in _s_grid(params):
+    for s in s_values:
         for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
             if (s, channel) not in families:
-                fns = [sturmian(channel, n, s) for n in n_range]
-                reports = su11_commutator_report(channel_realization(channel, s), fns, grid)
-                families[s, channel] = {rep.name: rep.residual_max for rep in reports}
-            residuals.append(families[s, channel][which])
-    return residuals, {"families": len(residuals)}
+                families[s, channel] = {(rep.name, rep.context.get("n")): rep.residual_max
+                                        for rep in su11_commutator_report(channel, s, n_range, grid)}
+            residuals.extend(families[s, channel][which, n] for n in _FAMILY_PROBES[which][channel])
+    return residuals, {"families": len(residuals)} if which in SU11_RELATIONS else {"s_values": len(s_values)}
 
 
 def _check_ladder(params):
@@ -287,27 +297,6 @@ def _check_ladder(params):
                     residuals.append(abs(down - down_want) / down_want)
                 else:
                     residuals.append(abs(down))
-    return residuals, {"s_values": len(s_values)}
-
-
-def _check_casimir(params):
-    grid = _algebra_grid()
-    s_values = _s_grid(params)
-    residuals = []
-    for s in s_values:
-        for channel, n in (("v", 1), ("v", 3), ("u", 0), ("u", 2)):
-            residuals.append(casimir_residual(channel, n, s, grid).residual_max)
-    return residuals, {"s_values": len(s_values)}
-
-
-def _check_a0(params):
-    grid = _algebra_grid()
-    s_values = _s_grid(params)
-    residuals = []
-    for s in s_values:
-        for channel, n_range in (("v", (1, 2, 5)), ("u", (0, 1, 4))):
-            for n in n_range:
-                residuals.append(a0_eigenvalue_residual(channel, n, s, grid).residual_max)
     return residuals, {"s_values": len(s_values)}
 
 
@@ -445,12 +434,12 @@ _CHECKS = {
     "diagonalization_identity": (1e-11, _check_diagonalization),
     "sturmian_orthonormality_u": (1e-10, partial(_check_orthonormality, "u")),
     "sturmian_orthonormality_v": (1e-10, partial(_check_orthonormality, "v")),
-    "commutator_k0_kplus": (1e-8, _check_commutator),
-    "commutator_k0_kminus": (1e-8, _check_commutator),
-    "commutator_kminus_kplus": (1e-8, _check_commutator),
+    "commutator_k0_kplus": (1e-8, _check_family),
+    "commutator_k0_kminus": (1e-8, _check_family),
+    "commutator_kminus_kplus": (1e-8, _check_family),
     "ladder_coefficients": (1e-8, _check_ladder),
-    "casimir": (1e-8, _check_casimir),
-    "a0_eigenvalue": (1e-9, _check_a0),
+    "casimir": (1e-8, _check_family),
+    "a0_eigenvalue": (1e-9, _check_family),
     "scaling_identities": (1e-9, _check_scaling),
     "ode_first_order": (1e-8, partial(_check_ode_first, False)),
     "ode_second_order": (1e-7, _check_ode_second),
@@ -469,15 +458,15 @@ VERIFY_CHECK_COUNT = len(VERIFY_CHECK_NAMES)
 
 
 def _registry(perturb: bool):
-    """{name: check} in report order.  The commutator checks are bound to
-    their name and to one fresh memo of su(1,1) family passes, which lives as
-    long as this registry.  ``perturb`` is the fault-injection hook: its
+    """{name: check} in report order.  The five pointwise algebra checks are
+    bound to their name and to one fresh memo of su(1,1) family passes, which
+    lives as long as this registry.  ``perturb`` is the fault-injection hook: its
     first-order ODE check scales F by 1% and must then fail."""
     families = {}
     registry = {}
     for name, (_, check) in _CHECKS.items():
-        if check is _check_commutator:
-            check = partial(_check_commutator, name, families)
+        if check is _check_family:
+            check = partial(_check_family, name, families)
         elif perturb and name == "ode_first_order":
             check = partial(_check_ode_first, True)
         registry[name] = check

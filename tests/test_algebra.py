@@ -9,8 +9,6 @@ from dirac_coulomb import (
     LaguerreSum,
     OperatorKind,
     RadialOperator,
-    a0_eigenvalue_residual,
-    casimir_residual,
     channel_realization,
     ladder_matrix_elements,
     run_suite,
@@ -22,9 +20,20 @@ from dirac_coulomb import (
 GRID = np.geomspace(0.05, 30.0, 80)
 
 
-def sturmian_family(s, channel="v", count=6):
+def sturmian_levels(channel="v", count=6):
     start = 0 if channel == "u" else 1
-    return [sturmian(channel, n, s) for n in range(start, start + count)]
+    return range(start, start + count)
+
+
+def sturmian_family(s, channel="v", count=6):
+    return [sturmian(channel, n, s) for n in sturmian_levels(channel, count)]
+
+
+def family_report(name, channel, n, s):
+    """The report ``name`` of the Sturmian (channel, n, s) from a family pass of that one function."""
+    reports = [rep for rep in su11_commutator_report(channel, s, [n], GRID) if rep.name == name]
+    assert len(reports) == 1 and reports[0].context == {"channel": channel, "n": n, "s": s}
+    return reports[0]
 
 
 class TestApplyOperator:
@@ -59,15 +68,16 @@ class TestCommutators:
     @pytest.mark.parametrize("s", [0.6, 0.866, 1.5, 2.2])
     def test_su11_relations_hold(self, s):
         for channel in ("u", "v"):
-            sigma = channel_realization(channel, s)
-            reports = su11_commutator_report(sigma, sturmian_family(s, channel), GRID)
+            reports = su11_commutator_report(channel, s, sturmian_levels(channel), GRID)
+            assert [rep.name for rep in reports[:3]] == list(algebra.SU11_RELATIONS)
+            assert [rep.name for rep in reports[3:]] == ["casimir", "a0_eigenvalue"] * 6
             for rep in reports:
                 assert rep.residual_max < 1e-8, rep.name
 
     def test_wrong_realization_fails(self):
         s = 0.866
-        reports = su11_commutator_report(s, sturmian_family(s), GRID, fault_centrifugal=s * s)
-        assert max(rep.residual_max for rep in reports) > 1e-2
+        reports = su11_commutator_report("v", s, sturmian_levels(), GRID, fault_centrifugal=s * s)
+        assert max(rep.residual_max for rep in reports[:3]) > 1e-2
 
 
 class TestVerifyCommutatorChecks:
@@ -77,16 +87,16 @@ class TestVerifyCommutatorChecks:
         passes = []
         original = algebra._su11_family_residuals
 
-        def counted(sigma, fns, grid, fault_centrifugal):
-            passes.append(sigma)
-            return original(sigma, fns, grid, fault_centrifugal)
+        def counted(channel, s, levels, grid, fault_centrifugal):
+            passes.append(channel_realization(channel, s))
+            return original(channel, s, levels, grid, fault_centrifugal)
 
         monkeypatch.setattr(algebra, "_su11_family_residuals", counted)
         return passes
 
     def test_each_relation_runs_once_per_family(self, default_params, monkeypatch):
-        # one pass gives a family's three relations: 5 s-values (the acceptance
-        # grid plus the problem's own) x 2 channels, where each relation was a call of its own
+        # one pass gives a family's three relations and its Sturmians' Casimir and A0
+        # residuals: 5 s-values (the acceptance grid plus the problem's own) x 2 channels
         passes = self.count_family_passes(monkeypatch)
         reports = {rep.name: rep for rep in run_suite(default_params)}
         s_values = verification._s_grid(default_params)
@@ -95,6 +105,8 @@ class TestVerifyCommutatorChecks:
         assert len(set(passes)) == 10
         for name in algebra.SU11_RELATIONS:
             assert reports[name].context == {"families": 10}
+        for name in ("casimir", "a0_eigenvalue"):
+            assert reports[name].context == {"s_values": 5}
 
     def test_each_suite_computes_each_family_once(self, default_params, monkeypatch):
         # the memo belongs to one suite: nothing is kept for the next run_suite
@@ -106,7 +118,7 @@ class TestVerifyCommutatorChecks:
         assert passes == first and len(set(first)) == len(first) == 10
 
     def test_a_check_alone_matches_the_suite(self, default_params, monkeypatch):
-        # alone, a check fills its own memo; in a suite the third check only reads the first's
+        # alone, a check fills its own memo; in a suite the later checks only read the first's
         inside = {}
         original = verification._registry
 
@@ -116,8 +128,32 @@ class TestVerifyCommutatorChecks:
 
         monkeypatch.setattr(verification, "_registry", recording)
         run_suite(default_params)
-        for name in reversed(algebra.SU11_RELATIONS):
+        for name in (*reversed(algebra.SU11_RELATIONS), "casimir", "a0_eigenvalue"):
             assert original(False)[name](default_params) == inside[name]
+
+    def test_casimir_and_a0_build_no_image_in_a_suite(self, default_params, monkeypatch):
+        # they read the memo the commutator checks filled, so they build no ladder image
+        entered = []
+        images = algebra._ladder_images
+        original = verification._registry
+        running = [None]
+
+        def counted(g, centrifugal):
+            entered.append(running[0])
+            return images(g, centrifugal)
+
+        def tagged(name, check):
+            def run(params):
+                running[0] = name
+                return check(params)
+            return run
+
+        monkeypatch.setattr(algebra, "_ladder_images", counted)
+        monkeypatch.setattr(verification, "_registry", lambda perturb: {
+            name: tagged(name, check) for name, check in original(perturb).items()})
+        run_suite(default_params)
+        assert entered.count("commutator_k0_kplus") == 10 * 10 * 4
+        assert entered.count("casimir") == entered.count("a0_eigenvalue") == 0
 
 
 class TestLadder:
@@ -143,13 +179,11 @@ class TestLadder:
 
     @pytest.mark.parametrize("channel,n", [("v", 1), ("v", 4), ("u", 0), ("u", 2)])
     def test_casimir_value(self, channel, n):
-        rep = casimir_residual(channel, n, 0.866, GRID)
-        assert rep.residual_max < 1e-8
+        assert family_report("casimir", channel, n, 0.866).residual_max < 1e-8
 
     def test_a0_eigenvalue_both_channels(self):
         for channel, n in (("v", 1), ("v", 5), ("u", 0), ("u", 4)):
-            rep = a0_eigenvalue_residual(channel, n, 1.5, GRID)
-            assert rep.residual_max < 1e-9
+            assert family_report("a0_eigenvalue", channel, n, 1.5).residual_max < 1e-9
 
 
 class TestScalingIdentities:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -468,6 +469,56 @@ class TestGridValidation:
     def test_invalid_level_exits_2(self):
         proc = run_cli("wavefunction", *BASE, "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "0")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["wavefunction", "coherent"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("points", [1_000_001, 100000000000000000000])
+    def test_point_limit_exits_2_before_the_grid(self, command, source, points, tmp_path, capsys):
+        # numpy cannot allocate 10^20 points, so without the limit np.geomspace raises a ValueError
+        assert cli.MAX_GRID_POINTS == 1_000_000
+        argv = [command, "--r-points", str(points)]
+        if source == "config":
+            config = tmp_path / "grid.json"
+            config.write_text(json.dumps({"r_points": points}))
+            argv = [command, "--config", str(config)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid of {points} points exceeds the 1000000 point limit\n"
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_point_limit_is_inclusive(self, spacing):
+        args = argparse.Namespace(r_min=None, r_max=None, r_points=cli.MAX_GRID_POINTS, r_spacing=spacing)
+        assert cli._grid(args, 1.0).shape == (cli.MAX_GRID_POINTS,)
+
+    @pytest.mark.parametrize("value", ["100001", 100001, "100000000000000000000"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_level_limit_exits_2_before_any_work(self, value, source, tmp_path, capsys, monkeypatch):
+        # at about 46 us per degree, --n 10^9 would run for hours
+        assert cli.MAX_LEVEL == 100_000
+        for name in ("bound_level", "assemble_spinor"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a level was built"))
+        if source == "flag":
+            argv = ["wavefunction", "--n", str(value)]
+        else:
+            config = tmp_path / "level.json"
+            config.write_text(json.dumps({"n": value}))
+            argv = ["wavefunction", "--config", str(config)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: wavefunction --n {int(value)} exceeds the 100000 level limit\n"
+
+    def test_level_limit_is_inclusive(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "bound_level", reached)
+        with pytest.raises(Reached):
+            cli.main(["wavefunction", "--n", str(cli.MAX_LEVEL)])
 
 
 @pytest.mark.parametrize("argv", [

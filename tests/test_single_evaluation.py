@@ -20,8 +20,6 @@ from dirac_coulomb.algebra import (
     RadialOperator,
     _relative_residual,
     _su11_family_residuals,
-    a0_eigenvalue_residual,
-    casimir_residual,
     channel_realization,
     _ladder_projections,
     _ladder_rule_key,
@@ -200,11 +198,6 @@ def test_generator_images_match_the_per_kind_formulas(centrifugal):
             assert bits(op.apply(g)) == bits(reference_apply(op, g)), kind
 
 
-def per_function(residuals, count):
-    """The concatenated residual array of a family, split per test function."""
-    return np.split(residuals, count)
-
-
 @pytest.mark.parametrize("which", list(SU11_RELATIONS))
 def test_commutator_residuals_per_function(problem, which, monkeypatch):
     # the family pass gives every relation's residuals; each must be the per-relation body's
@@ -214,13 +207,14 @@ def test_commutator_residuals_per_function(problem, which, monkeypatch):
         for channel, n_range in FAMILIES:
             sigma = channel_realization(channel, s)
             relation = su11_relation(which, sigma, None)
-            fns = [sturmian(channel, n, s) for n in n_range]
-            want = [reference_commutator(*relation, f, grid) for f in fns]
-            got = _su11_family_residuals(sigma, fns, grid, None)[which]
-            for g, w in zip(per_function(got, len(fns)), want):
+            want = [reference_commutator(*relation, sturmian(channel, n, s), grid) for n in n_range]
+            got = _su11_family_residuals(channel, s, n_range, grid, None)[which]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-            su11_commutator_report(sigma, fns, grid)
-            reports = dict(zip(SU11_RELATIONS, seen[-3:]))
+            start = len(seen)
+            su11_commutator_report(channel, s, n_range, grid)
+            reports = dict(zip(SU11_RELATIONS, seen[start:start + 3]))
             assert np.array_equal(reports[which], np.concatenate(want))
 
 
@@ -229,24 +223,28 @@ def test_commutator_residuals_with_a_wrong_realization(which):
     # the commuted pair then differs from the expected side, so no image is shared
     s, grid = 0.866, verification._algebra_grid()
     for channel, n_range in FAMILIES:
-        sigma = channel_realization(channel, s)
-        relation = su11_relation(which, sigma, s * s)
-        fns = [sturmian(channel, n, s) for n in n_range]
-        got = _su11_family_residuals(sigma, fns, grid, s * s)[which]
-        for g, f in zip(per_function(got, len(fns)), fns):
-            assert np.array_equal(g, reference_commutator(*relation, f, grid))
+        relation = su11_relation(which, channel_realization(channel, s), s * s)
+        got = _su11_family_residuals(channel, s, n_range, grid, s * s)[which]
+        for g, n in zip(got, n_range):
+            assert np.array_equal(g, reference_commutator(*relation, sturmian(channel, n, s), grid))
 
 
 def test_casimir_and_a0_residuals(problem, monkeypatch):
+    # the family pass gives each Sturmian's Casimir and A0 residuals, in its own report
     grid = verification._algebra_grid()
     seen = captured_residuals(monkeypatch)
     for s in verification._s_grid(problem):
-        for channel, n in (("v", 1), ("v", 3), ("u", 0), ("u", 2)):
-            casimir_residual(channel, n, s, grid)
-            assert np.array_equal(seen.pop(), reference_casimir(channel, n, s, grid))
-        for channel, n in (("v", 1), ("v", 2), ("v", 5), ("u", 0), ("u", 1), ("u", 4)):
-            a0_eigenvalue_residual(channel, n, s, grid)
-            assert np.array_equal(seen.pop(), reference_a0(channel, n, s, grid))
+        for channel, n_range in FAMILIES:
+            got = _su11_family_residuals(channel, s, n_range, grid, None)
+            start = len(seen)
+            su11_commutator_report(channel, s, n_range, grid)
+            reported = seen[start + 3:]
+            for i, n in enumerate(n_range):
+                casimir, a0 = reference_casimir(channel, n, s, grid), reference_a0(channel, n, s, grid)
+                assert np.array_equal(got["casimir"][i], casimir)
+                assert np.array_equal(got["a0_eigenvalue"][i], a0)
+                assert np.array_equal(reported[2 * i], casimir)
+                assert np.array_equal(reported[2 * i + 1], a0)
 
 
 @pytest.mark.parametrize("channel", ["u", "v"])

@@ -51,6 +51,23 @@ def test_traced_verify_spans_each_check_once_and_prints_the_same():
     assert checks == {name: 1 for name in VERIFY_CHECK_NAMES}
 
 
+def test_traced_verify_sees_each_family_pass_and_reads_every_report():
+    # the benchmark's per-layer view of the su(1,1) family pass: one span per
+    # (s, channel) family, and every report a pass returns is read by a check
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code, _ = _stdout(["verify"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.summary()["algebra.su11_commutator_report"]["calls"] == 10
+    assert len(tracer.trackers) == 10
+    # 3 relations, then a casimir and an a0_eigenvalue report for each of 10 Sturmians
+    assert [len(tracker) for tracker in tracer.trackers] == [23] * 10
+    assert all(tracker.used == set(range(len(tracker))) for tracker in tracer.trackers)
+
+
 def test_resolver_applies_overrides_in_order():
     tolerances = resolve_tolerances([("casimir", "1e-3"), ("normalization", 2), ("casimir", 5e-4)])
     assert tolerances == {**DEFAULT_TOLERANCES, "casimir": 5e-4, "normalization": 2.0}
