@@ -18,9 +18,9 @@ All four generator images of a function come from one place,
 _ladder_images, which shares the derivative, the P_r^2 chain and the term
 r P_r^2 + sigma(sigma+1)/r between them.  The pointwise algebra is
 checked one family of Sturmians at a time: a single pass builds the ladder
-images of each function and of each of those images, and evaluates them
-with one cache for the whole family, so each image serves every identity
-that needs it: the three commutator relations, the Casimir
+images of each function and of each of those images, and evaluates them a
+block of Sturmians per LaguerreSum.evaluate_all batch, so each image serves
+every identity that needs it: the three commutator relations, the Casimir
 -K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n
 (su11_commutator_report).
 """
@@ -108,8 +108,8 @@ def _ladder_images(g: LaguerreSum, centrifugal: float):
     with i A2 g = r g' + g."""
     base = _pr2(g).times_power(1) + g.times_power(-1) * centrifugal
     rg = g.times_power(1)
-    yield (base + rg * 1.0) * 0.5
-    a1 = (base + rg * -1.0) * 0.5
+    yield (base + rg) * 0.5
+    a1 = (base - rg) * 0.5
     yield a1
     i_a2 = g.derivative().times_power(1) + g
     yield a1 + i_a2
@@ -117,11 +117,11 @@ def _ladder_images(g: LaguerreSum, centrifugal: float):
 
 
 def _relative_residual(lhs: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-    """|lhs| over a pointwise scale built from the constituent magnitudes,
-    floored at 1e-3 of their global maximum so nodes cannot inflate it."""
+    """|lhs| over a pointwise scale built from the constituent magnitudes, floored
+    at 1e-3 of their global maximum (per row of a 2-D lhs) so nodes cannot inflate it."""
     mags = [np.abs(p) for p in parts]
     pointwise = np.maximum.reduce(mags)
-    glob = max(float(np.max(m)) for m in mags)
+    glob = np.max([m.max(axis=-1, keepdims=True) for m in mags], axis=0)
     return np.abs(lhs) / np.maximum(pointwise, 1e-3 * glob)
 
 
@@ -131,6 +131,10 @@ SU11_RELATIONS = {
     "commutator_k0_kminus": (OperatorKind.K0, OperatorKind.KMINUS, ((-1.0, OperatorKind.KMINUS),)),
     "commutator_kminus_kplus": (OperatorKind.KMINUS, OperatorKind.KPLUS, ((2.0, OperatorKind.K0),)),
 }
+
+
+# Sturmians per evaluate_all call of a family pass: a whole family, 1,100 terms, is no faster
+_BLOCK = 5
 
 
 def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
@@ -143,8 +147,8 @@ def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
 
     For each f the pass builds the ladder images of f and the ladder images
     of each of those, so every first- and second-order image is built once
-    for all five, and it evaluates them all through one cache of r**p,
-    exp(-c r) and Laguerre factors shared by the whole family.  A
+    for all five; the 11 sums of each f are evaluated _BLOCK Sturmians per
+    LaguerreSum.evaluate_all call, into (Sturmian, point) residuals.  A
     ``fault_centrifugal`` other than None replaces sigma(sigma+1) in the
     commuted pair only (the Z side keeps the true realization); the three
     operators close su(1,1) for any constant when perturbed together, so this
@@ -156,34 +160,35 @@ def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
     k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
     pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
-    cache = ({}, {}, {})
     residuals = {name: [] for name in (*SU11_RELATIONS, "casimir", "a0_eigenvalue")}
-    for n in levels:
-        f = sturmian(channel, n, s)
-        true = dict(zip(_LADDER, _ladder_images(f, true_cent)))
-        pair = true if fault_centrifugal is None else dict(zip(_LADDER, _ladder_images(f, pair_cent)))
-        # second[Y][X] is X Y f
-        second = {kind: dict(zip(_LADDER, _ladder_images(g, pair_cent))) for kind, g in pair.items()
-                  if kind is not OperatorKind.A1}
-        fv = f.evaluate(grid, *cache)
-        # K0 f, K+ f and K- f of the true realization, for the Z sides and for A0 f
-        zvals = {kind: true[kind].evaluate(grid, *cache) for kind in second}
-        for name, (x, y, expected) in SU11_RELATIONS.items():
-            xy = second[y][x].evaluate(grid, *cache)
-            yx = second[x][y].evaluate(grid, *cache)
-            zval = np.zeros(grid.shape, dtype=complex)
+    for block in (levels[i:i + _BLOCK] for i in range(0, len(levels), _BLOCK)):
+        sums = []
+        for n in block:
+            f = sturmian(channel, n, s)
+            true = dict(zip(_LADDER, _ladder_images(f, true_cent)))
+            pair = true if fault_centrifugal is None else dict(zip(_LADDER, _ladder_images(f, pair_cent)))
+            # second[Y][X] is X Y f
+            second = {kind: dict(zip(_LADDER, _ladder_images(g, pair_cent))) for kind, g in pair.items()
+                      if kind is not OperatorKind.A1}
+            # f; the true K0 f, K+ f and K- f (the Z sides, and A0 f); X Y f, Y X f; the Casimir side
+            sums += [f, *(true[kind] for kind in second),
+                     *(g for x, y, _ in SU11_RELATIONS.values() for g in (second[y][x], second[x][y])),
+                     second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
+                     + second[OperatorKind.K0][OperatorKind.K0] - pair[OperatorKind.K0]]
+        fv, *zs, lhs = np.array(LaguerreSum.evaluate_all(grid, *sums)).reshape(len(block), -1, grid.size).swapaxes(0, 1)
+        zvals = dict(zip((OperatorKind.K0, OperatorKind.KPLUS, OperatorKind.KMINUS), zs[:3]))
+        for (name, (_, _, expected)), xy, yx in zip(SU11_RELATIONS.items(), zs[3::2], zs[4::2]):
+            zval = np.zeros(fv.shape, dtype=complex)
             for coef, z in expected:
                 zval = zval + coef * np.asarray(zvals[z], dtype=complex)
             # f itself joins the scale so that identically annihilated states
             # (K- on the lowest one) do not reduce the residual to 0/0 noise
-            residuals[name].append(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
-        lhs = (second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
-               + second[OperatorKind.K0][OperatorKind.K0] - pair[OperatorKind.K0]).evaluate(grid, *cache)
+            residuals[name].extend(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
         rhs = k_barg * (k_barg - 1.0) * fv
-        residuals["casimir"].append(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
+        residuals["casimir"].extend(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
         lhs = zvals[OperatorKind.K0]
-        rhs = (n + s) * fv
-        residuals["a0_eigenvalue"].append(_relative_residual(lhs - rhs, [lhs, rhs]))
+        rhs = np.array([n + s for n in block])[:, None] * fv
+        residuals["a0_eigenvalue"].extend(_relative_residual(lhs - rhs, [lhs, rhs]))
     return residuals
 
 
@@ -218,7 +223,7 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     must equal sqrt((n_g+1)(2k+n_g)) and sqrt(n_g(2k+n_g-1)); for the
     lowest state the down coefficient is the norm of K- f, which vanishes.
     """
-    return _ladder_projections(channel, n, s, build_rule(*_ladder_rule_key(channel, n, s)))
+    return _ladder_projections(channel, [n], s, build_rule(*_ladder_rule_key(channel, n, s)))[0]
 
 
 def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
@@ -226,59 +231,60 @@ def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
     return max(32, n + 10), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
 
 
-def _ladder_projections(channel: str, n: int, s: float, rule) -> tuple[float, float]:
-    """ladder_matrix_elements on the rule built from _ladder_rule_key, which a
-    caller that projects many states may build once for all of them."""
+def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[float, float]]:
+    """ladder_matrix_elements of each n in ``levels``, on one rule that
+    _ladder_rule_key gives them all: the Sturmians and the K+ and K- images of
+    each f_n (one _ladder_images run) in one batch, and one integral of rows."""
     sigma = channel_realization(channel, s)
-    f_n = sturmian(channel, n, s)
-    kp = RadialOperator(OperatorKind.KPLUS, sigma).apply(f_n)
-    km = RadialOperator(OperatorKind.KMINUS, sigma).apply(f_n)
-    ng = n if channel == "u" else n - 1
-    below = [sturmian(channel, n - 1, s)] if ng >= 1 else []
-    # every function once, with one cache, on the radii integrate_radial uses at scale 1
-    f_up, kp_v, km_v, *f_dn = LaguerreSum.evaluate_all(
-        rule.nodes / 2.0, sturmian(channel, n + 1, s), kp, km, *below)
-    up = integrate_radial(lambda r: f_up * kp_v * r, 1.0, rule)
-    if f_dn:
-        down = integrate_radial(lambda r: f_dn[0] * km_v * r, 1.0, rule)
-    else:
-        norm_sq = integrate_radial(lambda r: abs(km_v) ** 2 * r, 1.0, rule)
-        down = math.sqrt(max(float(np.real(norm_sq)), 0.0))
-    return float(np.real(up)), float(np.real(down))
+    lowest = 0 if channel == "u" else 1
+    fns = {n: sturmian(channel, n, s) for n in range(max(min(levels) - 1, lowest), max(levels) + 2)}
+    images = [g for n in levels for g in islice(_ladder_images(fns[n], sigma * (sigma + 1.0)), 2, 4)]
+    # on the radii integrate_radial uses at scale 1
+    values = LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns.values(), *images)
+    fv, kp_km = dict(zip(fns, values)), values[len(fns):]
+    totals = np.real(integrate_radial(lambda r: np.array([
+        row for n, kp, km in zip(levels, kp_km[::2], kp_km[1::2])
+        for row in (fv[n + 1] * kp * r, fv[n - 1] * km * r if n > lowest else abs(km) ** 2 * r)]), 1.0, rule))
+    return [(float(up), float(down) if n > lowest else math.sqrt(max(float(down), 0.0)))
+            for n, up, down in zip(levels, totals[::2], totals[1::2])]
 
 
-def scaling_identity_residual(theta: float, test_functions, grid, sigma: float,
-                              tolerance: float = 1e-9) -> VerificationReport:
-    """Pointwise check of the dilation conjugation identities.
+def scaling_identity_residual(thetas: tuple, test_functions, grid, sigma: float,
+                              tolerance: float = 1e-9) -> list[VerificationReport]:
+    """Pointwise check of the dilation conjugation identities, one report
+    per theta in ``thetas``.
 
     With S_theta f = e^theta f(e^theta r) implementing e^{i theta A2}:
 
         S_-theta A0 S_theta = A0 cosh(theta) + A1 sinh(theta)
         S_-theta A1 S_theta = A0 sinh(theta) + A1 cosh(theta)
         S_-theta (A0 +- A1) S_theta = e^{+-theta} (A0 +- A1)
+
+    The A0 and A1 images of each function, which no theta changes, are built
+    and evaluated once, and every image in one batch.
     """
-    if abs(theta) > 3.0:
-        raise DomainError(f"|theta| <= 3 expected for the scaling checks, got {theta}")
-    a0 = RadialOperator(OperatorKind.A0, sigma)
-    a1 = RadialOperator(OperatorKind.A1, sigma)
+    if any(abs(theta) > 3.0 for theta in thetas):
+        raise DomainError(f"|theta| <= 3 expected for the scaling checks, got {thetas}")
     grid = np.asarray(grid, dtype=float)
-    ch, sh = math.cosh(theta), math.sinh(theta)
     fs = list(test_functions)
-    residuals = []
+    sums = []
     for f in fs:
-        f_scaled = f.scaled(theta)
-        # A0 f and A1 f share their factors, the conjugates theirs
-        a0f, a1f, conj0, conj1 = LaguerreSum.evaluate_all(
-            grid, a0.apply(f), a1.apply(f), a0.apply(f_scaled).scaled(-theta), a1.apply(f_scaled).scaled(-theta))
+        sums += islice(_ladder_images(f, sigma * (sigma + 1.0)), 2)
+        for theta in thetas:
+            sums += (g.scaled(-theta) for g in islice(_ladder_images(f.scaled(theta), sigma * (sigma + 1.0)), 2))
+    values = np.array(LaguerreSum.evaluate_all(grid, *sums)).reshape(len(fs), len(thetas) + 1, 2, grid.size)
+    (a0f, a1f), reports = values[:, 0].swapaxes(0, 1), []
+    for theta, (conj0, conj1) in zip(thetas, values[:, 1:].transpose(1, 2, 0, 3)):
+        ch, sh = math.cosh(theta), math.sinh(theta)
         checks = [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),
             (conj1 - (sh * a0f + ch * a1f), [conj1, a0f, a1f]),
             ((conj0 + conj1) - math.exp(theta) * (a0f + a1f), [conj0 + conj1, a0f + a1f]),
             ((conj0 - conj1) - math.exp(-theta) * (a0f - a1f), [conj0 - conj1, a0f - a1f]),
         ]
-        for lhs, parts in checks:
-            residuals.append(_relative_residual(lhs, parts))
-    return VerificationReport.from_residuals(
-        "scaling_identities", np.concatenate(residuals), tolerance,
-        context={"theta": theta, "functions": len(fs), "points": grid.size},
-    )
+        # function by function, each with its four identities in turn
+        residuals = np.stack([_relative_residual(lhs, parts) for lhs, parts in checks], axis=1).reshape(-1)
+        reports.append(VerificationReport.from_residuals(
+            "scaling_identities", residuals, tolerance,
+            context={"theta": theta, "functions": len(fs), "points": grid.size}))
+    return reports

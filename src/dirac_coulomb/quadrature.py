@@ -104,7 +104,7 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
 
 
 def integrate_radial(f, scale: float, rule: QuadratureRule):
-    """Integrate f over (0, inf) by Gauss-Laguerre.
+    """Integrate f over (0, inf) by Gauss-Laguerre; each row of a 2-D f(r) alone.
 
     The caller declares smoothness: f(r) = r^rule.alpha * e^{-2 scale r}
     * (smooth slowly-varying part), and f must accept an array of radii.
@@ -114,7 +114,9 @@ def integrate_radial(f, scale: float, rule: QuadratureRule):
         raise DomainError(f"integration scale must be positive, got {scale}")
     r = rule.nodes / (2.0 * scale)
     w = np.exp(rule.log_weights + rule.nodes - rule.alpha * np.log(rule.nodes)) / (2.0 * scale)
-    gl = complex(np.sum(w * f(r)))
+    if np.ndim(total := np.sum(w * f(r), axis=-1)):
+        return total
+    gl = complex(total)
     if abs(gl.imag) < 1e-300 + 1e-15 * abs(gl.real):
         gl = gl.real
     return gl

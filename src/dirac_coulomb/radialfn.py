@@ -14,15 +14,19 @@ never differencing error.  Coefficients and decay rates may be complex
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from math import exp
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .special import laguerre
+from .special import laguerre, laguerre_sequence
 
 __all__ = ["LaguerreTerm", "LaguerreSum"]
+
+# evaluate_all sums up to this many terms one at a time, where a product array costs more than it saves
+_TERM_BY_TERM = 32
 
 
 class LaguerreTerm(NamedTuple):
@@ -82,32 +86,62 @@ class LaguerreSum:
         return LaguerreSum.evaluate_all(r, self)[0]
 
     @staticmethod
-    def evaluate_all(r, *sums, polys=None) -> tuple:
-        """Each sum at r (a number or an array), with one cache of r**power,
-        exp(-decay r) and L_n^alpha(argscale r) for all of them; ``polys`` may
-        hold Laguerre values already made, keyed as in evaluate."""
+    def evaluate_all(r, *sums) -> tuple:
+        """Each sum at r (a number or an array).  Each distinct r**power and
+        exp(-decay r) is made once, and the Laguerre values by one
+        laguerre_sequence run per (alpha, argscale).  Each sum adds its terms
+        ((coef r^p) e^{-dr}) L in stored order from zero, term by term in
+        complex arithmetic (verification.coherent_truncated_sum repeats this
+        for one real term); past _TERM_BY_TERM terms at an array r, as one
+        product array added one term position at a time for all sums (a
+        pairwise np.sum would round differently), in float64 when every
+        coefficient and decay is real and the sums are finite: the real part
+        of the complex products bit for bit."""
         scalar = np.isscalar(r)
         rv = np.asarray(r, dtype=float)
-        cache = ({}, {}, {} if polys is None else polys)
-        return tuple(out.item() if scalar else out for out in (f.evaluate(rv, *cache) for f in sums))
-
-    def evaluate(self, rv: np.ndarray, powers: dict, decays: dict, polys: dict):
-        """Add the terms on the float array rv in order, computing each distinct
-        r**power, exp(-decay r) and L_n^alpha(argscale r) once; the dicts hold
-        them by power, decay and (degree, alpha, argscale) and may be shared.
-        verification.coherent_truncated_sum repeats the arithmetic of one real
-        term, the real part of ((coef * r**power) * exp(-decay r)) * L with complex
-        coef and exp, to keep the bits of its series; keep the two in step."""
-        out = np.zeros(rv.shape, dtype=complex)
-        for (p, d, n, a, b), c in self._map.items():
-            if p not in powers:
-                powers[p] = rv ** p
-            if d not in decays:
-                decays[d] = np.exp(-d * rv)
-            if (n, a, b) not in polys:
-                polys[n, a, b] = laguerre(n, a, b * rv)
-            out += c * powers[p] * decays[d] * polys[n, a, b]
-        return out.real if self.is_real else out
+        powers, decays, polys, pi, di, li = {}, {}, {}, [], [], []
+        for f in sums:
+            for p, d, n, a, b in f._map:
+                pi.append(powers.setdefault(p, len(powers)))
+                di.append(decays.setdefault(d, len(decays)))
+                li.append(polys.setdefault((n, a, b), len(polys)))
+        degrees, lag = {}, {}
+        for n, a, b in polys:
+            degrees.setdefault((a, b), []).append(n)
+        for (a, b), ns in degrees.items():  # laguerre runs the same recurrence, and rejects n < 0
+            if len(ns) == 1 or min(ns) < 0:
+                lag.update(((n, a, b), laguerre(n, a, b * rv)) for n in ns)
+            else:
+                lag.update(((n, a, b), value) for n, value in zip(range(max(ns) + 1), laguerre_sequence(a, b * rv)))
+        rp, ed, lv = [rv ** p for p in powers], [np.exp(-d * rv) for d in decays], [lag[key] for key in polys]
+        if scalar or len(pi) <= _TERM_BY_TERM:
+            rows, factors = [], zip(pi, di, li)
+            for f in sums:
+                out = np.zeros(rv.shape, dtype=complex)
+                for c, (i, j, k) in zip(f._map.values(), factors):
+                    out += c * rp[i] * ed[j] * lv[k]
+                rows.append(out.real if f.is_real else out)
+            return tuple(row.item() if scalar else row for row in rows)
+        # the product array holds the first terms of all sums, longest sums first, then
+        # their second terms, ...: the sums with a j-th term are a prefix
+        lens = np.array([len(f) for f in sums])
+        row = np.argsort(np.argsort(-lens, kind="stable"))
+        position = np.arange(len(pi)) - np.repeat(np.cumsum(lens) - lens, lens)
+        layout = np.lexsort((np.repeat(row, lens), position))
+        counts = np.bincount(position).tolist()
+        coefs = np.array([c for f in sums for c in f._map.values()], dtype=complex)[layout]
+        rp, ed, lv = (np.array(table)[np.array(index)[layout]] for table, index in ((rp, pi), (ed, di), (lv, li)))
+        for real in (True, False) if not coefs.imag.any() and not any(d.imag for d in decays) else (False,):
+            with np.errstate(over="ignore", invalid="ignore") if real else nullcontext():  # complex warns as before
+                prod = (coefs.real if real else coefs)[:, None] * rp
+                prod *= ed.real if real else ed
+                prod *= lv
+                out = np.zeros((len(sums), rv.size), dtype=prod.dtype)
+                for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
+                    out[:count] += prod[start:start + count]
+            if not real or np.isfinite(out).all():
+                break
+        return tuple(out[i] if real or not f.is_real else out[i].real for i, f in zip(row.tolist(), sums))
 
     def derivative(self) -> "LaguerreSum":
         """Exact d/dr, using d/dx L_n^a(x) = -L_{n-1}^{a+1}(x)."""
@@ -149,7 +183,7 @@ class LaguerreSum:
     def __sub__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
             return NotImplemented
-        return self + (other * -1.0)
+        return LaguerreSum._of(((k, c * -1.0) for k, c in other._map.items()), self._map)  # self + other * -1.0
 
     def __mul__(self, scalar) -> "LaguerreSum":
         if isinstance(scalar, LaguerreSum):

@@ -45,9 +45,10 @@ def laguerre_sequence(alpha: float, x):
     if alpha <= -1.0:
         raise DomainError(f"Laguerre order must exceed -1, got {alpha}")
     scalar = np.isscalar(x)
-    xv = np.asarray(x, dtype=float)
-    prev = np.ones_like(xv)
-    yield float(prev) if scalar else prev
+    # a number runs in Python floats, the same double arithmetic without numpy's per-call cost
+    xv = float(x) if scalar else np.asarray(x, dtype=float)
+    prev = 1.0 if scalar else np.ones_like(xv)
+    yield prev
     cur = 1.0 + alpha - xv
     for k in count(1):
         yield float(cur) if scalar else cur

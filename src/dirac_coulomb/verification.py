@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -76,20 +77,22 @@ XI_GRID = (0.2, 0.4, 0.6)
 def generating_reference_sum(nu: float, y: complex, x: float,
                              rel_tail: float = 1e-16) -> complex:
     """Truncated sum_n L_n^nu(x) y^n, extended until the running term is
-    negligible for several consecutive degrees."""
+    negligible for four consecutive degrees (at most 4000): the terms and the
+    running sums from zero, with the bits of a loop, over a window of degrees
+    that doubles until the stop falls inside it."""
     y = complex(y)
-    total = 0.0 + 0.0j
-    quiet = 0
-    for n, value in zip(range(4000), laguerre_sequence(nu, x)):
-        term = value * y**n
-        total += term
-        if abs(term) <= rel_tail * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 4:
-                break
-        else:
-            quiet = 0
-    return total
+    sequence = laguerre_sequence(nu, x)
+    values = []
+    size = 64
+    while True:
+        values += islice(sequence, size - len(values))
+        terms = np.array(values) * np.array([y**n for n in range(size)])
+        totals = np.cumsum(np.concatenate(([0j], terms)))[1:]
+        quiet = np.hypot(terms.real, terms.imag) <= rel_tail * np.maximum(np.hypot(totals.real, totals.imag), 1.0)
+        stops = np.flatnonzero(quiet[:-3] & quiet[1:-2] & quiet[2:-1] & quiet[3:])
+        if stops.size or size == 4000:
+            return complex(totals[stops[0] + 3] if stops.size else totals[-1])
+        size = min(2 * size, 4000)
 
 
 def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray,
@@ -112,8 +115,8 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     n_used = 0
     # each weight and Sturmian coefficient is made when the loop reaches its degree, and
     # L_ng^alpha(2r) comes from one recurrence; each basis value is ((c r^p) e^-r) L with
-    # complex c and e^-r, the operations of LaguerreSum.evaluate in its order (its
-    # docstring names this copy)
+    # complex c and e^-r, the operations of LaguerreSum.evaluate_all's term-by-term sums
+    # in their order (its docstring names this copy)
     alpha, power = (2.0 * s + 1.0, s) if channel == "v" else (2.0 * s - 1.0, s - 1.0)
     r_p, e_r = grid ** power, np.exp(-(1.0 + 0j) * grid)
     for ng, weight, lag in zip(range(n_l2 + 401), _perelomov_weight_sequence(k, xi),
@@ -227,20 +230,13 @@ def _check_diagonalization(params):
 def _gram_residual(channel, s, n_count):
     n_start = 0 if channel == "u" else 1
     fns = [sturmian(channel, n, s) for n in range(n_start, n_start + n_count)]
-    alpha = 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
-    rule = build_rule(max(48, n_count + 16), alpha)
-    # each function once on the radii integrate_radial uses at scale 1; the
-    # degrees n_start.. are L_0, L_1, ... of one recurrence at x = 2r
-    radii = rule.nodes / 2.0
-    values = LaguerreSum.evaluate_all(radii, *fns, polys={
-        (degree, alpha, 2.0): lag for degree, lag in zip(range(n_count), laguerre_sequence(alpha, 2.0 * radii))})
-    worst = 0.0
-    for i, fi in enumerate(values):
-        for j in range(i, len(values)):
-            val = integrate_radial(lambda r: fi * values[j] * r, 1.0, rule)
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(float(np.real(val)) - target))
-    return worst
+    rule = build_rule(max(48, n_count + 16), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
+    # each function once, on the radii integrate_radial uses at scale 1, and the
+    # entries i <= j as the rows of one integral
+    values = np.array(LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns))
+    i, j = np.triu_indices(n_count)
+    entries = integrate_radial(lambda r: values[i] * values[j] * r, 1.0, rule)
+    return max(0.0, *np.abs(np.real(entries) - (i == j)).tolist())
 
 
 def _check_orthonormality(channel, params):
@@ -284,12 +280,12 @@ def _check_ladder(params):
         for channel in ("u", "v"):
             k = channel_realization(channel, s) + 1.0
             n_start = 0 if channel == "u" else 1
-            for n in range(n_start, n_start + 5):
-                key = _ladder_rule_key(channel, n, s)
-                if key not in rules:
-                    rules[key] = build_rule(*key)
-                up, down = _ladder_projections(channel, n, s, rules[key])
-                ng = n if channel == "u" else n - 1
+            levels = range(n_start, n_start + 5)
+            key = _ladder_rule_key(channel, levels[-1], s)  # order max(32, n + 10): one rule for all five
+            if key not in rules:
+                rules[key] = build_rule(*key)
+            for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rules[key])):
+                ng = n - n_start
                 up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
                 residuals.append(abs(up - up_want) / up_want)
                 if ng >= 1:
@@ -304,9 +300,7 @@ def _check_scaling(params):
     grid = _algebra_grid()
     s = derive_constants(params).s
     fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
-    residuals = []
-    for theta in (0.0, 0.7, -0.7, math.log(2.0)):
-        residuals.append(scaling_identity_residual(theta, fns, grid, s).residual_max)
+    residuals = [rep.residual_max for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, s)]
     return residuals, {"thetas": "0,+-0.7,ln2"}
 
 

@@ -155,8 +155,8 @@ def test_c06_scaling_identities():
     for s in (0.866, 1.5):
         fns = [sturmian("v", n, s) for n in (1, 2, 4)]
         fns += [sturmian("u", n, s) for n in (0, 3)]
-        for theta in (0.0, 0.7, -0.7, math.log(2.0)):
-            worst = max(worst, scaling_identity_residual(theta, fns, grid, s).residual_max)
+        for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, s):
+            worst = max(worst, rep.residual_max)
     ok = worst < 1e-9
     _announce(6, "scaling identities", ok, f" (max={worst:.2e}, tol=1e-9)")
     assert ok

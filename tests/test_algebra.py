@@ -188,20 +188,20 @@ class TestLadder:
 
 class TestScalingIdentities:
     def test_identity_at_theta_zero(self):
-        rep = scaling_identity_residual(0.0, sturmian_family(0.866), GRID, 0.866)
+        (rep,) = scaling_identity_residual([0.0], sturmian_family(0.866), GRID, 0.866)
         assert rep.residual_max < 1e-14
 
     def test_log_two(self):
-        rep = scaling_identity_residual(math.log(2.0), sturmian_family(0.866), GRID, 0.866)
+        (rep,) = scaling_identity_residual([math.log(2.0)], sturmian_family(0.866), GRID, 0.866)
         assert rep.residual_max < 1e-9
 
     def test_hyperbolic_mixing_at_0p7(self):
-        rep = scaling_identity_residual(0.7, sturmian_family(1.5), GRID, 1.5)
+        (rep,) = scaling_identity_residual([0.7], sturmian_family(1.5), GRID, 1.5)
         assert rep.residual_max < 1e-9
 
     def test_rejects_large_theta(self):
         with pytest.raises(DomainError):
-            scaling_identity_residual(3.5, sturmian_family(0.866), GRID, 0.866)
+            scaling_identity_residual([0.7, 3.5], sturmian_family(0.866), GRID, 0.866)
 
 
 class TestRandomizedLadder:

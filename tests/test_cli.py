@@ -533,3 +533,25 @@ class TestGridValidation:
 def test_non_finite_input_exits_2_without_output(argv, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # a = sqrt((m - E)(m + E)) underflows to 0, and theta = ln a raised a bare ValueError
+    ["wavefunction", "--mass", "1e-162"], ["coherent", "--mass", "1e-170"], ["verify", "--mass", "1e-200"],
+    # a^3 of the closed-form constants raised a bare OverflowError, and from m = 1e154 on
+    # also the coherent norm bracket
+    ["wavefunction", "--mass", "1e105"], ["coherent", "--mass", "1e105"], ["verify", "--mass", "1e105"],
+    ["wavefunction", "--mass", "1e160"], ["coherent", "--mass", "1e160"], ["verify", "--mass", "1e160"],
+], ids=" ".join)
+def test_mass_past_the_double_range_exits_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: a = ") and b"out of double range" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_mass_below_the_cube_overflow_still_prints(capsys):
+    assert cli.main(["coherent", "--mass", "1e102"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert len(doc["rows"]) == 200

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, physical_components, sturmian, verification
+from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, algebra, physical_components, sturmian, verification
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
@@ -30,6 +30,7 @@ from dirac_coulomb.algebra import (
 )
 from dirac_coulomb.quadrature import build_rule, integrate_radial
 from dirac_coulomb.report import VerificationReport
+from dirac_coulomb.special import laguerre
 from test_verify_table import test_each_check_builds_each_distinct_rule_once as _builds_each_rule_once
 
 
@@ -155,6 +156,28 @@ def reference_scaling(theta, fns, grid, sigma):
     return np.concatenate(residuals)
 
 
+def reference_evaluate(r, *sums):
+    """LaguerreSum.evaluate_all as it was before the batch kernel: each sum adds
+    its terms one by one, with one cache of r**power, exp(-decay r) and
+    L_n^alpha(argscale r) shared by all the sums."""
+    rv = np.asarray(r, dtype=float)
+    powers, decays, polys = {}, {}, {}
+    values = []
+    for f in sums:
+        out = np.zeros(rv.shape, dtype=complex)
+        for (p, d, n, a, b), c in f._map.items():
+            if p not in powers:
+                powers[p] = rv ** p
+            if d not in decays:
+                decays[d] = np.exp(-d * rv)
+            if (n, a, b) not in polys:
+                polys[n, a, b] = laguerre(n, a, b * rv)
+            out += c * powers[p] * decays[d] * polys[n, a, b]
+        out = out.real if f.is_real else out
+        values.append(out.item() if np.isscalar(r) else out)
+    return values
+
+
 def reference_merge(pairs):
     merged = {}
     for key, coef in pairs:
@@ -249,6 +272,7 @@ def test_casimir_and_a0_residuals(problem, monkeypatch):
 
 @pytest.mark.parametrize("channel", ["u", "v"])
 def test_gram_entries(problem, channel, monkeypatch):
+    # all 78 entries of a family are the rows of one integral, each with the bits of its own
     entries = []
     original = verification.integrate_radial
 
@@ -260,7 +284,7 @@ def test_gram_entries(problem, channel, monkeypatch):
     for s in verification._s_grid(problem):
         worst = verification._gram_residual(channel, s, 12)
         want = reference_gram(channel, s, 12)
-        assert entries == want
+        assert len(entries) == 1 and np.array(entries[0]).tobytes() == np.array(want).tobytes()
         targets = [1.0 if i == j else 0.0 for i in range(12) for j in range(i, 12)]
         assert worst == max(abs(float(np.real(v)) - t) for v, t in zip(want, targets))
         entries.clear()
@@ -287,22 +311,30 @@ def test_ladder_check_matches_per_call_rules(problem):
 
 
 def test_ladder_projections_match_per_call_body(problem):
+    # the levels of one rule are projected together, each as alone
     for s in verification._s_grid(problem):
         for channel in ("u", "v"):
             n_start = 0 if channel == "u" else 1
-            for n in range(n_start, n_start + 5):
-                rule = build_rule(*_ladder_rule_key(channel, n, s))
-                assert _ladder_projections(channel, n, s, rule) == reference_ladder(channel, n, s, rule)
+            levels = range(n_start, n_start + 5)
+            rule = build_rule(*_ladder_rule_key(channel, n_start, s))
+            want = [reference_ladder(channel, n, s, rule) for n in levels]
+            assert _ladder_projections(channel, levels, s, rule) == want
+            assert [_ladder_projections(channel, [n], s, rule)[0] for n in levels] == want
 
 
 def test_scaling_residuals_match_per_call_body(problem, monkeypatch):
     grid = verification._algebra_grid()
     s = verification._s_grid(problem)[-1]
     fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
+    thetas = (0.0, 0.7, -0.7, math.log(2.0), 2.9)
     seen = captured_residuals(monkeypatch)
-    for theta in (0.0, 0.7, -0.7, math.log(2.0), 2.9):
-        scaling_identity_residual(theta, fns, grid, s)
-        assert seen.pop().tobytes() == reference_scaling(theta, fns, grid, s).tobytes()
+    # all thetas in one batch, and each alone
+    reports = scaling_identity_residual(thetas, fns, grid, s)
+    assert [rep.context["theta"] for rep in reports] == list(thetas)
+    for theta in thetas:
+        scaling_identity_residual([theta], fns, grid, s)
+    for got, theta in zip(seen, [*thetas, *thetas]):
+        assert got.tobytes() == reference_scaling(theta, fns, grid, s).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -334,21 +366,37 @@ def test_default_verify_builds_26_rules_over_25_keys(default_params, default_con
 
 
 def test_oracles_compute_each_laguerre_factor_once(default_params, default_constants, monkeypatch):
+    # each (alpha, argscale r) recurrence runs once per evaluate_all call, through laguerre
+    # for a lone degree and through laguerre_sequence for several
     from dirac_coulomb import radial, radialfn, spectrum
 
-    computed = []
-    original = radialfn.laguerre
+    runs, calls = [], []
+    original_all, original_laguerre, original_sequence = (
+        LaguerreSum.evaluate_all, radialfn.laguerre, radialfn.laguerre_sequence)
 
-    def recorded(n, alpha, x):
-        computed.append((n, alpha, np.asarray(x).tobytes()))
-        return original(n, alpha, x)
+    def kernel(r, *sums):
+        calls.append(len(runs))
+        return original_all(r, *sums)
+
+    def lone(n, alpha, x):
+        runs.append((alpha, np.asarray(x).tobytes()))
+        return original_laguerre(n, alpha, x)
+
+    def sequence(alpha, x):
+        runs.append((alpha, np.asarray(x).tobytes()))
+        return original_sequence(alpha, x)
 
     def once(call):
-        computed.clear()
+        runs.clear()
+        calls.clear()
         call()
-        assert computed and len(computed) == len(set(computed))
+        assert calls and runs
+        for start, end in zip(calls, [*calls[1:], len(runs)]):
+            assert len(set(runs[start:end])) == end - start
 
-    monkeypatch.setattr(radialfn, "laguerre", recorded)
+    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    monkeypatch.setattr(radialfn, "laguerre", lone)
+    monkeypatch.setattr(radialfn, "laguerre_sequence", sequence)
     s, grid = default_constants.s, verification._algebra_grid()
     for n in (1, 2, 5):
         level = spectrum.bound_level(n, default_params, default_constants)
@@ -357,28 +405,117 @@ def test_oracles_compute_each_laguerre_factor_once(default_params, default_const
             once(lambda: radial.ode_residual_second_order(component, level, default_constants,
                                                           channel=channel))
     for channel, n in (("u", 0), ("u", 3), ("v", 1), ("v", 4)):
-        once(lambda: _ladder_projections(channel, n, s, build_rule(*_ladder_rule_key(channel, n, s))))
-        once(lambda: scaling_identity_residual(0.7, [sturmian(channel, n, s)], grid, s))
+        once(lambda: _ladder_projections(channel, [n, n + 1], s, build_rule(*_ladder_rule_key(channel, n, s))))
+        once(lambda: scaling_identity_residual([0.7, -0.7], [sturmian(channel, n, s)], grid, s))
+    once(lambda: su11_commutator_report("v", s, range(1, 11), grid))
 
 
 @pytest.mark.parametrize("channel", ["u", "v"])
 def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
-    made, evaluated = [], Counter()
-    original_evaluate = LaguerreSum.evaluate
+    made, gathered = [], []
+    original_all = LaguerreSum.evaluate_all
 
-    def counted(self, *args):
-        evaluated[id(self)] += 1
-        return original_evaluate(self, *args)
+    def kernel(r, *sums):
+        gathered.append(sums)
+        return original_all(r, *sums)
 
     def recorded(*args):
         made.append(sturmian(*args))
         return made[-1]
 
-    monkeypatch.setattr(LaguerreSum, "evaluate", counted)
+    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
     monkeypatch.setattr(verification, "sturmian", recorded)
     verification._gram_residual(channel, 0.866, 12)
     assert len(made) == 12
-    assert [evaluated[id(f)] for f in made] == [1] * 12
+    assert len(gathered) == 1 and [id(f) for f in gathered[0]] == [id(f) for f in made]
+
+
+@pytest.mark.parametrize("levels", [range(1, 11), range(1, 4), range(2, 9)])
+def test_family_pass_makes_one_kernel_call_per_block(levels, monkeypatch):
+    # blocks of algebra._BLOCK Sturmians, 11 sums each, all images dropped between blocks
+    blocks = []
+    original_all = LaguerreSum.evaluate_all
+
+    def kernel(r, *sums):
+        blocks.append(len(sums))
+        return original_all(r, *sums)
+
+    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    su11_commutator_report("v", 0.866, levels, verification._algebra_grid())
+    sizes = [min(algebra._BLOCK, len(levels) - start) for start in range(0, len(levels), algebra._BLOCK)]
+    assert algebra._BLOCK == 5
+    assert blocks == [11 * size for size in sizes]
+
+
+# ----------------------------------------------------------------------
+# the batch kernel keeps the bits of the term-by-term loop
+
+
+def same_bits(got, want):
+    """Equal values (nan matching nan), equal types and equal signs of every part."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def family_block(channel, s, levels):
+    """The sums one block of a family pass hands the kernel: 11 per Sturmian."""
+    sigma = channel_realization(channel, s)
+    cent = sigma * (sigma + 1.0)
+    sums = []
+    for n in levels:
+        f = sturmian(channel, n, s)
+        true = dict(zip(algebra._LADDER, algebra._ladder_images(f, cent)))
+        second = {kind: dict(zip(algebra._LADDER, algebra._ladder_images(g, cent)))
+                  for kind, g in true.items() if kind is not OperatorKind.A1}
+        sums += [f, *(true[kind] for kind in second)]
+        for x, y, _ in SU11_RELATIONS.values():
+            sums += [second[y][x], second[x][y]]
+        sums.append(second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
+                    + second[OperatorKind.K0][OperatorKind.K0] - true[OperatorKind.K0])
+    return sums
+
+
+def tiny_sums():
+    # coefficients near and below the smallest normal double
+    return [LaguerreSum.single(1e-310, power=0.87, decay=0.6, degree=2, alpha=2.1, argscale=2.0),
+            LaguerreSum.single(-1e-300, power=1.87, decay=0.6, degree=3, alpha=2.1, argscale=2.0)
+            + LaguerreSum.single(1e-310, power=0.5, decay=1.0)]
+
+
+KERNEL_BLOCKS = {
+    "repeated_keys": lambda: [mixed_sum().derivative(), mixed_sum().derivative().derivative()],
+    "complex": lambda: [mixed_sum(), mixed_sum() * (0.5 - 2j)],
+    "tiny": tiny_sums,
+    "empty": lambda: [mixed_sum() - mixed_sum(), sturmian("v", 2, 0.866), mixed_sum() - mixed_sum()],
+    "mixed_real_and_complex": lambda: [sturmian("u", 3, 1.5), mixed_sum(), *tiny_sums(), sturmian("v", 1, 1.5)],
+    "family_block_v": lambda: family_block("v", 0.866, range(1, 6)),
+    "family_block_u": lambda: family_block("u", 2.2, range(5, 7)),
+    # r**300 overflows: the float products give inf where the complex ones give nan
+    "overflow": lambda: [LaguerreSum.single(1e-300, power=300.0, decay=0.5), sturmian("v", 3, 0.866)],
+}
+
+
+@pytest.mark.parametrize("block", list(KERNEL_BLOCKS))
+@pytest.mark.parametrize("r", [np.geomspace(0.02, 30.0, 57), 1.3, np.array([1.3]), np.geomspace(1.0, 4e3, 9)],
+                         ids=["grid", "scalar", "one_point", "far"])
+def test_kernel_matches_the_term_by_term_loop(block, r):
+    sums = KERNEL_BLOCKS[block]()
+    with np.errstate(all="ignore"):
+        got = LaguerreSum.evaluate_all(r, *sums)
+        want = reference_evaluate(r, *sums)
+    assert len(got) == len(sums)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        same_bits(g, w)
+    if block == "overflow" and not np.isscalar(r) and r.size > 1:
+        assert np.isnan(got[0]).any()
+
+
+def test_kernel_of_no_sums():
+    assert LaguerreSum.evaluate_all(np.geomspace(0.1, 1.0, 5)) == ()
 
 
 # ----------------------------------------------------------------------
