@@ -14,7 +14,6 @@ never differencing error.  Coefficients and decay rates may be complex
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from math import exp
 from typing import NamedTuple
 
@@ -25,8 +24,9 @@ from .special import laguerre, laguerre_sequence
 
 __all__ = ["LaguerreTerm", "LaguerreSum"]
 
-# evaluate_all sums up to this many terms one at a time, where a product array costs more than it saves
-_TERM_BY_TERM = 32
+# evaluate_all adds up to this many terms one by one: timed on family-pass sums over 60 and 200
+# points, the two ways cross between 16 and 53 terms, where no verify or state op call falls
+_TERM_BY_TERM = 16
 
 
 class LaguerreTerm(NamedTuple):
@@ -87,60 +87,58 @@ class LaguerreSum:
 
     @staticmethod
     def evaluate_all(r, *sums) -> tuple:
-        """Each sum at r (a number or an array).  Each distinct r**power and
-        exp(-decay r) is made once, and the Laguerre values by one
-        laguerre_sequence run per (alpha, argscale).  Each sum adds its terms
-        ((coef r^p) e^{-dr}) L in stored order from zero, term by term in
-        complex arithmetic (verification.coherent_truncated_sum repeats this
-        for one real term); past _TERM_BY_TERM terms at an array r, as one
-        product array added one term position at a time for all sums (a
-        pairwise np.sum would round differently), in float64 when every
-        coefficient and decay is real and the sums are finite: the real part
-        of the complex products bit for bit."""
+        """Each sum at r (a number or an array), making each distinct r**power,
+        exp(-decay r) and Laguerre recurrence once.  Each sum adds its terms
+        ((coef r^p) e^{-dr}) L in complex arithmetic in stored order from zero:
+        term by term (verification.coherent_truncated_sum repeats this for one
+        real term), or, past _TERM_BY_TERM terms at a 1-D r, as one product
+        array added one term position at a time for all sums (np.sum rounds
+        otherwise), in float64 if every coefficient and decay is real and every
+        product finite."""
         scalar = np.isscalar(r)
         rv = np.asarray(r, dtype=float)
-        powers, decays, polys, pi, di, li = {}, {}, {}, [], [], []
-        for f in sums:
-            for p, d, n, a, b in f._map:
-                pi.append(powers.setdefault(p, len(powers)))
-                di.append(decays.setdefault(d, len(decays)))
-                li.append(polys.setdefault((n, a, b), len(polys)))
-        degrees, lag = {}, {}
-        for n, a, b in polys:
-            degrees.setdefault((a, b), []).append(n)
-        for (a, b), ns in degrees.items():  # laguerre runs the same recurrence, and rejects n < 0
-            if len(ns) == 1 or min(ns) < 0:
+        index, degrees, lag = {}, {}, {}  # index numbers each distinct key
+        term = [index.setdefault(key, len(index)) for f in sums for key in f._map]
+        for _, _, n, a, b in index:
+            degrees.setdefault((a, b), set()).add(n)
+        for (a, b), ns in degrees.items():
+            if len(ns) == 1 or min(ns) < 0:  # laguerre runs the same recurrence, and rejects n < 0
                 lag.update(((n, a, b), laguerre(n, a, b * rv)) for n in ns)
             else:
                 lag.update(((n, a, b), value) for n, value in zip(range(max(ns) + 1), laguerre_sequence(a, b * rv)))
-        rp, ed, lv = [rv ** p for p in powers], [np.exp(-d * rv) for d in decays], [lag[key] for key in polys]
-        if scalar or len(pi) <= _TERM_BY_TERM:
-            rows, factors = [], zip(pi, di, li)
+        if scalar or rv.ndim != 1 or len(term) <= _TERM_BY_TERM:
+            rows, powers, decays = [], {}, {}
             for f in sums:
                 out = np.zeros(rv.shape, dtype=complex)
-                for c, (i, j, k) in zip(f._map.values(), factors):
-                    out += c * rp[i] * ed[j] * lv[k]
+                for (p, d, n, a, b), c in f._map.items():
+                    if p not in powers:
+                        powers[p] = rv ** p
+                    if d not in decays:
+                        decays[d] = np.exp(-d * rv)
+                    out += c * powers[p] * decays[d] * lag[n, a, b]
                 rows.append(out.real if f.is_real else out)
             return tuple(row.item() if scalar else row for row in rows)
         # the product array holds the first terms of all sums, longest sums first, then
         # their second terms, ...: the sums with a j-th term are a prefix
         lens = np.array([len(f) for f in sums])
         row = np.argsort(np.argsort(-lens, kind="stable"))
-        position = np.arange(len(pi)) - np.repeat(np.cumsum(lens) - lens, lens)
+        position = np.arange(len(term)) - np.repeat(np.cumsum(lens) - lens, lens)
         layout = np.lexsort((np.repeat(row, lens), position))
         counts = np.bincount(position).tolist()
-        coefs = np.array([c for f in sums for c in f._map.values()], dtype=complex)[layout]
-        rp, ed, lv = (np.array(table)[np.array(index)[layout]] for table, index in ((rp, pi), (ed, di), (lv, li)))
-        for real in (True, False) if not coefs.imag.any() and not any(d.imag for d in decays) else (False,):
-            with np.errstate(over="ignore", invalid="ignore") if real else nullcontext():  # complex warns as before
-                prod = (coefs.real if real else coefs)[:, None] * rp
-                prod *= ed.real if real else ed
-                prod *= lv
-                out = np.zeros((len(sums), rv.size), dtype=prod.dtype)
-                for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
-                    out[:count] += prod[start:start + count]
-            if not real or np.isfinite(out).all():
-                break
+        coefs = np.array([c for f in sums for c in f._map.values()], dtype=complex)[layout, None]
+        powers = {p: rv ** p for p in {key[0] for key in index}}
+        decays = {d: np.exp(-d * rv) for d in {key[1] for key in index}}
+        term = np.array(term, dtype=np.intp)[layout]
+        rp, ed, lv = (np.array(table)[term] for table in zip(*(
+            (powers[p], decays[d], lag[n, a, b]) for p, d, n, a, b in index)))
+        real = not coefs.imag.any() and not any(d.imag for d in decays)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = coefs.real * rp * ed.real * lv if real else None
+        if not real or not np.isfinite(prod).all():  # finite, they are the complex products' real parts
+            real, prod = False, coefs * rp * ed * lv
+        out = np.zeros((len(sums), rv.size), dtype=prod.dtype)
+        for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
+            out[:count] += prod[start:start + count]
         return tuple(out[i] if real or not f.is_real else out[i].real for i, f in zip(row.tolist(), sums))
 
     def derivative(self) -> "LaguerreSum":

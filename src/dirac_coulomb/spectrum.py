@@ -68,12 +68,15 @@ def omega(e: float, mass: float, constants: DerivedConstants) -> float:
 
 
 def scale_and_theta(e: float, mass: float) -> tuple[float, float]:
-    """a = sqrt(m^2 - E^2) > 0 and theta = ln a; requires |E| < m strictly, a != 0
-    (m below about 1e-160) and a finite a^3 for the closed-form constants (m past 1e103)."""
+    """a = sqrt(m^2 - E^2) and theta = ln a; requires |E| < m, a > 0 and a finite a^3 (m in about 1e-160..1e103)."""
     if abs(e) >= mass:
         raise NoBoundState(f"|E| = {abs(e):.6g} >= m = {mass:.6g}: not a bound scale")
     a = math.sqrt((mass - e) * (mass + e))
-    if a == 0.0 or a * a * a == math.inf:
+    try:
+        cube = a**3  # as the closed-form constants take it
+    except OverflowError:
+        cube = math.inf
+    if a == 0.0 or cube == math.inf:
         raise NoBoundState(f"a = {a:.6g} at m = {mass:.6g}: the bound scale or its cube is out of double range")
     return a, math.log(a)
 

@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -77,22 +76,20 @@ XI_GRID = (0.2, 0.4, 0.6)
 def generating_reference_sum(nu: float, y: complex, x: float,
                              rel_tail: float = 1e-16) -> complex:
     """Truncated sum_n L_n^nu(x) y^n, extended until the running term is
-    negligible for four consecutive degrees (at most 4000): the terms and the
-    running sums from zero, with the bits of a loop, over a window of degrees
-    that doubles until the stop falls inside it."""
+    negligible for several consecutive degrees."""
     y = complex(y)
-    sequence = laguerre_sequence(nu, x)
-    values = []
-    size = 64
-    while True:
-        values += islice(sequence, size - len(values))
-        terms = np.array(values) * np.array([y**n for n in range(size)])
-        totals = np.cumsum(np.concatenate(([0j], terms)))[1:]
-        quiet = np.hypot(terms.real, terms.imag) <= rel_tail * np.maximum(np.hypot(totals.real, totals.imag), 1.0)
-        stops = np.flatnonzero(quiet[:-3] & quiet[1:-2] & quiet[2:-1] & quiet[3:])
-        if stops.size or size == 4000:
-            return complex(totals[stops[0] + 3] if stops.size else totals[-1])
-        size = min(2 * size, 4000)
+    total = 0.0 + 0.0j
+    quiet = 0
+    for n, value in zip(range(4000), laguerre_sequence(nu, x)):
+        term = value * y**n
+        total += term
+        if abs(term) <= rel_tail * max(abs(total), 1.0):
+            quiet += 1
+            if quiet >= 4:
+                break
+        else:
+            quiet = 0
+    return total
 
 
 def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray,

@@ -14,7 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dirac_coulomb import Alignment, LaguerreSum, ProblemParams, algebra, physical_components, sturmian, verification
+from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, physical_components, sturmian,
+                           verification)
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
@@ -495,12 +496,16 @@ KERNEL_BLOCKS = {
     "family_block_u": lambda: family_block("u", 2.2, range(5, 7)),
     # r**300 overflows: the float products give inf where the complex ones give nan
     "overflow": lambda: [LaguerreSum.single(1e-300, power=300.0, decay=0.5), sturmian("v", 3, 0.866)],
+    # finite products whose sums overflow: the float sums reach the same inf as the complex real parts
+    "sum_overflow": lambda: [LaguerreSum(LaguerreTerm(sign * 1.5e307, 0.01 * k, 0.0) for k in range(17))
+                             for sign in (1.0, -1.0)],
 }
 
 
 @pytest.mark.parametrize("block", list(KERNEL_BLOCKS))
-@pytest.mark.parametrize("r", [np.geomspace(0.02, 30.0, 57), 1.3, np.array([1.3]), np.geomspace(1.0, 4e3, 9)],
-                         ids=["grid", "scalar", "one_point", "far"])
+@pytest.mark.parametrize("r", [np.geomspace(0.02, 30.0, 57), 1.3, np.array([1.3]), np.geomspace(1.0, 4e3, 9),
+                               np.array(1.3), np.geomspace(0.02, 30.0, 57).reshape(3, 19)],
+                         ids=["grid", "scalar", "one_point", "far", "zero_d", "two_d"])
 def test_kernel_matches_the_term_by_term_loop(block, r):
     sums = KERNEL_BLOCKS[block]()
     with np.errstate(all="ignore"):
@@ -510,7 +515,7 @@ def test_kernel_matches_the_term_by_term_loop(block, r):
     for g, w in zip(got, want):
         assert type(g) is type(w)
         same_bits(g, w)
-    if block == "overflow" and not np.isscalar(r) and r.size > 1:
+    if block == "overflow" and np.size(r) > 1:
         assert np.isnan(got[0]).any()
 
 

@@ -127,6 +127,26 @@ class TestScaleAndTheta:
         with pytest.raises(NoBoundState):
             scale_and_theta(-1.2, 1.0)
 
+    @pytest.mark.parametrize("ulps", range(-3, 4))
+    def test_largest_scale_is_the_last_with_a_finite_cube(self, ulps):
+        # the closed-form constants take a**3, which raises OverflowError from about 5.6438e102 on
+        mass = float.fromhex("0x1.428a2f98d728bp+341")
+        for _ in range(abs(ulps)):
+            mass = math.nextafter(mass, math.copysign(math.inf, ulps))
+        want = math.sqrt(mass * mass)
+        try:
+            want**3
+        except OverflowError:
+            with pytest.raises(NoBoundState):
+                scale_and_theta(0.0, mass)
+        else:
+            assert scale_and_theta(0.0, mass)[0] == want
+
+    def test_rejects_a_scale_that_underflows(self):
+        with pytest.raises(NoBoundState):
+            scale_and_theta(0.0, 1e-170)
+        assert scale_and_theta(0.0, 1e-150)[0] == math.sqrt(1e-150 * 1e-150)
+
 
 class TestInvariants:
     def test_sommerfeld_reduction_grid(self):
