@@ -129,13 +129,15 @@ class LaguerreSum:
         powers = {p: rv ** p for p in {key[0] for key in index}}
         decays = {d: np.exp(-d * rv) for d in {key[1] for key in index}}
         term = np.array(term, dtype=np.intp)[layout]
-        rp, ed, lv = (np.array(table)[term] for table in zip(*(
+        rp, ed, lv = (np.array(table) for table in zip(*(
             (powers[p], decays[d], lag[n, a, b]) for p, d, n, a, b in index)))
         real = not coefs.imag.any() and not any(d.imag for d in decays)
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = coefs.real * rp * ed.real * lv if real else None
+        with np.errstate(over="ignore", invalid="ignore"):  # in place: each new terms x points array page-faults
+            prod = rp[term] * coefs.real if real else None
+            for table in (ed.real, lv) if real else ():
+                prod *= table[term]
         if not real or not np.isfinite(prod).all():  # finite, they are the complex products' real parts
-            real, prod = False, coefs * rp * ed * lv
+            real, prod = False, coefs * rp[term] * ed[term] * lv[term]
         out = np.zeros((len(sums), rv.size), dtype=prod.dtype)
         for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
             out[:count] += prod[start:start + count]
