@@ -10,6 +10,7 @@ supply any value; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,8 +60,11 @@ def _number_or_text(text: str) -> str:
     return text
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The flags every subcommand takes."""
+@functools.cache
+def _common_arguments() -> argparse.ArgumentParser:
+    """The flags every subcommand takes: the parent of each subparser, and the
+    flag definitions a config file is checked against."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file; explicit flags override its values")
     parser.add_argument("--dimension", type=int, default=None, help="spatial dimension D >= 2")
@@ -92,42 +96,27 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentP
     return parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser; with ``command``, only that subcommand's parser, which
-    has the same prog and arguments as the full parser's subparser."""
-    if command is not None:
-        parser = _add_common_arguments(argparse.ArgumentParser(prog=f"{_PROG} {command}"))
-        subparsers = {command: parser}
-    else:
-        parser = argparse.ArgumentParser(
-            prog=_PROG,
-            description="Relativistic Kepler-Coulomb bound states, radial spinors and "
-                        "SU(1,1) coherent states in D+1 dimensions, with built-in verification.",
-        )
-        parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-        sub = parser.add_subparsers(dest="command", required=True)
-        common = _add_common_arguments(argparse.ArgumentParser(add_help=False))
-        subparsers = {name: sub.add_parser(name, parents=[common], help=help_text)
-                      for name, help_text in _SUBCOMMAND_HELP.items()}
-    if "verify" in subparsers:
-        subparsers["verify"].add_argument("--_perturb", dest="perturb", action="store_true",
-                                          help=argparse.SUPPRESS)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: one subparser per subcommand, each with the common flags."""
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Relativistic Kepler-Coulomb bound states, radial spinors and "
+                    "SU(1,1) coherent states in D+1 dimensions, with built-in verification.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {name: sub.add_parser(name, parents=[_common_arguments()], help=help_text)
+                  for name, help_text in _SUBCOMMAND_HELP.items()}
+    subparsers["verify"].add_argument("--_perturb", dest="perturb", action="store_true",
+                                      help=argparse.SUPPRESS)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as the full parser does, building only the named subcommand's
-    parser when that gives the same result.  The full parser handles every
-    other argv: no subcommand, --help or --version first, arguments the
-    subcommand leaves unrecognized (reported with the top-level usage), and
-    a '--=...' token, which the top level reads as an ambiguous option."""
-    command = argv[0] if argv and argv[0] in _SUBCOMMAND_HELP else None
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
-        args, extras = build_parser(command).parse_known_args(argv[1:])
-        if not extras:
-            args.command = command
-            return args
-    return build_parser().parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one full parser, built on first use; build_parser is looked
+    up when it is called, so a caller may rebind it before then."""
+    return build_parser()
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -136,11 +125,11 @@ def _apply_config(args: argparse.Namespace) -> None:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise _UsageError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise _UsageError("config file must hold a single JSON object")
-    flags = _add_common_arguments(argparse.ArgumentParser(add_help=False))._actions
+    flags = _common_arguments()._actions
     unknown = set(config) - ({action.dest for action in flags} - {"config"})
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -290,8 +279,11 @@ def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
 
 def _write_text(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as exc:  # ValueError: a config path with a NUL or a lone surrogate
+            raise _UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -318,7 +310,10 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
         disc = nu * nu + av * av - as_ * as_
         e = m * (-av * as_ + nu * np.sqrt(disc)) / (av * av + nu * nu)
         e = np.where(np.abs(e) > m, np.copysign(m, e), e)
-        a = np.sqrt(np.maximum((m - e) * (m + e), 0.0))
+        a_sq = np.maximum((m - e) * (m + e), 0.0)
+        # at m far from 1 the product leaves the normal doubles; there take each root apart
+        a = np.where((a_sq >= sys.float_info.min) & (a_sq <= sys.float_info.max),
+                     np.sqrt(a_sq), np.sqrt(m - e) * np.sqrt(m + e))
     status = np.where(s_sq <= 0.0, "supercritical",
                       np.where(disc < 0.0, "no_bound_state", "ok")).ravel().tolist()
     null = token(None, fmt)
@@ -440,7 +435,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         _apply_config(args)
         _fill_defaults(args)

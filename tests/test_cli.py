@@ -555,3 +555,78 @@ def test_mass_below_the_cube_overflow_still_prints(capsys):
     assert cli.main(["coherent", "--mass", "1e102"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert len(doc["rows"]) == 200
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    # open() raised FileNotFoundError or IsADirectoryError, exit 1 like a failed verify
+    out = tmp_path / "no" / "x.json" if target == "missing_dir" else tmp_path
+    assert cli.main([command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("out", ["a\x00b", "\ud800"], ids=["nul", "lone_surrogate"])
+def test_out_path_that_open_refuses_exits_2(out, tmp_path):
+    # open() raised ValueError, or UnicodeEncodeError, on a path only a config file can give
+    config = tmp_path / "out.json"
+    config.write_text(json.dumps({"out": out}))
+    proc = run_cli("spectrum", "--config", str(config))
+    assert proc.returncode == 2
+    assert proc.stdout == b"" and proc.stderr.startswith(b"error: cannot write ")
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe",  # not UTF-8: UnicodeDecodeError
+    b'{"n": ' + b"1" * 5000 + b"}",  # int() refuses more than 4300 digits
+    b"[" * 100_000 + b"]" * 100_000,  # the decoder's recursion limit
+], ids=["not_utf8", "long_integer", "deep_nesting"])
+def test_unreadable_config_exits_2(data, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(data)
+    assert cli.main(["spectrum", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config file {config}: ")
+
+
+@pytest.mark.parametrize("mass", ["1e-300", "1e-200", "1e-160", "1e155", "1e300"])
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_scale_a_is_covariant_across_the_double_range(command, mass, capsys):
+    # (m - E)(m + E) left the normal doubles: scale_a printed inf, 0, or lost digits.  Weak
+    # couplings are left out: there m - E cancels, and scale_a / m moves by 1e-13 at any mass.
+    argv = [command, "--n", "1..3"] + (["--alpha-v", "0.5..0.9..5", "--alpha-s", "0..0.2..3"]
+                                       if command == "sweep" else [])
+
+    def scales(m):
+        assert cli.main(argv + ["--mass", m]) == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["rows"]
+        assert all(row["valid"] for row in rows)
+        return np.array([row["scale_a"] for row in rows]) / float(m)
+
+    np.testing.assert_allclose(scales(mass), scales("1"), rtol=1e-14, atol=0)
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    build_parser, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": "1..2", "mass": 2.0}))
+    runs = [["spectrum"], ["wavefunction"], ["coherent"], ["verify"], ["sweep"], ["--help"],
+            ["--version"], ["spectrum", "--mass", "abc"], ["spectrum", "--config", str(config)]]
+    for argv in runs:
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert len(built) == 1
