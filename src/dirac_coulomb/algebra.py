@@ -10,19 +10,21 @@ k = sigma + 1), are
 
 with the ladder identification K+- = A1 +- i A2 and K0 = A0, which
 reproduces [K0, K+-] = +-K+- and [K-, K+] = 2 K0.  The identification is
-itself one of the tested invariants, not an assumption.  Applied to
-LaguerreSum functions every operator image is exact, so the residuals
-reported here are pure floating-point noise unless an identity is wrong.
+itself one of the tested invariants, not an assumption.
 
-All four generator images of a function come from one place,
-_ladder_images, which shares the derivative, the P_r^2 chain and the term
-r P_r^2 + sigma(sigma+1)/r between them.  The pointwise algebra is
-checked one family of Sturmians at a time: a single pass builds the ladder
-images of each function and of each of those images, and evaluates them a
-block of Sturmians per LaguerreSum.evaluate_all batch, so each image serves
-every identity that needs it: the three commutator relations, the Casimir
+Each generator is L = a2 D^2 + a1 D + a0 with a2 = -r/2, a1 = t r - 1 and
+a0 = sigma(sigma+1)/(2r) +- r/2 + t (t = 0 for K0 and A1, +-1 for K+-; +r/2
+for K0 alone), and the checks apply it to jets: the values of f, f', ...,
+f^(k) on a grid, from the exact derivatives of a LaguerreSum.  By Leibniz
+the image of an order-k jet is an order-(k-2) jet (_image), so one
+LaguerreSum.evaluate_all call of the jets (f, ..., f^(4)) of a family of
+Sturmians gives every first- and second-order image as (Sturmian, point)
+arrays, for the three commutator relations, the Casimir
 -K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n
-(su11_commutator_report).
+(su11_commutator_report); the residuals are floating-point noise unless an
+identity is wrong.  The ladder projections and the dilation identities take
+order-2 jets.  RadialOperator.apply builds the exact symbolic image
+(_ladder_images) that the tests hold the jets to.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -133,8 +136,36 @@ SU11_RELATIONS = {
 }
 
 
-# Sturmians per evaluate_all call of a family pass: a whole family, 1,100 terms, is no faster
-_BLOCK = 5
+# a generator L = -r/2 D^2 + (t r - 1) D + cent/(2r) + h r + t, as (t, h): K+- = A1 +- (r D + 1)
+_COEFFICIENTS = {OperatorKind.A0: (0.0, 0.5), OperatorKind.K0: (0.0, 0.5), OperatorKind.A1: (0.0, -0.5),
+                 OperatorKind.KPLUS: (1.0, -0.5), OperatorKind.KMINUS: (-1.0, -0.5)}
+
+
+def _jets(r: np.ndarray, functions, order: int) -> np.ndarray:
+    """f, f', ..., f^(order) of each function on r, as an (order + 1, function,
+    point) array: the exact derivatives, which each LaguerreSum keeps, all
+    evaluated in one LaguerreSum.evaluate_all call."""
+    sums = []
+    for f in functions:
+        sums.append(f)
+        for _ in range(order):
+            sums.append(sums[-1].derivative())
+    values = np.array(LaguerreSum.evaluate_all(r, *sums))
+    return values.reshape(-1, order + 1, r.size).swapaxes(0, 1)
+
+
+def _image(kind: OperatorKind, centrifugal: float, jet, r: np.ndarray) -> list[np.ndarray]:
+    """The jet of L g, two orders shorter than the jet of g on r, for the
+    generator L = a2 D^2 + a1 D + a0 of ``kind``, by Leibniz:
+    (L g)^(m) = sum_j C(m, j) (a2^(j) g^(m-j+2) + a1^(j) g^(m-j+1) + a0^(j) g^(m-j)).
+    a2 = -r/2 and a1 = t r - 1 are linear; a0 = cent/(2r) + h r + t has the
+    exact derivatives of cent/(2r), (-1)^j j! cent / (2 r^(j+1))."""
+    t, h = _COEFFICIENTS[kind]
+    orders = len(jet) - 2
+    a0 = [centrifugal / (2.0 * r) + h * r + t, h - centrifugal / (2.0 * r * r)]
+    a0 += [(-1.0) ** j * math.factorial(j) * centrifugal / (2.0 * r ** (j + 1)) for j in range(2, orders)]
+    return [-0.5 * r * jet[m + 2] + (t * r - 1.0 - 0.5 * m) * jet[m + 1] + m * t * jet[m]
+            + sum(math.comb(m, j) * a0[j] * jet[m - j] for j in range(m + 1)) for m in range(orders)]
 
 
 def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
@@ -145,50 +176,46 @@ def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
     k(k-1) f with Bargmann index k, and of the A0 eigenvalue, A0 f against
     (n + s) f; in one pass.
 
-    For each f the pass builds the ladder images of f and the ladder images
-    of each of those, so every first- and second-order image is built once
-    for all five; the 11 sums of each f are evaluated _BLOCK Sturmians per
-    LaguerreSum.evaluate_all call, into (Sturmian, point) residuals.  A
-    ``fault_centrifugal`` other than None replaces sigma(sigma+1) in the
-    commuted pair only (the Z side keeps the true realization); the three
-    operators close su(1,1) for any constant when perturbed together, so this
-    is the injection that actually exposes a wrong realization.  The Casimir
-    takes its images from the commuted pair, so the fault reaches it too; A0 f
-    is the Z side's K0 f.
+    The pass evaluates the jets (f, f', ..., f^(4)) of the whole family in
+    one LaguerreSum.evaluate_all call, as (Sturmian, point) arrays, and
+    applies the generators to them as differential operators (_image): K0 f,
+    K+ f and K- f as jets of order 2, then each second-order image X Y f as
+    a value.  A ``fault_centrifugal`` other than None replaces sigma(sigma+1)
+    in the commuted pair only (the Z side keeps the true realization); the
+    three operators close su(1,1) for any constant when perturbed together,
+    so this is the injection that actually exposes a wrong realization.  The
+    Casimir takes its images from the commuted pair, so the fault reaches it
+    too; A0 f is the Z side's K0 f.
     """
     sigma = channel_realization(channel, s)
     k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
     pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
-    residuals = {name: [] for name in (*SU11_RELATIONS, "casimir", "a0_eigenvalue")}
-    for block in (levels[i:i + _BLOCK] for i in range(0, len(levels), _BLOCK)):
-        sums = []
-        for n in block:
-            f = sturmian(channel, n, s)
-            true = dict(zip(_LADDER, _ladder_images(f, true_cent)))
-            pair = true if fault_centrifugal is None else dict(zip(_LADDER, _ladder_images(f, pair_cent)))
-            # second[Y][X] is X Y f
-            second = {kind: dict(zip(_LADDER, _ladder_images(g, pair_cent))) for kind, g in pair.items()
-                      if kind is not OperatorKind.A1}
-            # f; the true K0 f, K+ f and K- f (the Z sides, and A0 f); X Y f, Y X f; the Casimir side
-            sums += [f, *(true[kind] for kind in second),
-                     *(g for x, y, _ in SU11_RELATIONS.values() for g in (second[y][x], second[x][y])),
-                     second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
-                     + second[OperatorKind.K0][OperatorKind.K0] - pair[OperatorKind.K0]]
-        fv, *zs, lhs = np.array(LaguerreSum.evaluate_all(grid, *sums)).reshape(len(block), -1, grid.size).swapaxes(0, 1)
-        zvals = dict(zip((OperatorKind.K0, OperatorKind.KPLUS, OperatorKind.KMINUS), zs[:3]))
-        for (name, (_, _, expected)), xy, yx in zip(SU11_RELATIONS.items(), zs[3::2], zs[4::2]):
-            zval = np.zeros(fv.shape, dtype=complex)
-            for coef, z in expected:
-                zval = zval + coef * np.asarray(zvals[z], dtype=complex)
-            # f itself joins the scale so that identically annihilated states
-            # (K- on the lowest one) do not reduce the residual to 0/0 noise
-            residuals[name].extend(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
-        rhs = k_barg * (k_barg - 1.0) * fv
-        residuals["casimir"].extend(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
-        lhs = zvals[OperatorKind.K0]
-        rhs = np.array([n + s for n in block])[:, None] * fv
-        residuals["a0_eigenvalue"].extend(_relative_residual(lhs - rhs, [lhs, rhs]))
+    jet = _jets(grid, [sturmian(channel, n, s) for n in levels], 4)
+    fv = jet[0]
+    ladder = (OperatorKind.K0, OperatorKind.KPLUS, OperatorKind.KMINUS)
+    first = {kind: _image(kind, pair_cent, jet, grid) for kind in ladder}
+    true = {kind: (first[kind] if fault_centrifugal is None else _image(kind, true_cent, jet[:3], grid))[0]
+            for kind in ladder}
+
+    @cache
+    def second(x, y):  # X Y f, each built once
+        return _image(x, pair_cent, first[y], grid)[0]
+
+    residuals = {}
+    for name, (x, y, expected) in SU11_RELATIONS.items():
+        xy, yx = second(x, y), second(y, x)
+        zval = sum(coef * true[z] for coef, z in expected)
+        # f itself joins the scale so that identically annihilated states
+        # (K- on the lowest one) do not reduce the residual to 0/0 noise
+        residuals[name] = list(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
+    lhs = (second(OperatorKind.K0, OperatorKind.K0) - second(OperatorKind.KPLUS, OperatorKind.KMINUS)
+           - first[OperatorKind.K0][0])
+    rhs = k_barg * (k_barg - 1.0) * fv
+    residuals["casimir"] = list(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
+    lhs = true[OperatorKind.K0]
+    rhs = np.array([n + s for n in levels])[:, None] * fv
+    residuals["a0_eigenvalue"] = list(_relative_residual(lhs - rhs, [lhs, rhs]))
     return residuals
 
 
@@ -196,7 +223,7 @@ def su11_commutator_report(channel: str, s: float, levels, grid,
                            tolerance: float = ALGEBRA_TOL,
                            fault_centrifugal: float | None = None) -> list[VerificationReport]:
     """Reports of the su(1,1) structure on the Sturmians sturmian(channel, n, s),
-    n in ``levels``; everything is applied exactly.  First the three
+    n in ``levels``; every operator acts on exact derivatives.  First the three
     relations of SU11_RELATIONS, [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0,
     each over the whole family; then for each Sturmian in turn its ``casimir``
     and ``a0_eigenvalue`` reports, with context channel, n and s.  Every
@@ -233,18 +260,20 @@ def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
 
 def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[float, float]]:
     """ladder_matrix_elements of each n in ``levels``, on one rule that
-    _ladder_rule_key gives them all: the Sturmians and the K+ and K- images of
-    each f_n (one _ladder_images run) in one batch, and one integral of rows."""
+    _ladder_rule_key gives them all: K+ f_n and K- f_n from the jets (f, f', f'')
+    of the Sturmians, all evaluated in one batch, and one integral of rows."""
     sigma = channel_realization(channel, s)
     lowest = 0 if channel == "u" else 1
-    fns = {n: sturmian(channel, n, s) for n in range(max(min(levels) - 1, lowest), max(levels) + 2)}
-    images = [g for n in levels for g in islice(_ladder_images(fns[n], sigma * (sigma + 1.0)), 2, 4)]
-    # on the radii integrate_radial uses at scale 1
-    values = LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns.values(), *images)
-    fv, kp_km = dict(zip(fns, values)), values[len(fns):]
+    first = max(min(levels) - 1, lowest)
+    r = rule.nodes / 2.0  # the radii integrate_radial uses at scale 1
+    jet = _jets(r, [sturmian(channel, n, s) for n in range(first, max(levels) + 2)], 2)
+    fv, at = jet[0], [n - first for n in levels]
+    kp_km = zip(*(_image(kind, sigma * (sigma + 1.0), jet[:, at], r)[0]
+                  for kind in (OperatorKind.KPLUS, OperatorKind.KMINUS)))
     totals = np.real(integrate_radial(lambda r: np.array([
-        row for n, kp, km in zip(levels, kp_km[::2], kp_km[1::2])
-        for row in (fv[n + 1] * kp * r, fv[n - 1] * km * r if n > lowest else abs(km) ** 2 * r)]), 1.0, rule))
+        row for n, (kp, km) in zip(levels, kp_km)
+        for row in (fv[n + 1 - first] * kp * r, fv[n - 1 - first] * km * r if n > lowest else abs(km) ** 2 * r)]),
+        1.0, rule))
     return [(float(up), float(down) if n > lowest else math.sqrt(max(float(down), 0.0)))
             for n, up, down in zip(levels, totals[::2], totals[1::2])]
 
@@ -260,21 +289,24 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigma: float,
         S_-theta A1 S_theta = A0 sinh(theta) + A1 cosh(theta)
         S_-theta (A0 +- A1) S_theta = e^{+-theta} (A0 +- A1)
 
-    The A0 and A1 images of each function, which no theta changes, are built
-    and evaluated once, and every image in one batch.
+    Each side is the A0 or A1 image of a jet (f, f', f''): of the functions
+    on the grid, which serves every theta, and for each theta of the dilated
+    functions f.scaled(theta) on e^-theta r, one batch per theta.
     """
     if any(abs(theta) > 3.0 for theta in thetas):
         raise DomainError(f"|theta| <= 3 expected for the scaling checks, got {thetas}")
     grid = np.asarray(grid, dtype=float)
     fs = list(test_functions)
-    sums = []
-    for f in fs:
-        sums += islice(_ladder_images(f, sigma * (sigma + 1.0)), 2)
-        for theta in thetas:
-            sums += (g.scaled(-theta) for g in islice(_ladder_images(f.scaled(theta), sigma * (sigma + 1.0)), 2))
-    values = np.array(LaguerreSum.evaluate_all(grid, *sums)).reshape(len(fs), len(thetas) + 1, 2, grid.size)
-    (a0f, a1f), reports = values[:, 0].swapaxes(0, 1), []
-    for theta, (conj0, conj1) in zip(thetas, values[:, 1:].transpose(1, 2, 0, 3)):
+    cent = sigma * (sigma + 1.0)
+
+    def a0_a1(jet, r):
+        return [_image(kind, cent, jet, r)[0] for kind in (OperatorKind.A0, OperatorKind.A1)]
+
+    (a0f, a1f), reports = a0_a1(_jets(grid, fs, 2), grid), []
+    for theta in thetas:
+        shrink = math.exp(-theta)  # S_-theta g (r) = e^-theta g(e^-theta r)
+        r = shrink * grid
+        conj0, conj1 = (shrink * g for g in a0_a1(_jets(r, [f.scaled(theta) for f in fs], 2), r))
         ch, sh = math.cosh(theta), math.sinh(theta)
         checks = [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import assemble_coherent_spinor
-from .errors import DiracCoulombError, SupercriticalCoupling
+from .errors import DiracCoulombError, DomainError, SupercriticalCoupling
 from .problem import Alignment, ProblemParams, derive_constants, kappa as kappa_of
 from .radial import (
     assemble_spinor,
@@ -303,6 +303,8 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
     fmt, m = args.format, base.mass
     kap = kappa_of(base.dimension, base.j, base.alignment)
     av, as_ = (c.reshape(-1, 1) for c in np.meshgrid(av_values, as_values, indexing="ij"))
+    if ns[-1] > sys.float_info.max:  # ns ascend; past this n is no double
+        raise DomainError(f"the spectrum formula overflows at n = {ns[-1]}")
     with np.errstate(all="ignore"):  # as silent as float arithmetic
         s_sq = kap * kap - (av + as_) * (av - as_)
         s = np.sqrt(s_sq)
@@ -314,8 +316,14 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
         # at m far from 1 the product leaves the normal doubles; there take each root apart
         a = np.where((a_sq >= sys.float_info.min) & (a_sq <= sys.float_info.max),
                      np.sqrt(a_sq), np.sqrt(m - e) * np.sqrt(m + e))
-    status = np.where(s_sq <= 0.0, "supercritical",
-                      np.where(disc < 0.0, "no_bound_state", "ok")).ravel().tolist()
+    supercritical, unbound = s_sq <= 0.0, disc < 0.0
+    # past about 1.3e154 in a coupling, kappa or n, s or nu * nu overflows: no bound row may print nan
+    broken = ~(supercritical | unbound) & ~(np.isfinite(s) & np.isfinite(disc) & np.isfinite(e) & np.isfinite(a))
+    if broken.any():
+        cell, n = divmod(int(np.flatnonzero(broken)[0]), len(ns))
+        raise DomainError(f"the spectrum formula overflows at alpha_v = {av[cell, 0]:.6g}, "
+                          f"alpha_s = {as_[cell, 0]:.6g}, n = {ns[n]}")
+    status = np.where(supercritical, "supercritical", np.where(unbound, "no_bound_state", "ok")).ravel().tolist()
     null = token(None, fmt)
     s_tok = [null if v <= 0.0 else t for v, t in zip(s_sq.ravel().tolist(), format_reals(s))]
     av_tok, as_tok, n_tok = ([token(v, fmt) for v in values] for values in (av_values, as_values, ns))

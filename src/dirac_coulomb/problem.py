@@ -106,7 +106,9 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     Raises SupercriticalCoupling when kappa^2 <= alpha_v^2 - alpha_s^2,
     where s ceases to be real positive and the bound-state construction
     breaks down.  The boundary s = 0 itself is rejected: it degenerates
-    both the centrifugal term and the Bargmann index.
+    both the centrifugal term and the Bargmann index.  So is an s that
+    overflows to inf (couplings or kappa past about 1.3e154), with a
+    DomainError: no scale, rule or spectrum row is finite there.
     """
     k = kappa(params.dimension, params.j, params.alignment)
     a_plus = params.alpha_v + params.alpha_s
@@ -118,6 +120,9 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
             "no well-defined bound spectrum"
         )
     s = math.sqrt(s_sq)
+    if not math.isfinite(s):
+        raise DomainError(f"s = sqrt(kappa^2 - alpha_v^2 + alpha_s^2) overflows (kappa = {k:.6g}, "
+                          f"alpha_v = {params.alpha_v:.6g}, alpha_s = {params.alpha_s:.6g})")
     return DerivedConstants(
         kappa=k,
         s=s,

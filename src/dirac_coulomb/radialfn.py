@@ -41,9 +41,10 @@ class LaguerreTerm(NamedTuple):
 class LaguerreSum:
     """A finite linear combination of Laguerre-type radial terms, kept as an
     insertion-ordered map (power, decay, degree, alpha, argscale) -> coef.
-    A sum never changes once built, so it keeps its derivative."""
+    A sum never changes once built, so it keeps its derivative and whether it
+    is real, each found when first asked for."""
 
-    __slots__ = ("_map", "_derivative")
+    __slots__ = ("_map", "_derivative", "_real")
 
     def __init__(self, terms):
         self._merge((((t.power, complex(t.decay), t.degree, t.alpha, t.argscale), complex(t.coef))
@@ -67,11 +68,14 @@ class LaguerreSum:
         if 0 in merged.values():
             merged = {k: c for k, c in merged.items() if c != 0}
         self._map = merged
-        self._derivative = None
+        self._derivative = self._real = None
 
     @property
     def is_real(self) -> bool:
-        return all(c.imag == 0.0 and k[1].imag == 0.0 for k, c in self._map.items())
+        """Every coefficient and decay real."""
+        if self._real is None:
+            self._real = all(c.imag == 0.0 and k[1].imag == 0.0 for k, c in self._map.items())
+        return self._real
 
     @classmethod
     def single(cls, coef, power, decay, degree: int = 0, alpha: float = 0.0,
@@ -166,7 +170,7 @@ class LaguerreSum:
         # distinct keys keep their coefficients, which a merge would leave as they are
         out = object.__new__(LaguerreSum)
         out._map = shifted
-        out._derivative = None
+        out._derivative, out._real = None, self._real  # the same coefficients and decays
         return out
 
     def scaled(self, theta: float) -> "LaguerreSum":
@@ -192,7 +196,7 @@ class LaguerreSum:
         # the keys stay distinct, so each product only gets the 0j + of a merge
         out = object.__new__(LaguerreSum)
         out._map = {key: 0j + v for key, c in self._map.items() if (v := c * scalar) != 0}
-        out._derivative = None
+        out._derivative = out._real = None
         return out
 
     __rmul__ = __mul__

@@ -132,15 +132,15 @@ class TestVerifyCommutatorChecks:
             assert original(False)[name](default_params) == inside[name]
 
     def test_casimir_and_a0_build_no_image_in_a_suite(self, default_params, monkeypatch):
-        # they read the memo the commutator checks filled, so they build no ladder image
+        # they read the memo the commutator checks filled, so they evaluate no jet and build no image
         entered = []
-        images = algebra._ladder_images
+        images = algebra._image
         original = verification._registry
         running = [None]
 
-        def counted(g, centrifugal):
+        def counted(kind, centrifugal, jet, r):
             entered.append(running[0])
-            return images(g, centrifugal)
+            return images(kind, centrifugal, jet, r)
 
         def tagged(name, check):
             def run(params):
@@ -148,11 +148,12 @@ class TestVerifyCommutatorChecks:
                 return check(params)
             return run
 
-        monkeypatch.setattr(algebra, "_ladder_images", counted)
+        monkeypatch.setattr(algebra, "_image", counted)
         monkeypatch.setattr(verification, "_registry", lambda perturb: {
             name: tagged(name, check) for name, check in original(perturb).items()})
         run_suite(default_params)
-        assert entered.count("commutator_k0_kplus") == 10 * 10 * 4
+        # per family: K0 f, K+ f, K- f, then the six X Y f of the relations and K0 K0 f
+        assert entered.count("commutator_k0_kplus") == 10 * (3 + 7)
         assert entered.count("casimir") == entered.count("a0_eigenvalue") == 0
 
 

@@ -551,6 +551,22 @@ def test_mass_past_the_double_range_exits_2(argv):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # s = inf: verify's rules raised a LinAlgError, wavefunction blamed a = 0, spectrum printed nan
+    ["verify", "--alpha-s", "1e160"], ["wavefunction", "--alpha-s", "1e200"],
+    ["spectrum", "--alpha-s", "1e200"], ["spectrum", "--dimension", str(10 ** 160)],
+    # s finite, but nu * nu overflows, or s in a later cell of the grid; an n past the doubles raised
+    # OverflowError
+    ["spectrum", "--n", str(10 ** 160)], ["sweep", "--alpha-s", "1e100..1e200..3"], ["spectrum", "--n", str(10 ** 400)],
+], ids=["verify_alpha_s", "wavefunction_alpha_s", "spectrum_alpha_s", "spectrum_dimension", "spectrum_n",
+        "sweep_alpha_s", "spectrum_n_past_the_doubles"])
+def test_spectrum_formula_overflow_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "overflows" in captured.err
+
+
 def test_mass_below_the_cube_overflow_still_prints(capsys):
     assert cli.main(["coherent", "--mass", "1e102"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)

@@ -105,8 +105,7 @@ def test_spectrum_on_any_config_file_exits_0_or_2(config_file):
     check_spectrum_on(*config_file)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: past about 1.3e154 in alpha_s, n or D the spectrum "
-                                       "formula overflows, and the row prints nan with valid true")
+# past about 1.3e154 in alpha_s, n or D the spectrum formula overflows: exit 2, never a nan row
 @pytest.mark.parametrize("config", [{"alpha_s": 1e200}, {"n": 10**160}, {"dimension": 10**160}],
                          ids=["alpha_s", "n", "dimension"])
 def test_spectrum_past_the_formula_overflow_keeps_the_contract(config):

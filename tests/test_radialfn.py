@@ -106,3 +106,23 @@ class TestScaling:
         # measured: |lhs - rhs| / |rhs| <= 3.05 u kappa over 2e5 uniform draws; 8 u kappa is
         # below 1e-13 wherever kappa <= 112, and kappa is 12 at the median point
         assert lhs == pytest.approx(rhs, rel=8.0 * 2.0**-53 * dilation_condition(f, t1 + t2, r), abs=1e-300)
+
+
+def scanned_real(f):
+    """is_real found afresh: every coefficient and decay real."""
+    return all(c.imag == 0.0 and key[1].imag == 0.0 for key, c in f._map.items())
+
+
+def test_cached_is_real_matches_a_fresh_scan():
+    # each way a sum is built, asked twice: the second answer comes from the cache
+    real, complex_coef = sample_sum(), sample_sum() * (0.5 - 2j)
+    complex_decay = LaguerreSum.single(0.7, power=0.87, decay=0.6 + 0.2j, degree=3, alpha=2.1, argscale=2.0)
+    colliding = LaguerreSum.single(1.0, power=1e-17, decay=1.0) + LaguerreSum.single(2.0, power=0.0, decay=1.0)
+    sums = [real, complex_coef, complex_decay, colliding, real - real]
+    for f in list(sums):
+        sums += [f.derivative(), f.times_power(1), f.times_power(-0.5), f * -1.0, f * 1j, f.scaled(0.7),
+                 f + complex_coef, f + real, complex_coef * 1j * 1j]
+    for f in sums:
+        assert f.is_real is f.is_real is scanned_real(f)
+    # a shifted copy keeps its source's flag, found or not
+    assert real.times_power(1)._real is True and sample_sum().times_power(1)._real is None

@@ -1,8 +1,9 @@
 """The verify checks compute each intermediate once and print the same bits.
 
-Each reference below is the per-call code the checks ran before they shared
-work: every operator image rebuilt from its own formula and evaluated with
-fresh caches, one commutator relation at a time, every Sturmian evaluated
+Each reference below is the per-call code the checks would run if they shared
+no work: every jet of a test function built from fresh derivatives and
+evaluated alone, term by term, every operator image taken from its own jet,
+one commutator relation and one Sturmian at a time, every Sturmian evaluated
 inside each Gram integrand, every ladder rule rebuilt, and the LaguerreSum
 operations merged term by term.  Results are compared with ==, never with a
 tolerance.
@@ -61,8 +62,8 @@ FAMILIES = (("v", range(1, 11)), ("u", range(0, 10)))
 
 
 def reference_apply(op, f):
-    """op.apply(f) as it was written before the generators shared their parts:
-    one formula per kind, K+- building their own A1 image."""
+    """RadialOperator.apply(f) as it was written before the generators shared
+    their parts: one formula per kind, K+- building their own A1 image."""
     kind = op.kind
     if kind in (OperatorKind.A0, OperatorKind.A1, OperatorKind.K0):
         sign = -1.0 if kind is OperatorKind.A1 else 1.0
@@ -84,12 +85,28 @@ def su11_relation(name, sigma, fault_centrifugal):
     )
 
 
+def reference_jet(f, r, order):
+    """f, f', ..., f^(order) on r, each derivative built afresh and evaluated alone."""
+    jet = [reference_evaluate(r, f)[0]]
+    for _ in range(order):
+        f = LaguerreSum._of(f._map.items()).derivative()
+        jet.append(reference_evaluate(r, f)[0])
+    return jet
+
+
+def image(op, jet, r):
+    """The jet of op g from the jet of g on r."""
+    return algebra._image(op.kind, op._cent(), jet, r)
+
+
+def twice(x, y, f, r):
+    """X Y f on r, from f's own jet."""
+    return image(x, image(y, reference_jet(f, r, 4), r), r)[0]
+
+
 def reference_commutator(x, y, expected, f, grid):
-    xy = reference_apply(x, reference_apply(y, f))(grid)
-    yx = reference_apply(y, reference_apply(x, f))(grid)
-    zval = np.zeros(grid.shape, dtype=complex)
-    for coef, z in expected:
-        zval = zval + coef * np.asarray(reference_apply(z, f)(grid), dtype=complex)
+    xy, yx = twice(x, y, f, grid), twice(y, x, f, grid)
+    zval = sum(coef * image(z, reference_jet(f, grid, 2), grid)[0] for coef, z in expected)
     return _relative_residual(xy - yx - zval, [xy, yx, zval, f(grid)])
 
 
@@ -100,15 +117,14 @@ def reference_casimir(channel, n, s, grid):
     kp = RadialOperator(OperatorKind.KPLUS, sigma)
     km = RadialOperator(OperatorKind.KMINUS, sigma)
     k0 = RadialOperator(OperatorKind.K0, sigma)
-    k0f = reference_apply(k0, f)
-    lhs = (reference_apply(kp, reference_apply(km, f)) * (-1.0) + reference_apply(k0, k0f) - k0f)(grid)
+    lhs = twice(k0, k0, f, grid) - twice(kp, km, f, grid) - image(k0, reference_jet(f, grid, 2), grid)[0]
     rhs = k_barg * (k_barg - 1.0) * f(grid)
     return _relative_residual(lhs - rhs, [lhs, rhs, f(grid)])
 
 
 def reference_a0(channel, n, s, grid):
     f = sturmian(channel, n, s)
-    lhs = reference_apply(RadialOperator(OperatorKind.A0, channel_realization(channel, s)), f)(grid)
+    lhs = image(RadialOperator(OperatorKind.A0, channel_realization(channel, s)), reference_jet(f, grid, 2), grid)[0]
     rhs = (n + s) * f(grid)
     return _relative_residual(lhs - rhs, [lhs, rhs])
 
@@ -124,8 +140,13 @@ def reference_gram(channel, s, n_count):
 def reference_ladder(channel, n, s, rule):
     sigma = channel_realization(channel, s)
     f_n = sturmian(channel, n, s)
-    kp = reference_apply(RadialOperator(OperatorKind.KPLUS, sigma), f_n)
-    km = reference_apply(RadialOperator(OperatorKind.KMINUS, sigma), f_n)
+
+    def kp(r):
+        return image(RadialOperator(OperatorKind.KPLUS, sigma), reference_jet(f_n, r, 2), r)[0]
+
+    def km(r):
+        return image(RadialOperator(OperatorKind.KMINUS, sigma), reference_jet(f_n, r, 2), r)[0]
+
     f_up = sturmian(channel, n + 1, s)
     up = integrate_radial(lambda r: f_up(r) * kp(r) * r, 1.0, rule)
     if (n if channel == "u" else n - 1) >= 1:
@@ -142,11 +163,12 @@ def reference_scaling(theta, fns, grid, sigma):
     a1 = RadialOperator(OperatorKind.A1, sigma)
     ch, sh = math.cosh(theta), math.sinh(theta)
     residuals = []
+    shrink = math.exp(-theta)
     for f in fns:
-        f_scaled = f.scaled(theta)
-        a0f, a1f = reference_apply(a0, f)(grid), reference_apply(a1, f)(grid)
-        conj0 = reference_apply(a0, f_scaled).scaled(-theta)(grid)
-        conj1 = reference_apply(a1, f_scaled).scaled(-theta)(grid)
+        a0f, a1f = (image(op, reference_jet(f, grid, 2), grid)[0] for op in (a0, a1))
+        # S_-theta g (r) = e^-theta g(e^-theta r), with S_theta f from LaguerreSum.scaled
+        conj0, conj1 = (shrink * image(op, reference_jet(f.scaled(theta), shrink * grid, 2), shrink * grid)[0]
+                        for op in (a0, a1))
         for lhs, parts in [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),
             (conj1 - (sh * a0f + ch * a1f), [conj1, a0f, a1f]),
@@ -432,20 +454,18 @@ def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
 
 
 @pytest.mark.parametrize("levels", [range(1, 11), range(1, 4), range(2, 9)])
-def test_family_pass_makes_one_kernel_call_per_block(levels, monkeypatch):
-    # blocks of algebra._BLOCK Sturmians, 11 sums each, all images dropped between blocks
-    blocks = []
+def test_family_pass_makes_one_kernel_call_per_family(levels, monkeypatch):
+    # the jets (f, ..., f^(4)) of all the family's Sturmians, in one call
+    calls = []
     original_all = LaguerreSum.evaluate_all
 
     def kernel(r, *sums):
-        blocks.append(len(sums))
+        calls.append([bits(f) for f in sums])
         return original_all(r, *sums)
 
     monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
     su11_commutator_report("v", 0.866, levels, verification._algebra_grid())
-    sizes = [min(algebra._BLOCK, len(levels) - start) for start in range(0, len(levels), algebra._BLOCK)]
-    assert algebra._BLOCK == 5
-    assert blocks == [11 * size for size in sizes]
+    assert calls == [[bits(f) for f in family_block("v", 0.866, levels)]]
 
 
 # ----------------------------------------------------------------------
@@ -462,20 +482,12 @@ def same_bits(got, want):
 
 
 def family_block(channel, s, levels):
-    """The sums one block of a family pass hands the kernel: 11 per Sturmian."""
-    sigma = channel_realization(channel, s)
-    cent = sigma * (sigma + 1.0)
+    """The sums a family pass hands the kernel: the jet (f, ..., f^(4)) of each Sturmian."""
     sums = []
     for n in levels:
-        f = sturmian(channel, n, s)
-        true = dict(zip(algebra._LADDER, algebra._ladder_images(f, cent)))
-        second = {kind: dict(zip(algebra._LADDER, algebra._ladder_images(g, cent)))
-                  for kind, g in true.items() if kind is not OperatorKind.A1}
-        sums += [f, *(true[kind] for kind in second)]
-        for x, y, _ in SU11_RELATIONS.values():
-            sums += [second[y][x], second[x][y]]
-        sums.append(second[OperatorKind.KMINUS][OperatorKind.KPLUS] * (-1.0)
-                    + second[OperatorKind.K0][OperatorKind.K0] - true[OperatorKind.K0])
+        sums.append(sturmian(channel, n, s))
+        for _ in range(4):
+            sums.append(sums[-1].derivative())
     return sums
 
 
