@@ -36,6 +36,7 @@ from .quadrature import QuadratureRule, build_rule, integrate_radial
 from .spectrum import BoundLevel, bound_level, energy, omega, scale_and_theta
 from .radialfn import LaguerreSum, LaguerreTerm
 from .radial import (
+    RadialChannel,
     RadialSpinor,
     assemble_spinor,
     default_residual_grid,
@@ -43,13 +44,13 @@ from .radial import (
     ode_residual_second_order,
     closed_form_normalization_constant,
     physical_components,
+    radial_channel,
     spinor_coefficients,
     sturmian,
 )
 from .algebra import (
     OperatorKind,
     RadialOperator,
-    channel_realization,
     ladder_matrix_elements,
     scaling_identity_residual,
     su11_commutator_report,

@@ -23,8 +23,9 @@ arrays, for the three commutator relations, the Casimir
 -K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n
 (su11_commutator_report); the residuals are floating-point noise unless an
 identity is wrong.  The ladder projections and the dilation identities take
-order-2 jets.  RadialOperator.apply builds the exact symbolic image
-(_ladder_images) that the tests hold the jets to.
+order-2 jets.  RadialOperator.apply builds each generator's exact symbolic
+image from its definition, which the tests hold the jets to.  A channel's
+sigma, lowest label and Laguerre order come from radial.radial_channel.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import DomainError
 from .quadrature import build_rule, integrate_radial
 from .radialfn import LaguerreSum
 from .report import VerificationReport
-from .radial import sturmian
+from .radial import radial_channel, sturmian
 
 __all__ = [
     "OperatorKind",
@@ -50,7 +50,6 @@ __all__ = [
     "su11_commutator_report",
     "ladder_matrix_elements",
     "scaling_identity_residual",
-    "channel_realization",
 ]
 
 ALGEBRA_TOL = 1e-8
@@ -62,18 +61,6 @@ class OperatorKind(Enum):
     KPLUS = "K+"
     KMINUS = "K-"
     K0 = "K0"
-
-
-def channel_realization(channel: str, s: float) -> float:
-    """Realization parameter sigma of a channel: v -> s, u -> s - 1.
-
-    The centrifugal constants sigma(sigma+1) are then s(s+1) and s(s-1),
-    and the Bargmann indices sigma+1 are s+1 and s."""
-    if channel == "v":
-        return s
-    if channel == "u":
-        return s - 1.0
-    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
 @dataclass(frozen=True)
@@ -91,32 +78,17 @@ class RadialOperator:
         return self.s * (self.s + 1.0) if self.centrifugal is None else self.centrifugal
 
     def apply(self, f: LaguerreSum) -> LaguerreSum:
-        """Exact operator image of a LaguerreSum."""
-        return next(islice(_ladder_images(f, self._cent()), _IMAGE_INDEX[self.kind], None))
-
-
-def _pr2(f: LaguerreSum) -> LaguerreSum:
-    return f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
-
-
-# the images _ladder_images yields, in order, and the position of each generator's (A0 = K0)
-_LADDER = (OperatorKind.K0, OperatorKind.A1, OperatorKind.KPLUS, OperatorKind.KMINUS)
-_IMAGE_INDEX = {OperatorKind.A0: 0, **{kind: i for i, kind in enumerate(_LADDER)}}
-
-
-def _ladder_images(g: LaguerreSum, centrifugal: float):
-    """Yield K0 g (= A0 g), A1 g, K+ g and K- g in turn, each built once from
-    one derivative of g, one P_r^2 chain and one base P_r^2 r g + cent g / r;
-    a caller that needs only the first images stops early.  K+- = A1 +- i A2
-    with i A2 g = r g' + g."""
-    base = _pr2(g).times_power(1) + g.times_power(-1) * centrifugal
-    rg = g.times_power(1)
-    yield (base + rg) * 0.5
-    a1 = (base - rg) * 0.5
-    yield a1
-    i_a2 = g.derivative().times_power(1) + g
-    yield a1 + i_a2
-    yield a1 - i_a2
+        """Exact operator image of a LaguerreSum: A0 = K0 and A1 are
+        (r P_r^2 + cent/r +- r) / 2, and K+- = A1 +- i A2 with i A2 f = r f' + f."""
+        kind = self.kind
+        sign = 1.0 if kind in (OperatorKind.A0, OperatorKind.K0) else -1.0
+        pr2 = f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
+        image = (pr2.times_power(1) + f.times_power(-1) * self._cent() + f.times_power(1) * sign) * 0.5
+        if kind is OperatorKind.KPLUS:
+            return image + (f.derivative().times_power(1) + f)
+        if kind is OperatorKind.KMINUS:
+            return image - (f.derivative().times_power(1) + f)
+        return image
 
 
 def _relative_residual(lhs: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
@@ -187,7 +159,7 @@ def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
     Casimir takes its images from the commuted pair, so the fault reaches it
     too; A0 f is the Z side's K0 f.
     """
-    sigma = channel_realization(channel, s)
+    sigma = radial_channel(channel, s).sigma
     k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
     pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
@@ -249,21 +221,23 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     With group index n_g (n for u, n-1 for v) and Bargmann index k these
     must equal sqrt((n_g+1)(2k+n_g)) and sqrt(n_g(2k+n_g-1)); for the
     lowest state the down coefficient is the norm of K- f, which vanishes.
+    A label below the channel's lowest raises DomainError.
     """
     return _ladder_projections(channel, [n], s, build_rule(*_ladder_rule_key(channel, n, s)))[0]
 
 
 def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
     """(order, alpha) of the quadrature rule behind ladder_matrix_elements."""
-    return max(32, n + 10), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0
+    return max(32, n + 10), radial_channel(channel, s).alpha
 
 
 def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[float, float]]:
     """ladder_matrix_elements of each n in ``levels``, on one rule that
     _ladder_rule_key gives them all: K+ f_n and K- f_n from the jets (f, f', f'')
     of the Sturmians, all evaluated in one batch, and one integral of rows."""
-    sigma = channel_realization(channel, s)
-    lowest = 0 if channel == "u" else 1
+    lowest, sigma, _, _ = radial_channel(channel, s)
+    if min(levels) < lowest:
+        raise DomainError(f"{channel}-channel ladder labels must be >= {lowest}, got {min(levels)}")
     first = max(min(levels) - 1, lowest)
     r = rule.nodes / 2.0  # the radii integrate_radial uses at scale 1
     jet = _jets(r, [sturmian(channel, n, s) for n in range(first, max(levels) + 2)], 2)
@@ -278,7 +252,7 @@ def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[floa
             for n, up, down in zip(levels, totals[::2], totals[1::2])]
 
 
-def scaling_identity_residual(thetas: tuple, test_functions, grid, sigma: float,
+def scaling_identity_residual(thetas: tuple, test_functions, grid, sigmas,
                               tolerance: float = 1e-9) -> list[VerificationReport]:
     """Pointwise check of the dilation conjugation identities, one report
     per theta in ``thetas``.
@@ -291,13 +265,16 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigma: float,
 
     Each side is the A0 or A1 image of a jet (f, f', f''): of the functions
     on the grid, which serves every theta, and for each theta of the dilated
-    functions f.scaled(theta) on e^-theta r, one batch per theta.
+    functions f.scaled(theta) on e^-theta r, one batch per theta.  Each
+    function is conjugated under its own realization constant, the entry of
+    ``sigmas`` at its position (a Sturmian's is its channel's sigma).
     """
     if any(abs(theta) > 3.0 for theta in thetas):
         raise DomainError(f"|theta| <= 3 expected for the scaling checks, got {thetas}")
     grid = np.asarray(grid, dtype=float)
     fs = list(test_functions)
-    cent = sigma * (sigma + 1.0)
+    sigmas = np.array(sigmas, dtype=float).reshape(len(fs), 1)  # a (function, 1) column
+    cent = sigmas * (sigmas + 1.0)
 
     def a0_a1(jet, r):
         return [_image(kind, cent, jet, r)[0] for kind in (OperatorKind.A0, OperatorKind.A1)]

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizable
 from .problem import DerivedConstants, ProblemParams
-from .radial import constant_from_log_norm
+from .radial import constant_from_log_norm, radial_channel
 from .radialfn import LaguerreSum
 from .report import NormalizationComparison
 from .special import log_gamma
@@ -155,33 +155,28 @@ def _sqrt_gamma(x: float) -> float:
 
 
 def sturmian_coherent(channel: str, s: float, xi: complex) -> LaguerreSum:
-    """Closed form of the coherent superposition of one channel's basis.
+    """Closed form of the coherent superposition of one channel's basis:
 
-    v-channel: 2 (1-|xi|^2)^{s+1} / sqrt(Gamma(2s+2)) (2r)^s   e^{-r(1+xi)/(1-xi)} / (1-xi)^{2s+2}
-    u-channel: 2 (1-|xi|^2)^s     / sqrt(Gamma(2s))   (2r)^{s-1} e^{-r(1+xi)/(1-xi)} / (1-xi)^{2s}
+        2 (1-|xi|^2)^k / sqrt(Gamma(2k)) (2r)^sigma e^{-r(1+xi)/(1-xi)} / (1-xi)^{2k},
 
-    At xi = 0 these reduce exactly to the lowest basis state of the
-    channel.
+    with the Bargmann index k = s + lowest and sigma of radial_channel(channel, s):
+    k = s, sigma = s - 1 for u and k = s + 1, sigma = s for v.  At xi = 0 it
+    reduces exactly to the lowest basis state of the channel.
     """
     xi = complex(xi)
     if abs(xi) >= 1.0:
         raise DomainError(f"coherent state requires |xi| < 1, got |xi| = {abs(xi)}")
     if s <= 0.0:
         raise DomainError(f"coherent state requires s > 0, got {s}")
-    if channel not in ("u", "v"):
-        raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
-    one_m = 1.0 - abs(xi) ** 2
+    ch = radial_channel(channel, s)
+    k = ch.bargmann
     decay = (1.0 + xi) / (1.0 - xi)
     try:
-        if channel == "v":
-            coef = 2.0 * one_m ** (s + 1.0) / _sqrt_gamma(2.0 * s + 2.0)
-            coef = coef * 2.0**s * (1.0 - xi) ** (-(2.0 * s + 2.0))
-        else:
-            coef = 2.0 * one_m**s / _sqrt_gamma(2.0 * s)
-            coef = coef * 2.0 ** (s - 1.0) * (1.0 - xi) ** (-2.0 * s)
+        coef = 2.0 * (1.0 - abs(xi) ** 2) ** k / _sqrt_gamma(2.0 * k)
+        coef = coef * 2.0**ch.sigma * (1.0 - xi) ** (-2.0 * k)
     except OverflowError:
         raise NonNormalizable(f"coherent state coefficient is out of double range at s = {s}") from None
-    return LaguerreSum.single(coef, power=s if channel == "v" else s - 1.0, decay=decay)
+    return LaguerreSum.single(coef, power=ch.sigma, decay=decay)
 
 
 def physical_coherent_components(s: float, xi: complex, a_ref: float) -> tuple[LaguerreSum, LaguerreSum]:

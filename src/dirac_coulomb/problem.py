@@ -1,9 +1,9 @@
 """Physical inputs and the constants derived from them.
 
 Maps (D, j, spin alignment, couplings, mass) to the spin-orbit eigenvalue
-kappa, the effective angular parameter s, and the Bargmann indices of the
-two radial channels, and builds the 2x2 similarity transform that
-decouples the radial Dirac system.
+kappa and the effective angular parameter s, which fixes both radial
+channels (radial.radial_channel), and builds the 2x2 similarity transform
+that decouples the radial Dirac system.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ class DerivedConstants:
     s: float
     alpha_plus: float
     alpha_minus: float
-    bargmann_u: float
-    bargmann_v: float
 
 
 def kappa(dimension: int, j: float, alignment: Alignment) -> float:
@@ -101,7 +99,7 @@ def kappa(dimension: int, j: float, alignment: Alignment) -> float:
 
 
 def derive_constants(params: ProblemParams) -> DerivedConstants:
-    """Compute kappa, s and the Bargmann indices (s, s+1) for the problem.
+    """Compute kappa, s and alpha_+- for the problem.
 
     Raises SupercriticalCoupling when kappa^2 <= alpha_v^2 - alpha_s^2,
     where s ceases to be real positive and the bound-state construction
@@ -123,14 +121,7 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     if not math.isfinite(s):
         raise DomainError(f"s = sqrt(kappa^2 - alpha_v^2 + alpha_s^2) overflows (kappa = {k:.6g}, "
                           f"alpha_v = {params.alpha_v:.6g}, alpha_s = {params.alpha_s:.6g})")
-    return DerivedConstants(
-        kappa=k,
-        s=s,
-        alpha_plus=a_plus,
-        alpha_minus=a_minus,
-        bargmann_u=s,
-        bargmann_v=s + 1.0,
-    )
+    return DerivedConstants(kappa=k, s=s, alpha_plus=a_plus, alpha_minus=a_minus)
 
 
 def coupling_matrix(constants: DerivedConstants) -> np.ndarray:

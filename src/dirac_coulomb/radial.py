@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,9 @@ from .special import log_gamma, log_gamma_ratio
 from .spectrum import BoundLevel
 
 __all__ = [
+    "RadialChannel",
     "RadialSpinor",
+    "radial_channel",
     "sturmian",
     "physical_components",
     "spinor_coefficients",
@@ -46,33 +49,49 @@ FIRST_ORDER_TOL = 1e-8
 SECOND_ORDER_TOL = 1e-7
 
 
+class RadialChannel(NamedTuple):
+    """The su(1,1) constants of one radial channel at s: its Sturmians have
+    labels n >= lowest, group index n - lowest and Bargmann index k = s + lowest;
+    sigma is their power and the realization constant (centrifugal sigma (sigma + 1))."""
+
+    lowest: int  # 0 for u, 1 for v
+    sigma: float  # s - 1 for u, s for v
+    alpha: float  # the Laguerre order 2 sigma + 1: 2s - 1 for u, 2s + 1 for v
+    bargmann: float  # s for u, s + 1 for v
+
+
+def radial_channel(channel: str, s: float) -> RadialChannel:
+    """The constants of channel ``"u"`` or ``"v"`` at s; DomainError for any other name."""
+    if channel == "u":
+        return RadialChannel(0, s - 1.0, 2.0 * s - 1.0, s)
+    if channel == "v":
+        return RadialChannel(1, s, 2.0 * s + 1.0, s + 1.0)
+    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
+
+
 def sturmian(channel: str, n: int, s: float) -> LaguerreSum:
-    """Sturmian basis function of one channel, orthonormal under r dr.
+    """Sturmian basis function of one channel, orthonormal under r dr:
 
-    v-channel (n >= 1):  2 sqrt((n-1)!/Gamma(n+2s+1)) (2r)^s     e^-r L_{n-1}^{2s+1}(2r)
-    u-channel (n >= 0):  2 sqrt(n!/Gamma(n+2s))       (2r)^{s-1} e^-r L_n^{2s-1}(2r)
+        2 sqrt(g! / Gamma(g + 2 sigma + 2)) (2r)^sigma e^-r L_g^{2 sigma + 1}(2r),
+
+    with g = n - lowest and sigma of radial_channel(channel, s); n >= 0 for u
+    (sigma = s - 1) and n >= 1 for v (sigma = s).
     """
-    return LaguerreSum([_sturmian_term(channel, n, s)])
-
-
-def _sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:
-    """The single term of sturmian(channel, n, s)."""
     if s <= 0.0:
         raise DomainError(f"Sturmian functions require s > 0, got {s}")
+    ch = radial_channel(channel, s)
+    if n < ch.lowest:
+        raise DomainError(f"{channel}-channel Sturmian requires n >= {ch.lowest}, got {n}")
+    return LaguerreSum([_sturmian_term(ch, n, s)])
+
+
+def _sturmian_term(ch: RadialChannel, n: int, s: float) -> LaguerreTerm:
+    """The single term of the Sturmian of label n in the channel ``ch`` at s."""
     try:
-        if channel == "v":
-            if n < 1:
-                raise DomainError(f"v-channel Sturmian requires n >= 1, got {n}")
-            norm = 2.0 * math.exp(0.5 * (log_gamma(n) - log_gamma(n + 2.0 * s + 1.0)))
-            return LaguerreTerm(norm * 2.0**s, s, 1.0, n - 1, 2.0 * s + 1.0, 2.0)
-        if channel == "u":
-            if n < 0:
-                raise DomainError(f"u-channel Sturmian requires n >= 0, got {n}")
-            norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + 2.0 * s)))
-            return LaguerreTerm(norm * 2.0 ** (s - 1.0), s - 1.0, 1.0, n, 2.0 * s - 1.0, 2.0)
+        norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1 - ch.lowest) - log_gamma(n + 2.0 * s + ch.lowest)))
+        return LaguerreTerm(norm * 2.0**ch.sigma, ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
     except OverflowError:  # 2^s past s = 1024
         raise NonNormalizable(f"Sturmian prefactor is out of double range at s = {s}") from None
-    raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
 
 
 def physical_components(level: BoundLevel, constants: DerivedConstants) -> tuple[LaguerreSum, LaguerreSum]:
@@ -273,13 +292,11 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     with centrifugal constant c = s(s+1) for the v channel and s(s-1) for
     the u channel.  Passing an explicit ``energy`` detunes the operator
     (sensitivity checks)."""
-    if channel not in ("u", "v"):
-        raise DomainError(f"channel must be 'u' or 'v', got {channel!r}")
+    ch = radial_channel(channel, constants.s)
     if grid is None:
         grid = default_residual_grid(level.a)
     grid = np.asarray(grid, dtype=float)
-    s = constants.s
-    cent = s * (s + 1.0) if channel == "v" else s * (s - 1.0)
+    cent = ch.bargmann * ch.sigma  # sigma (sigma + 1) = k (k - 1)
     m = level.mass
     e = level.energy if energy is None else energy
     av = 0.5 * (constants.alpha_plus + constants.alpha_minus)

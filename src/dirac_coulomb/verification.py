@@ -23,7 +23,6 @@ from .algebra import (
     _ladder_projections,
     _ladder_rule_key,
     SU11_RELATIONS,
-    channel_realization,
     scaling_identity_residual,
     su11_commutator_report,
 )
@@ -46,6 +45,7 @@ from .radial import (
     ode_residual_first_order,
     ode_residual_second_order,
     physical_components,
+    radial_channel,
     sturmian,
 )
 from .radialfn import LaguerreSum
@@ -102,7 +102,8 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     well below the tolerance of any comparison made against it.  Returns
     (values, N_used, N_l2).
     """
-    k = channel_realization(channel, s) + 1.0
+    ch = radial_channel(channel, s)
+    k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
     xi = complex(xi)
     n_l2 = truncation_order(k, xi, l2_tail)
     grid = np.asarray(grid, dtype=float)
@@ -114,11 +115,10 @@ def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray
     # L_ng^alpha(2r) comes from one recurrence; each basis value is ((c r^p) e^-r) L with
     # complex c and e^-r, the operations of LaguerreSum.evaluate_all's term-by-term sums
     # in their order (its docstring names this copy)
-    alpha, power = (2.0 * s + 1.0, s) if channel == "v" else (2.0 * s - 1.0, s - 1.0)
-    r_p, e_r = grid ** power, np.exp(-(1.0 + 0j) * grid)
+    r_p, e_r = grid ** ch.sigma, np.exp(-(1.0 + 0j) * grid)
     for ng, weight, lag in zip(range(n_l2 + 401), _perelomov_weight_sequence(k, xi),
-                               laguerre_sequence(alpha, 2.0 * grid)):
-        coef = _sturmian_term(channel, ng if channel == "u" else ng + 1, s).coef
+                               laguerre_sequence(ch.alpha, 2.0 * grid)):
+        coef = _sturmian_term(ch, ng + ch.lowest, s).coef
         term = weight * (complex(coef) * r_p * e_r * lag).real
         total += term
         scale = max(scale, float(np.max(np.abs(total))))
@@ -225,9 +225,9 @@ def _check_diagonalization(params):
 
 
 def _gram_residual(channel, s, n_count):
-    n_start = 0 if channel == "u" else 1
-    fns = [sturmian(channel, n, s) for n in range(n_start, n_start + n_count)]
-    rule = build_rule(max(48, n_count + 16), 2.0 * s + 1.0 if channel == "v" else 2.0 * s - 1.0)
+    ch = radial_channel(channel, s)
+    fns = [sturmian(channel, n, s) for n in range(ch.lowest, ch.lowest + n_count)]
+    rule = build_rule(max(48, n_count + 16), ch.alpha)
     # each function once, on the radii integrate_radial uses at scale 1, and the
     # entries i <= j as the rows of one integral
     values = np.array(LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns))
@@ -241,18 +241,15 @@ def _check_orthonormality(channel, params):
     return residuals, {"channel": channel, "count": 12}
 
 
-# For each pointwise algebra check, the levels n per channel whose residual
-# it reads from a family pass; n None reads a relation's maximum over the family.
-_FAMILY_PROBES = {
-    **{name: {"v": (None,), "u": (None,)} for name in SU11_RELATIONS},
-    "casimir": {"v": (1, 3), "u": (0, 2)},
-    "a0_eigenvalue": {"v": (1, 2, 5), "u": (0, 1, 4)},
-}
+# For each pointwise algebra check, the labels whose residual it reads from a
+# family pass, as offsets above the channel's lowest label; None reads a
+# relation's maximum over the family.
+_FAMILY_PROBES = {**{name: (None,) for name in SU11_RELATIONS}, "casimir": (0, 2), "a0_eigenvalue": (0, 1, 4)}
 
 
 def _check_family(which, families, params):
     """The residuals of one pointwise algebra check, read from the su(1,1)
-    passes over the families of the first Sturmians of one channel at one s.
+    passes over the families of the first ten Sturmians of one channel at one s.
     ``families`` maps (s, channel) to that family's residual maxima, keyed
     (name, n) with n None for a relation over the whole family; _registry
     gives the five checks of one suite the same fresh dict, so whichever runs
@@ -261,11 +258,13 @@ def _check_family(which, families, params):
     s_values = _s_grid(params)
     residuals = []
     for s in s_values:
-        for channel, n_range in (("v", range(1, 11)), ("u", range(0, 10))):
+        for channel in ("v", "u"):
+            lowest = radial_channel(channel, s).lowest
             if (s, channel) not in families:
-                families[s, channel] = {(rep.name, rep.context.get("n")): rep.residual_max
-                                        for rep in su11_commutator_report(channel, s, n_range, grid)}
-            residuals.extend(families[s, channel][which, n] for n in _FAMILY_PROBES[which][channel])
+                families[s, channel] = {(rep.name, rep.context.get("n")): rep.residual_max for rep in
+                                        su11_commutator_report(channel, s, range(lowest, lowest + 10), grid)}
+            residuals.extend(families[s, channel][which, offset if offset is None else lowest + offset]
+                             for offset in _FAMILY_PROBES[which])
     return residuals, {"families": len(residuals)} if which in SU11_RELATIONS else {"s_values": len(s_values)}
 
 
@@ -275,14 +274,14 @@ def _check_ladder(params):
     s_values = _s_grid(params)
     for s in s_values:
         for channel in ("u", "v"):
-            k = channel_realization(channel, s) + 1.0
-            n_start = 0 if channel == "u" else 1
-            levels = range(n_start, n_start + 5)
+            ch = radial_channel(channel, s)
+            k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
+            levels = range(ch.lowest, ch.lowest + 5)
             key = _ladder_rule_key(channel, levels[-1], s)  # order max(32, n + 10): one rule for all five
             if key not in rules:
                 rules[key] = build_rule(*key)
             for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rules[key])):
-                ng = n - n_start
+                ng = n - ch.lowest
                 up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
                 residuals.append(abs(up - up_want) / up_want)
                 if ng >= 1:
@@ -296,8 +295,11 @@ def _check_ladder(params):
 def _check_scaling(params):
     grid = _algebra_grid()
     s = derive_constants(params).s
-    fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
-    residuals = [rep.residual_max for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, s)]
+    probes = (("v", 1), ("v", 2), ("v", 4), ("u", 0), ("u", 3))
+    fns = [sturmian(channel, n, s) for channel, n in probes]
+    sigmas = [radial_channel(channel, s).sigma for channel, _ in probes]
+    residuals = [rep.residual_max
+                 for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, sigmas)]
     return residuals, {"thetas": "0,+-0.7,ln2"}
 
 
@@ -361,7 +363,7 @@ def _check_coherent_identity(params):
     grid = np.geomspace(0.01, 40.0, 200)
     residuals = []
     for channel in ("u", "v"):
-        lowest = sturmian(channel, 0 if channel == "u" else 1, s)(grid)
+        lowest = sturmian(channel, radial_channel(channel, s).lowest, s)(grid)
         reduced = sturmian_coherent(channel, s, 0.0)(grid)
         residuals.append(float(np.max(np.abs(reduced - lowest))))
     return residuals, {"xi": 0.0}

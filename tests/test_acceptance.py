@@ -22,7 +22,6 @@ from dirac_coulomb import (
     assemble_spinor,
     bound_level,
     build_rule,
-    channel_realization,
     derive_constants,
     energy,
     integrate_radial,
@@ -32,6 +31,7 @@ from dirac_coulomb import (
     ode_residual_second_order,
     perelomov_weights,
     physical_components,
+    radial_channel,
     scaling_identity_residual,
     sturmian,
     sturmian_coherent,
@@ -128,7 +128,7 @@ def test_c05_su11_algebra():
     worst = 0.0
     for s in S_GRID:
         for channel in ("u", "v"):
-            sigma = channel_realization(channel, s)
+            sigma = radial_channel(channel, s).sigma
             k = sigma + 1.0
             start = 0 if channel == "u" else 1
             # the three relations on the family, then each Sturmian's Casimir and A0 eigenvalue
@@ -155,7 +155,8 @@ def test_c06_scaling_identities():
     for s in (0.866, 1.5):
         fns = [sturmian("v", n, s) for n in (1, 2, 4)]
         fns += [sturmian("u", n, s) for n in (0, 3)]
-        for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, s):
+        sigmas = [s] * 3 + [s - 1.0] * 2
+        for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, sigmas):
             worst = max(worst, rep.residual_max)
     ok = worst < 1e-9
     _announce(6, "scaling identities", ok, f" (max={worst:.2e}, tol=1e-9)")

@@ -9,8 +9,8 @@ from dirac_coulomb import (
     LaguerreSum,
     OperatorKind,
     RadialOperator,
-    channel_realization,
     ladder_matrix_elements,
+    radial_channel,
     run_suite,
     scaling_identity_residual,
     sturmian,
@@ -88,7 +88,7 @@ class TestVerifyCommutatorChecks:
         original = algebra._su11_family_residuals
 
         def counted(channel, s, levels, grid, fault_centrifugal):
-            passes.append(channel_realization(channel, s))
+            passes.append(radial_channel(channel, s).sigma)
             return original(channel, s, levels, grid, fault_centrifugal)
 
         monkeypatch.setattr(algebra, "_su11_family_residuals", counted)
@@ -100,7 +100,7 @@ class TestVerifyCommutatorChecks:
         passes = self.count_family_passes(monkeypatch)
         reports = {rep.name: rep for rep in run_suite(default_params)}
         s_values = verification._s_grid(default_params)
-        assert sorted(passes) == sorted(channel_realization(channel, s)
+        assert sorted(passes) == sorted(radial_channel(channel, s).sigma
                                         for s in s_values for channel in ("v", "u"))
         assert len(set(passes)) == 10
         for name in algebra.SU11_RELATIONS:
@@ -178,6 +178,11 @@ class TestLadder:
         assert up == pytest.approx(math.sqrt((ng + 1) * (2 * k + ng)), rel=1e-8)
         assert down == pytest.approx(math.sqrt(ng * (2 * k + ng - 1)), rel=1e-8)
 
+    @pytest.mark.parametrize("channel,n", [("v", 0), ("u", -1), ("v", -3)])
+    def test_rejects_a_label_below_the_lowest(self, channel, n):
+        with pytest.raises(DomainError, match=f"{channel}-channel ladder labels must be >= "):
+            ladder_matrix_elements(channel, n, 0.866)
+
     @pytest.mark.parametrize("channel,n", [("v", 1), ("v", 4), ("u", 0), ("u", 2)])
     def test_casimir_value(self, channel, n):
         assert family_report("casimir", channel, n, 0.866).residual_max < 1e-8
@@ -189,20 +194,37 @@ class TestLadder:
 
 class TestScalingIdentities:
     def test_identity_at_theta_zero(self):
-        (rep,) = scaling_identity_residual([0.0], sturmian_family(0.866), GRID, 0.866)
+        (rep,) = scaling_identity_residual([0.0], sturmian_family(0.866), GRID, [0.866] * 6)
         assert rep.residual_max < 1e-14
 
     def test_log_two(self):
-        (rep,) = scaling_identity_residual([math.log(2.0)], sturmian_family(0.866), GRID, 0.866)
+        (rep,) = scaling_identity_residual([math.log(2.0)], sturmian_family(0.866), GRID, [0.866] * 6)
         assert rep.residual_max < 1e-9
 
     def test_hyperbolic_mixing_at_0p7(self):
-        (rep,) = scaling_identity_residual([0.7], sturmian_family(1.5), GRID, 1.5)
+        (rep,) = scaling_identity_residual([0.7], sturmian_family(1.5), GRID, [1.5] * 6)
         assert rep.residual_max < 1e-9
+
+    def test_verify_conjugates_each_sturmian_under_its_own_channel(self, default_params, default_constants,
+                                                                   monkeypatch):
+        # the identities hold for any constant, so only the constant handed over shows which one is
+        # tested: a Sturmian's sigma is its power, s for v and s - 1 for u
+        calls = []
+
+        def recorded(thetas, test_functions, grid, sigmas, tolerance=1e-9):
+            calls.append((list(test_functions), list(sigmas)))
+            return scaling_identity_residual(thetas, test_functions, grid, sigmas, tolerance)
+
+        monkeypatch.setattr(verification, "scaling_identity_residual", recorded)
+        verification._check_scaling(default_params)
+        ((fns, sigmas),) = calls
+        assert [f.terms[0].power for f in fns] == sigmas
+        s = default_constants.s
+        assert sigmas == [s, s, s, s - 1.0, s - 1.0]
 
     def test_rejects_large_theta(self):
         with pytest.raises(DomainError):
-            scaling_identity_residual([0.7, 3.5], sturmian_family(0.866), GRID, 0.866)
+            scaling_identity_residual([0.7, 3.5], sturmian_family(0.866), GRID, [0.866] * 6)
 
 
 class TestRandomizedLadder:
@@ -214,7 +236,7 @@ class TestRandomizedLadder:
            st.integers(min_value=0, max_value=4))
     def test_ladder_coefficients_random_s(self, s, channel, offset):
         n = offset if channel == "u" else offset + 1
-        k = channel_realization(channel, s) + 1.0
+        k = radial_channel(channel, s).sigma + 1.0
         up, down = ladder_matrix_elements(channel, n, s)
         ng = n if channel == "u" else n - 1
         assert up == pytest.approx(math.sqrt((ng + 1) * (2 * k + ng)), rel=1e-8)

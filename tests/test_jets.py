@@ -14,7 +14,8 @@ import pytest
 
 from dirac_coulomb import Alignment, LaguerreSum, OperatorKind, ProblemParams, RadialOperator, algebra, sturmian
 from dirac_coulomb import su11_commutator_report, verification
-from dirac_coulomb.algebra import SU11_RELATIONS, _relative_residual, channel_realization
+from dirac_coulomb import radial_channel
+from dirac_coulomb.algebra import SU11_RELATIONS, _relative_residual
 
 GRID = verification._algebra_grid()
 
@@ -62,7 +63,7 @@ def test_sturmian_jets_match_mpmath(channel, n, s):
 @pytest.mark.parametrize("channel", ["u", "v"])
 def test_a_wrong_constant_fails_every_relation_and_the_casimir(channel, s):
     levels = range(0, 10) if channel == "u" else range(1, 11)
-    sigma = channel_realization(channel, s)
+    sigma = radial_channel(channel, s).sigma
     for fault in (sigma * sigma, sigma * (sigma + 1.0) + 0.05):
         reports = su11_commutator_report(channel, s, levels, GRID, fault_centrifugal=fault)
         for rep in reports[:3]:

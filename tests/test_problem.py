@@ -15,13 +15,14 @@ from dirac_coulomb import (
     decoupling_matrix,
     derive_constants,
     kappa,
+    radial_channel,
 )
 
 
 def make_constants(kap, alpha_v, alpha_s):
     s = math.sqrt(kap**2 - (alpha_v + alpha_s) * (alpha_v - alpha_s))
     return DerivedConstants(kappa=kap, s=s, alpha_plus=alpha_v + alpha_s,
-                            alpha_minus=alpha_v - alpha_s, bargmann_u=s, bargmann_v=s + 1.0)
+                            alpha_minus=alpha_v - alpha_s)
 
 
 class TestKappa:
@@ -62,8 +63,10 @@ class TestDeriveConstants:
             derive_constants(p)
 
     def test_bargmann_indices(self, default_constants):
-        assert default_constants.bargmann_u == default_constants.s
-        assert default_constants.bargmann_v == default_constants.bargmann_u + 1.0
+        # s fixes both channels: Bargmann indices s (u) and s + 1 (v)
+        s = default_constants.s
+        assert radial_channel("u", s).bargmann == s
+        assert radial_channel("v", s).bargmann == s + 1.0
 
     @given(st.floats(min_value=0.05, max_value=0.9), st.floats(min_value=0.0, max_value=0.8))
     def test_s_depends_only_on_coupling_difference(self, alpha_v, shift):

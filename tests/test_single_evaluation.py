@@ -15,14 +15,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, physical_components, sturmian,
-                           verification)
+from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, physical_components,
+                           radial_channel, sturmian, verification)
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
     _relative_residual,
     _su11_family_residuals,
-    channel_realization,
     _ladder_projections,
     _ladder_rule_key,
     ladder_matrix_elements,
@@ -111,7 +110,7 @@ def reference_commutator(x, y, expected, f, grid):
 
 
 def reference_casimir(channel, n, s, grid):
-    sigma = channel_realization(channel, s)
+    sigma = radial_channel(channel, s).sigma
     k_barg = sigma + 1.0
     f = sturmian(channel, n, s)
     kp = RadialOperator(OperatorKind.KPLUS, sigma)
@@ -124,7 +123,7 @@ def reference_casimir(channel, n, s, grid):
 
 def reference_a0(channel, n, s, grid):
     f = sturmian(channel, n, s)
-    lhs = image(RadialOperator(OperatorKind.A0, channel_realization(channel, s)), reference_jet(f, grid, 2), grid)[0]
+    lhs = image(RadialOperator(OperatorKind.A0, radial_channel(channel, s).sigma), reference_jet(f, grid, 2), grid)[0]
     rhs = (n + s) * f(grid)
     return _relative_residual(lhs - rhs, [lhs, rhs])
 
@@ -138,7 +137,7 @@ def reference_gram(channel, s, n_count):
 
 
 def reference_ladder(channel, n, s, rule):
-    sigma = channel_realization(channel, s)
+    sigma = radial_channel(channel, s).sigma
     f_n = sturmian(channel, n, s)
 
     def kp(r):
@@ -158,13 +157,13 @@ def reference_ladder(channel, n, s, rule):
     return float(np.real(up)), float(np.real(down))
 
 
-def reference_scaling(theta, fns, grid, sigma):
-    a0 = RadialOperator(OperatorKind.A0, sigma)
-    a1 = RadialOperator(OperatorKind.A1, sigma)
+def reference_scaling(theta, fns, grid, sigmas):
     ch, sh = math.cosh(theta), math.sinh(theta)
     residuals = []
     shrink = math.exp(-theta)
-    for f in fns:
+    for f, sigma in zip(fns, sigmas):
+        a0 = RadialOperator(OperatorKind.A0, sigma)
+        a1 = RadialOperator(OperatorKind.A1, sigma)
         a0f, a1f = (image(op, reference_jet(f, grid, 2), grid)[0] for op in (a0, a1))
         # S_-theta g (r) = e^-theta g(e^-theta r), with S_theta f from LaguerreSum.scaled
         conj0, conj1 = (shrink * image(op, reference_jet(f.scaled(theta), shrink * grid, 2), shrink * grid)[0]
@@ -251,7 +250,7 @@ def test_commutator_residuals_per_function(problem, which, monkeypatch):
     seen = captured_residuals(monkeypatch)
     for s in verification._s_grid(problem):
         for channel, n_range in FAMILIES:
-            sigma = channel_realization(channel, s)
+            sigma = radial_channel(channel, s).sigma
             relation = su11_relation(which, sigma, None)
             want = [reference_commutator(*relation, sturmian(channel, n, s), grid) for n in n_range]
             got = _su11_family_residuals(channel, s, n_range, grid, None)[which]
@@ -269,7 +268,7 @@ def test_commutator_residuals_with_a_wrong_realization(which):
     # the commuted pair then differs from the expected side, so no image is shared
     s, grid = 0.866, verification._algebra_grid()
     for channel, n_range in FAMILIES:
-        relation = su11_relation(which, channel_realization(channel, s), s * s)
+        relation = su11_relation(which, radial_channel(channel, s).sigma, s * s)
         got = _su11_family_residuals(channel, s, n_range, grid, s * s)[which]
         for g, n in zip(got, n_range):
             assert np.array_equal(g, reference_commutator(*relation, sturmian(channel, n, s), grid))
@@ -318,7 +317,7 @@ def test_ladder_check_matches_per_call_rules(problem):
     want = []
     for s in verification._s_grid(problem):
         for channel in ("u", "v"):
-            k = channel_realization(channel, s) + 1.0
+            k = radial_channel(channel, s).sigma + 1.0
             n_start = 0 if channel == "u" else 1
             for n in range(n_start, n_start + 5):
                 up, down = ladder_matrix_elements(channel, n, s)  # builds its own rule
@@ -348,16 +347,18 @@ def test_ladder_projections_match_per_call_body(problem):
 def test_scaling_residuals_match_per_call_body(problem, monkeypatch):
     grid = verification._algebra_grid()
     s = verification._s_grid(problem)[-1]
-    fns = [sturmian("v", n, s) for n in (1, 2, 4)] + [sturmian("u", n, s) for n in (0, 3)]
+    probes = (("v", 1), ("v", 2), ("v", 4), ("u", 0), ("u", 3))
+    fns = [sturmian(channel, n, s) for channel, n in probes]
+    sigmas = [radial_channel(channel, s).sigma for channel, _ in probes]
     thetas = (0.0, 0.7, -0.7, math.log(2.0), 2.9)
     seen = captured_residuals(monkeypatch)
     # all thetas in one batch, and each alone
-    reports = scaling_identity_residual(thetas, fns, grid, s)
+    reports = scaling_identity_residual(thetas, fns, grid, sigmas)
     assert [rep.context["theta"] for rep in reports] == list(thetas)
     for theta in thetas:
-        scaling_identity_residual([theta], fns, grid, s)
+        scaling_identity_residual([theta], fns, grid, sigmas)
     for got, theta in zip(seen, [*thetas, *thetas]):
-        assert got.tobytes() == reference_scaling(theta, fns, grid, s).tobytes()
+        assert got.tobytes() == reference_scaling(theta, fns, grid, sigmas).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +430,8 @@ def test_oracles_compute_each_laguerre_factor_once(default_params, default_const
                                                           channel=channel))
     for channel, n in (("u", 0), ("u", 3), ("v", 1), ("v", 4)):
         once(lambda: _ladder_projections(channel, [n, n + 1], s, build_rule(*_ladder_rule_key(channel, n, s))))
-        once(lambda: scaling_identity_residual([0.7, -0.7], [sturmian(channel, n, s)], grid, s))
+        once(lambda: scaling_identity_residual([0.7, -0.7], [sturmian(channel, n, s)], grid,
+                                               [radial_channel(channel, s).sigma]))
     once(lambda: su11_commutator_report("v", s, range(1, 11), grid))
 
 

@@ -11,8 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, sturmian
-from dirac_coulomb.algebra import channel_realization
+from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, radial_channel, sturmian
 from dirac_coulomb.coherent import sturmian_coherent, truncation_order
 from dirac_coulomb.special import log_gamma
 from dirac_coulomb.verification import (
@@ -69,7 +68,7 @@ def sturmian_on_grid(channel, n, s):
 
 
 def coherent_per_degree(channel, s, xi, l2_tail=1e-14, sup_tail=1e-10):
-    k = channel_realization(channel, s) + 1.0
+    k = radial_channel(channel, s).sigma + 1.0
     xi = complex(xi)
     n_l2 = truncation_order(k, xi, l2_tail)
     total = np.zeros(GRID.shape, dtype=complex)

@@ -67,22 +67,19 @@ class TestEnergy:
         # unreachable from consistent constants ((n+s)^2 + av^2 - as^2 =
         # n^2 + 2ns + kappa^2 > 0); this guards against inconsistent inputs
         p = params_for(-1, 0.1, 5.0)
-        broken = DerivedConstants(kappa=-1.0, s=0.1, alpha_plus=5.1, alpha_minus=-4.9,
-                                  bargmann_u=0.1, bargmann_v=1.1)
+        broken = DerivedConstants(kappa=-1.0, s=0.1, alpha_plus=5.1, alpha_minus=-4.9)
         with pytest.raises(NoBoundState):
             energy(1, broken, p)
 
 
 class TestOmega:
     def test_zero_coupling_reduces_to_mass_gap(self):
-        c = DerivedConstants(kappa=-1.0, s=1.0, alpha_plus=0.0, alpha_minus=0.0,
-                             bargmann_u=1.0, bargmann_v=2.0)
+        c = DerivedConstants(kappa=-1.0, s=1.0, alpha_plus=0.0, alpha_minus=0.0)
         assert omega(0.7, 1.0, c) == pytest.approx(0.3, abs=1e-15)
         assert omega(1.0, 1.0, c) == 0.0
 
     def test_singular_at_s_equal_kappa(self):
-        c = DerivedConstants(kappa=1.0, s=1.0, alpha_plus=0.0, alpha_minus=0.0,
-                             bargmann_u=1.0, bargmann_v=2.0)
+        c = DerivedConstants(kappa=1.0, s=1.0, alpha_plus=0.0, alpha_minus=0.0)
         with pytest.raises(SingularTransform):
             omega(0.7, 1.0, c)
 
