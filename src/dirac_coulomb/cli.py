@@ -32,7 +32,7 @@ from .radial import (
 from .report import SpectrumRecord, VerificationReport
 from .output import emit_csv, emit_json, emit_table, format_reals, token
 from .spectrum import bound_level
-from .verification import VERIFY_CHECK_COUNT, coherent_closed_residual, resolve_tolerances, run_suite
+from .verification import VERIFY_CHECK_COUNT, coherent_closed_residuals, resolve_tolerances, run_suite
 
 __all__ = ["main", "entrypoint", "build_parser", "VERIFY_CHECK_COUNT"]
 
@@ -384,7 +384,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
     grid = _grid(args, spinor.a_ref)
     fv, gv = (np.asarray(v, dtype=complex) for v in spinor(grid))
 
-    residuals = [coherent_closed_residual(channel, constants.s, xi) for channel in ("u", "v")]
+    residuals = coherent_closed_residuals(constants.s, [("u", xi), ("v", xi)])
     tolerances = _parse_tolerances(args)
     closed_report = VerificationReport.from_residuals(
         "coherent_closed_vs_sum", residuals, tolerances["coherent_closed_vs_sum"],

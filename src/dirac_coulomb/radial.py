@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -87,11 +88,17 @@ def sturmian(channel: str, n: int, s: float) -> LaguerreSum:
 
 def _sturmian_term(ch: RadialChannel, n: int, s: float) -> LaguerreTerm:
     """The single term of the Sturmian of label n in the channel ``ch`` at s."""
+    return LaguerreTerm(next(_sturmian_coefs(ch, n, s)), ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
+
+
+def _sturmian_coefs(ch: RadialChannel, n: int, s: float):
+    """The coefficients of the Sturmians of labels n, n + 1, ... in the channel ``ch`` at s."""
     try:
-        norm = 2.0 * math.exp(0.5 * (log_gamma(n + 1 - ch.lowest) - log_gamma(n + 2.0 * s + ch.lowest)))
-        return LaguerreTerm(norm * 2.0**ch.sigma, ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
+        power = 2.0**ch.sigma
     except OverflowError:  # 2^s past s = 1024
         raise NonNormalizable(f"Sturmian prefactor is out of double range at s = {s}") from None
+    return (2.0 * math.exp(0.5 * (log_gamma(g + 1 - ch.lowest) - log_gamma(g + 2.0 * s + ch.lowest))) * power
+            for g in count(n))
 
 
 def physical_components(level: BoundLevel, constants: DerivedConstants) -> tuple[LaguerreSum, LaguerreSum]:
@@ -142,7 +149,10 @@ class RadialSpinor:
 def _spinor_parts(level: BoundLevel, constants: DerivedConstants):
     n, a, s = level.n, level.a, constants.s
     f1, f2, g1, g2 = spinor_coefficients(n, constants, level.omega)
-    pre = (2.0 * a) ** (s - 1.0)
+    try:
+        pre = (2.0 * a) ** (s - 1.0)
+    except OverflowError:
+        raise NonNormalizable(f"spinor prefactor is out of double range at s = {s}") from None
 
     def channel_sum(c_poly, c_linear):
         return LaguerreSum.single(pre * c_poly, power=s, decay=a,

@@ -94,11 +94,11 @@ class LaguerreSum:
         """Each sum at r (a number or an array), making each distinct r**power,
         exp(-decay r) and Laguerre recurrence once.  Each sum adds its terms
         ((coef r^p) e^{-dr}) L in complex arithmetic in stored order from zero:
-        term by term (verification.coherent_truncated_sum repeats this for one
-        real term), or, past _TERM_BY_TERM terms at a 1-D r, as one product
-        array added one term position at a time for all sums (np.sum rounds
-        otherwise), in float64 if every coefficient and decay is real and every
-        product finite."""
+        term by term (verification.coherent_truncated_sums keeps these bits
+        for each degree's one real term), or, past _TERM_BY_TERM terms at a
+        1-D r, as one product array added one term position at a time for all
+        sums (np.sum rounds otherwise), in float64 if every coefficient and
+        decay is real and every product finite."""
         scalar = np.isscalar(r)
         rv = np.asarray(r, dtype=float)
         index, degrees, lag = {}, {}, {}  # index numbers each distinct key

@@ -33,20 +33,25 @@ def laguerre(n: int, alpha: float, x):
     return next(islice(laguerre_sequence(alpha, x), n, None))
 
 
-def laguerre_sequence(alpha: float, x):
+def laguerre_sequence(alpha, x):
     """Yield L_0^alpha(x), L_1^alpha(x), ... by the stable three-term
     forward recurrence, one step per degree.
 
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
     seeded with L_0 = 1 and L_1 = 1 + alpha - x.
 
+    ``alpha`` may be a column (rows, 1) of orders: row i of each degree then has order alpha[i]'s bits.
+
     Yielded arrays feed the next step: read them, never modify them.
     """
-    if alpha <= -1.0:
-        raise DomainError(f"Laguerre order must exceed -1, got {alpha}")
+    column = not np.isscalar(alpha)
+    if (low := np.min(alpha) if column else alpha) <= -1.0:
+        raise DomainError(f"Laguerre order must exceed -1, got {low}")
     scalar = np.isscalar(x)
     # a number runs in Python floats, the same double arithmetic without numpy's per-call cost
     xv = float(x) if scalar else np.asarray(x, dtype=float)
+    if column:  # as full (rows, points) arrays: numpy broadcasts a column more slowly
+        alpha, xv = (np.array(v) for v in np.broadcast_arrays(alpha, xv))
     prev = 1.0 if scalar else np.ones_like(xv)
     yield prev
     cur = 1.0 + alpha - xv

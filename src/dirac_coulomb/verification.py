@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import DiracCoulombError
 from .problem import Alignment, ProblemParams, derive_constants
 from .quadrature import build_rule, integrate_radial
 from .radial import (
-    _sturmian_term,
+    _sturmian_coefs,
     assemble_spinor,
     default_residual_grid,
     ode_residual_first_order,
@@ -60,8 +61,9 @@ __all__ = [
     "resolve_tolerances",
     "run_suite",
     "generating_reference_sum",
+    "coherent_truncated_sums",
     "coherent_truncated_sum",
-    "coherent_closed_residual",
+    "coherent_closed_residuals",
     "sommerfeld_energy",
 ]
 
@@ -92,55 +94,79 @@ def generating_reference_sum(nu: float, y: complex, x: float,
     return total
 
 
+# the most degrees in a block of coherent_truncated_sums: a first block of all N_l2 + 3 raised the peak RSS
+_BLOCK_ROWS = 64
+
+
+def coherent_truncated_sums(s: float, requests, grid: np.ndarray,
+                            l2_tail: float = 1e-14, sup_tail: float = 1e-10) -> list:
+    """Group-basis expansions of coherent states on a grid, (values, N_used, N_l2) for each
+    (channel, xi) of ``requests``: each series runs past the order N_l2 of the L^2 tail bound
+    until, three degrees in a row, max |term| <= sup_tail max |partial sum| (or N_l2 + 400).
+    One pass over blocks of degrees serves all requests: one Laguerre recurrence for a column
+    of both channels' orders, each channel's basis values, and each request's terms, running
+    sums (a sequential accumulate; np.sum adds pairwise) and row maxima for its stopping rule.
+    The bits are those of adding w_g ((c_g r^sigma) e^-r L_g).real one degree at a time in
+    complex arithmetic: e^-r is exp(-(1+0j) r).real (the real exp may differ in the last bit),
+    basis values are float64 products (the complex products' real parts if all are finite, else
+    complex ones), and |.| is np.abs of complex values (np.hypot differs)."""
+    grid = np.asarray(grid, dtype=float)
+    channels = {channel: radial_channel(channel, s) for channel, _ in requests}
+    lag = laguerre_sequence(np.array([[ch.alpha] for ch in channels.values()]), 2.0 * grid)
+    r_p = {channel: grid ** ch.sigma for channel, ch in channels.items()}
+    coefs = {channel: _sturmian_coefs(ch, ch.lowest, s) for channel, ch in channels.items()}
+    e_r = np.exp(-(1.0 + 0j) * grid)
+    live = []  # [request index, channel, weights, N_l2, running sum, scale, quiet]
+    for i, (channel, xi) in enumerate(requests):
+        k = channels[channel].sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
+        live.append([i, channel, _perelomov_weight_sequence(k, complex(xi)),
+                     truncation_order(k, complex(xi), l2_tail), np.zeros(grid.shape, dtype=complex), 0.0, 0])
+    results, start = [None] * len(requests), 0
+    while live:
+        n_min = min(req[3] for req in live)  # no series stops before degree N_l2 + 2
+        rows = min(_BLOCK_ROWS, max(n_min + 3 - start, 4 + n_min // 4))  # later blocks grow with N_l2
+        lags = np.array(list(islice(lag, rows)))  # (degree, channel, point)
+        basis = {}
+        for j, (channel, ch) in enumerate(channels.items()):
+            c = np.fromiter(islice(coefs[channel], rows), float, rows)[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                basis[channel] = c * r_p[channel] * e_r.real * lags[:, j]
+            if not np.isfinite(basis[channel]).all():
+                basis[channel] = (c.astype(complex) * r_p[channel] * e_r * lags[:, j]).real
+        for req in list(live):
+            i, channel, weights, n_l2, total, scale, quiet = req
+            terms = np.fromiter(islice(weights, rows), complex, rows)[:, None] * basis[channel]
+            lo = min(max(n_l2 - start, 0), rows)  # the rule reads the terms from degree N_l2 on
+            term_max = np.abs(terms[lo:]).max(axis=1).tolist()
+            np.add(total, terms[0], out=terms[0])  # total + term, in that order even for nan
+            sums = np.add.accumulate(terms, axis=0)
+            sum_max = np.abs(sums).max(axis=1).tolist()
+            scale = max([scale, *sum_max[:lo]])
+            for row, top in enumerate(term_max, lo):
+                scale = max(scale, sum_max[row])
+                quiet = quiet + 1 if top <= sup_tail * scale else 0
+                if quiet >= 3 or start + row == n_l2 + 400:
+                    results[i] = (sums[row].copy(), start + row, n_l2)
+                    live.remove(req)
+                    break
+            req[4:] = sums[-1], scale, quiet
+        start += rows
+    return results
+
+
 def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray,
                            l2_tail: float = 1e-14, sup_tail: float = 1e-10):
-    """Group-basis expansion of the coherent state on a grid.
-
-    Truncation starts at the order given by the stated L^2 tail bound and
-    is then extended until the added terms are pointwise negligible at
-    ``sup_tail`` relative to the partial sum, so the series error sits
-    well below the tolerance of any comparison made against it.  Returns
-    (values, N_used, N_l2).
-    """
-    ch = radial_channel(channel, s)
-    k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
-    xi = complex(xi)
-    n_l2 = truncation_order(k, xi, l2_tail)
-    grid = np.asarray(grid, dtype=float)
-    total = np.zeros(grid.shape, dtype=complex)
-    scale = 0.0
-    quiet = 0
-    n_used = 0
-    # each weight and Sturmian coefficient is made when the loop reaches its degree, and
-    # L_ng^alpha(2r) comes from one recurrence; each basis value is ((c r^p) e^-r) L with
-    # complex c and e^-r, the operations of LaguerreSum.evaluate_all's term-by-term sums
-    # in their order (its docstring names this copy)
-    r_p, e_r = grid ** ch.sigma, np.exp(-(1.0 + 0j) * grid)
-    for ng, weight, lag in zip(range(n_l2 + 401), _perelomov_weight_sequence(k, xi),
-                               laguerre_sequence(ch.alpha, 2.0 * grid)):
-        coef = _sturmian_term(ch, ng + ch.lowest, s).coef
-        term = weight * (complex(coef) * r_p * e_r * lag).real
-        total += term
-        scale = max(scale, float(np.max(np.abs(total))))
-        n_used = ng
-        if ng >= n_l2:
-            if float(np.max(np.abs(term))) <= sup_tail * scale:
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-    return total, n_used, n_l2
+    """The (values, N_used, N_l2) of coherent_truncated_sums for the one request (channel, xi)."""
+    return coherent_truncated_sums(s, [(channel, xi)], grid, l2_tail, sup_tail)[0]
 
 
-def coherent_closed_residual(channel: str, s: float, xi: complex) -> float:
-    """Sup-norm distance between one channel's closed-form coherent state
-    and its truncated group expansion on [1e-2, 40], relative to the
-    closed form's peak."""
+def coherent_closed_residuals(s: float, requests) -> list[float]:
+    """For each (channel, xi) of ``requests``, the sup-norm distance between the closed-form
+    coherent state and its truncated group expansion on [1e-2, 40], relative to its peak."""
     grid = np.geomspace(0.01, 40.0, 200)
-    closed = sturmian_coherent(channel, s, xi)(grid)
-    series, _, _ = coherent_truncated_sum(channel, s, xi, grid)
-    return float(np.max(np.abs(closed - series)) / np.max(np.abs(closed)))
+    closed = [sturmian_coherent(channel, s, xi)(grid) for channel, xi in requests]
+    series = coherent_truncated_sums(s, requests, grid)
+    return [float(np.max(np.abs(c - values)) / np.max(np.abs(c))) for c, (values, _, _) in zip(closed, series)]
 
 
 def sommerfeld_energy(n: int, s: float, alpha_v: float, mass: float) -> float:
@@ -370,9 +396,8 @@ def _check_coherent_identity(params):
 
 
 def _check_coherent_closed(params):
-    s = derive_constants(params).s
-    residuals = [coherent_closed_residual(channel, s, xi)
-                 for channel in ("u", "v") for mod in XI_GRID for xi in (mod, mod * np.exp(2.0j))]
+    residuals = coherent_closed_residuals(derive_constants(params).s, [
+        (channel, xi) for channel in ("u", "v") for mod in XI_GRID for xi in (mod, mod * np.exp(2.0j))])
     return residuals, {"xi": "0.2,0.4,0.6", "channels": "u,v"}
 
 

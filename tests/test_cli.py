@@ -125,6 +125,17 @@ class TestWavefunction:
         assert len(doc["rows"]) == 200
         assert all(rep["passed"] for rep in doc["reports"][1:])
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha-s", "1e20"], ["--alpha-s", "1e50"],
+        ["--dimension", "7", "--j", "0.5", "--alpha-s", "3.9e90", "--n", "5"],
+    ], ids=["alpha_s_1e20", "alpha_s_1e50", "d7_n5"])
+    def test_prefactor_past_the_double_range_exits_2(self, argv, capsys):
+        # (2a)^(s-1) raised a bare OverflowError here, where coherent and verify exit 2
+        assert cli.main(["wavefunction", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: spinor prefactor is out of double range at s = ")
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the D = 120 spinor overflows, "
                                            "and its ODE residuals print as nan")
     def test_overflowing_spinor_keeps_the_exit_contract(self, capsys):
@@ -136,6 +147,20 @@ class TestWavefunction:
         assert code in (0, 2)
         assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", captured.out)
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: far out on the grid r^p overflows against the "
+                                       "underflowed e^(-ar), and inf * 0 prints as nan")
+@pytest.mark.parametrize("argv", [["wavefunction", "--r-max", "1e300"],
+                                  ["coherent", "--xi-re", "0.3", "--r-max", "1e300"]], ids=["wavefunction", "coherent"])
+def test_far_grid_keeps_the_exit_contract(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except Exception:  # a traceback breaks the contract too
+        code = None
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", captured.out)
 
 
 def _reject_constant(name):

@@ -1,39 +1,50 @@
 """The one-pass evaluators give bit for bit what per-degree evaluation gives.
 
-Each reference below restarts the Laguerre recurrence from degree 0 for
-every degree and every term, as the library did before it ran each
-recurrence once; results are compared with ==, never with a tolerance.
+Each reference below evaluates every degree and every term on its own,
+with its own copy of the Laguerre recurrence run from degree 0, as the
+library did before it ran each recurrence once and before it summed the
+coherent series in blocks of degrees; results are compared with ==, never
+with a tolerance.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, radial_channel, sturmian
+from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, radial_channel, verification
 from dirac_coulomb.coherent import sturmian_coherent, truncation_order
+from dirac_coulomb.radial import _sturmian_term
 from dirac_coulomb.special import log_gamma
 from dirac_coulomb.verification import (
-    coherent_closed_residual,
+    coherent_closed_residuals,
     coherent_truncated_sum,
+    coherent_truncated_sums,
     generating_reference_sum,
 )
 
-# the grid of coherent_closed_residual
+# the grid of coherent_closed_residuals
 GRID = np.geomspace(0.01, 40.0, 200)
+
+# {(alpha, x bytes): [L_0, L_1, ...]} of the last (alpha, x) asked for: a higher degree at the
+# same (alpha, x) continues the same loop from degree 0, so long series stay linear in the degree
+_LADDER = {}
 
 
 def laguerre_from_zero(n, alpha, x):
     scalar = np.isscalar(x)
     xv = np.asarray(x, dtype=float)
-    prev = np.ones_like(xv)
-    if n == 0:
-        return float(prev) if scalar else prev
-    cur = 1.0 + alpha - xv
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - xv) * cur - (k + alpha) * prev) / (k + 1.0)
-    return float(cur) if scalar else cur
+    key = (alpha, xv.tobytes())
+    if key not in _LADDER:
+        _LADDER.clear()
+        _LADDER[key] = [np.ones_like(xv), 1.0 + alpha - xv]
+    ladder = _LADDER[key]
+    for k in range(len(ladder) - 1, n):
+        ladder.append(((2.0 * k + 1.0 + alpha - xv) * ladder[k] - (k + alpha) * ladder[k - 1]) / (k + 1.0))
+    return float(ladder[n]) if scalar else ladder[n]
 
 
 def generating_per_degree(nu, y, x, rel_tail=1e-16):
@@ -63,8 +74,12 @@ def term_by_term(f, r):
 
 @lru_cache(maxsize=None)
 def sturmian_on_grid(channel, n, s):
-    # many xi share a basis function; each is still made from degree 0
-    return term_by_term(sturmian(channel, n, s), GRID)
+    # many xi share a basis function; each is still made from degree 0.  Its one term is
+    # evaluated as term_by_term does, but without the LaguerreSum merge, which drops a
+    # coefficient that underflowed to 0: where r^s overflows, that term is 0 * inf = nan
+    t = _sturmian_term(radial_channel(channel, s), n, s)
+    return (0j + complex(t.coef) * GRID ** t.power * np.exp(-complex(t.decay) * GRID)
+            * laguerre_from_zero(t.degree, t.alpha, t.argscale * GRID)).real
 
 
 def coherent_per_degree(channel, s, xi, l2_tail=1e-14, sup_tail=1e-10):
@@ -109,6 +124,14 @@ class TestLaguerreSequence:
             assert np.array_equal(value, laguerre(k, 0.9, x))
             assert np.array_equal(value, laguerre_from_zero(k, 0.9, x))
 
+    def test_column_of_orders_matches_each_scalar_order(self):
+        orders = (-0.9, 0.3, 2.3, 41.0, 119.0)
+        x = np.geomspace(1e-3, 250.0, 41)
+        rows = zip(*(laguerre_sequence(a, x) for a in orders))
+        for k, stacked, scalar in zip(range(400), laguerre_sequence(np.array(orders)[:, None], x), rows):
+            assert stacked.shape == (len(orders), x.size)
+            assert stacked.tobytes() == np.array(scalar).tobytes()
+
 
 class TestSeriesSums:
     @pytest.mark.parametrize("nu, y, x", [(1.5, 0.3, 0.5), (2.4, -0.55, 2.0),
@@ -130,8 +153,40 @@ class TestSeriesSums:
         assert (n_used, n_l2) == (want_used, want_l2)
         assert values.tobytes() == want.tobytes()
         closed = sturmian_coherent(channel, s, xi)(GRID)
-        assert coherent_closed_residual(channel, s, xi) == float(
-            np.max(np.abs(closed - want)) / np.max(np.abs(closed)))
+        assert coherent_closed_residuals(s, [(channel, xi)]) == [float(
+            np.max(np.abs(closed - want)) / np.max(np.abs(closed)))]
+
+    @settings(max_examples=30)
+    @given(s=st.floats(math.log(0.05), math.log(60.0)).map(math.exp),
+           requests=st.lists(st.tuples(st.sampled_from("uv"), st.one_of(
+               st.just(0j), st.builds(lambda mod, phase: mod * np.exp(1j * phase),
+                                      st.floats(0.0, 0.95), st.floats(-math.pi, math.pi)))),
+               min_size=1, max_size=4))
+    @example(s=60.0, requests=[("v", 0.95), ("u", -0.95j), ("v", 0j), ("v", 0.95)])
+    @example(s=0.05, requests=[("u", 0.9 * np.exp(2.0j)), ("u", 0j)])
+    @example(s=250.0, requests=[("u", 0.3), ("v", -0.5 + 0.2j)])  # r^s overflows: values that are not finite
+    def test_batch_matches_the_per_degree_loop(self, s, requests):
+        # blocks of one row, of an odd size and of the full size
+        want = [coherent_per_degree(channel, s, xi) for channel, xi in requests]
+        sturmian_on_grid.cache_clear()
+        for rows in (1, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verification, "_BLOCK_ROWS", rows)
+                got = coherent_truncated_sums(s, requests, GRID)
+            for (values, n_used, n_l2), (ref, ref_used, ref_l2) in zip(got, want, strict=True):
+                assert (n_used, n_l2) == (ref_used, ref_l2)
+                assert values.tobytes() == ref.tobytes()
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # at |xi| = 0.999 the series run past N_l2 = 17,542 (u) and 20,542 (v), and only a few
+        # blocks of degrees are held at once
+        tracemalloc.start()
+        try:
+            coherent_closed_residuals(0.8888194417315589, [("u", 0.999), ("v", 0.999)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def repeated_key_sum():

@@ -104,7 +104,7 @@ def per_row_stdout(argv):
                 for r, f, g in zip(grid, fv, gv)]
         closed = VerificationReport.from_residuals(
             "coherent_closed_vs_sum",
-            [verification.coherent_closed_residual(c, constants.s, xi) for c in ("u", "v")],
+            verification.coherent_closed_residuals(constants.s, [(c, xi) for c in ("u", "v")]),
             tolerances["coherent_closed_vs_sum"], context={"xi_re": xi.real, "xi_im": xi.imag})
         reports = [spinor.normalization.to_row(), closed.to_row()]
         extra = {"xi_re": xi.real, "xi_im": xi.imag, "a_ref": spinor.a_ref, "omega_ref": spinor.omega_ref,
