@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from itertools import product
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -236,7 +236,8 @@ def _check_rows(command: str, total: int) -> None:
 
 
 def _axis(start: float, stop: float | None, count: int) -> list[float]:
-    return [start] if stop is None else [float(v) for v in np.linspace(start, stop, count)]
+    with np.errstate(all="ignore"):  # a span past the double range gives nan, which sweep rejects
+        return [start] if stop is None else np.linspace(start, stop, count).tolist()
 
 
 def _problem_params(args: argparse.Namespace, alpha_v: float | None = None,
@@ -250,16 +251,10 @@ def _problem_params(args: argparse.Namespace, alpha_v: float | None = None,
     )
 
 
-def _meta(args: argparse.Namespace, params: ProblemParams | None, extra: dict | None = None) -> dict:
-    meta = {"command": args.command, "package": "dirac-coulomb", "version": __version__}
-    if params is not None:
-        meta.update({
-            "dimension": params.dimension, "j": params.j,
-            "alignment": params.alignment.value, "alpha_v": params.alpha_v,
-            "alpha_s": params.alpha_s, "mass": params.mass,
-        })
-    meta.update(extra or {})
-    return meta
+def _meta(args: argparse.Namespace, params: ProblemParams, extra: dict) -> dict:
+    return {"command": args.command, "package": "dirac-coulomb", "version": __version__,
+            "dimension": params.dimension, "j": params.j, "alignment": params.alignment.value,
+            "alpha_v": params.alpha_v, "alpha_s": params.alpha_s, "mass": params.mass, **extra}
 
 
 def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
@@ -292,17 +287,36 @@ def _write_columns(args: argparse.Namespace, meta: dict, columns: dict, reports:
     """The document {meta, rows, reports} of the rows in ``columns`` (key -> array of reals),
     or in CSV the rows; each value is formatted once."""
     _write_text(args, emit_table(args.format, meta, tuple(columns), {},
-                                 zip(*(format_reals(v) for v in columns.values())), reports))
+                                 [format_reals(v) for v in columns.values()], reports))
+
+
+_STATUSES = ("supercritical", "no_bound_state", "ok")  # a spectrum row's status by its code
+_STATUS_TOKENS = {fmt: ([token(st == "ok", fmt) for st in _STATUSES], [token(st, fmt) for st in _STATUSES])
+                  for fmt in ("json", "csv")}  # the valid and the status token of each code
+
+
+def _repeat_each(tokens: list[str], times: int) -> list[str]:
+    return list(chain.from_iterable(repeat(t, times) for t in tokens))
+
+
+def _masked_tokens(mask: np.ndarray, null: str, *values: np.ndarray) -> list[list[str]]:
+    """For each array of values (of the mask's shape), format_reals where ``mask`` holds and
+    ``null`` elsewhere; only the values under the mask are formatted."""
+    if mask.all():
+        return [format_reals(v) for v in values]
+    pick = np.where(mask.ravel(), np.cumsum(mask), 0).tolist()
+    return [list(map([null, *format_reals(v[mask])].__getitem__, pick)) for v in values]
 
 
 def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: list[float],
                    as_values: list[float], ns: list[int], extra: dict) -> str:
     """SpectrumRecord rows over the (alpha_v, alpha_s) grid, n innermost, as text.  The
     columns repeat the operations of derive_constants and spectrum.energy in their
-    order, so every double is the same; each distinct value is formatted once."""
+    order, so every double is the same.  Each axis value is formatted once, and E/m and a
+    only in ok rows; emit_table takes the eight columns of tokens."""
     fmt, m = args.format, base.mass
     kap = kappa_of(base.dimension, base.j, base.alignment)
-    av, as_ = (c.reshape(-1, 1) for c in np.meshgrid(av_values, as_values, indexing="ij"))
+    av, as_ = np.array(av_values)[:, None, None], np.array(as_values)[:, None]  # (alpha_v, alpha_s, n) axes
     if ns[-1] > sys.float_info.max:  # ns ascend; past this n is no double
         raise DomainError(f"the spectrum formula overflows at n = {ns[-1]}")
     with np.errstate(all="ignore"):  # as silent as float arithmetic
@@ -316,25 +330,24 @@ def _spectrum_text(args: argparse.Namespace, base: ProblemParams, av_values: lis
         # at m far from 1 the product leaves the normal doubles; there take each root apart
         a = np.where((a_sq >= sys.float_info.min) & (a_sq <= sys.float_info.max),
                      np.sqrt(a_sq), np.sqrt(m - e) * np.sqrt(m + e))
-    supercritical, unbound = s_sq <= 0.0, disc < 0.0
+    supercritical = s_sq <= 0.0
+    ok = ~(supercritical | (disc < 0.0))
     # past about 1.3e154 in a coupling, kappa or n, s or nu * nu overflows: no bound row may print nan
-    broken = ~(supercritical | unbound) & ~(np.isfinite(s) & np.isfinite(disc) & np.isfinite(e) & np.isfinite(a))
+    broken = ok & ~(np.isfinite(s) & np.isfinite(disc) & np.isfinite(e) & np.isfinite(a))
     if broken.any():
         cell, n = divmod(int(np.flatnonzero(broken)[0]), len(ns))
-        raise DomainError(f"the spectrum formula overflows at alpha_v = {av[cell, 0]:.6g}, "
-                          f"alpha_s = {as_[cell, 0]:.6g}, n = {ns[n]}")
-    status = np.where(supercritical, "supercritical", np.where(unbound, "no_bound_state", "ok")).ravel().tolist()
-    null = token(None, fmt)
-    s_tok = [null if v <= 0.0 else t for v, t in zip(s_sq.ravel().tolist(), format_reals(s))]
-    av_tok, as_tok, n_tok = ([token(v, fmt) for v in values] for values in (av_values, as_values, ns))
-    heads = ((av_t, as_t, n_t, s_t) for (av_t, as_t), s_t in zip(product(av_tok, as_tok), s_tok)
-             for n_t in n_tok)
-    tail = {st: (token(st == "ok", fmt), token(st, fmt)) for st in set(status)}
-    rows = (head + ((e_t, a_t) if st == "ok" else (null, null)) + tail[st]
-            for head, e_t, a_t, st in zip(heads, format_reals(e / m), format_reals(a), status))
+        raise DomainError(f"the spectrum formula overflows at alpha_v = {av_values[cell // len(as_values)]:.6g}, "
+                          f"alpha_s = {as_values[cell % len(as_values)]:.6g}, n = {ns[n]}")
+    code = np.where(supercritical, 0, ok + 1).ravel().tolist()  # the index of the row's status
+    null, nn = token(None, fmt), len(ns)
+    av_tok, as_tok, n_tok = format_reals(av_values), format_reals(as_values), [str(n) for n in ns]
+    s_tok, = _masked_tokens(~supercritical, null, s)
+    columns = [_repeat_each(av_tok, len(as_values) * nn), _repeat_each(as_tok, nn) * len(av_values),
+               n_tok * len(s_tok), _repeat_each(s_tok, nn), *_masked_tokens(ok, null, e / m, a)]
+    columns += [list(map(pool.__getitem__, code)) for pool in _STATUS_TOKENS[fmt]]
     return emit_table(fmt, _meta(args, base, extra), SpectrumRecord.COLUMNS, {
         "dimension": base.dimension, "j": base.j, "alignment": base.alignment.value, "mass": m, "kappa": kap,
-    }, rows)
+    }, columns)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -423,13 +436,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     total = av_range[2] * as_range[2] * (ns.stop - ns.start)  # len() fails past sys.maxsize
     _check_rows("sweep", total)
     av_values, as_values, ns = _axis(*av_range), _axis(*as_range), list(ns)
-    # the grid's first invalid cell in row-major order is met first in row 0, then column 0
-    base, *_ = [_problem_params(args, alpha_v=av, alpha_s=as_) for av, as_ in
-                [(av_values[0], v) for v in as_values] + [(v, as_values[0]) for v in av_values[1:]]]
+    base = _problem_params(args, alpha_v=av_values[0], alpha_s=as_values[0])
+    # past cell 0 only a coupling fails; in row-major order row 0 is met first, then column 0
+    edge = np.array([av_values[:1] * len(as_values) + av_values[1:],
+                     as_values + as_values[:1] * (len(av_values) - 1)])
+    bad = np.flatnonzero((edge[0] <= 0.0) | (edge[1] < 0.0) | ~np.isfinite(edge).all(axis=0))
+    if bad.size:
+        _problem_params(args, alpha_v=float(edge[0, bad[0]]), alpha_s=float(edge[1, bad[0]]))
     _write_text(args, _spectrum_text(args, base, av_values, as_values, ns, {
-        "alpha_v_values": av_values, "alpha_s_values": as_values, "n_values": ns,
-        "rows_total": total,
-    }))
+        "alpha_v_values": av_values, "alpha_s_values": as_values, "n_values": ns, "rows_total": total}))
     return 0
 
 
@@ -448,13 +463,10 @@ def main(argv=None) -> int:
         _apply_config(args)
         _fill_defaults(args)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SupercriticalCoupling as exc:
         print(f"error: supercritical coupling: {exc}", file=sys.stderr)
         return 2
-    except DiracCoulombError as exc:
+    except (_UsageError, DiracCoulombError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

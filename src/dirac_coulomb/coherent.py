@@ -107,12 +107,18 @@ def perelomov_weights(k: float, xi: complex, n_max: int) -> np.ndarray:
 
 
 def _perelomov_weight_sequence(k: float, xi: complex):
-    """Yield the weights c_0, c_1, ... of perelomov_weights for a complex xi, one per step."""
+    """Yield the weights c_0, c_1, ... of perelomov_weights for a complex xi, one per step;
+    where the amplitude sqrt(Gamma(n+2k) / (n! Gamma(2k))) is past the doubles, the weight is
+    formed in log space."""
     pref = (1.0 - abs(xi) ** 2) ** k
     lg2k = log_gamma(2.0 * k)
+    log_pref, log_mod = k * math.log1p(-abs(xi) ** 2), math.log(abs(xi)) if xi else -math.inf
     for n in count():
-        amp = math.exp(0.5 * (log_gamma(n + 2.0 * k) - log_gamma(n + 1.0) - lg2k))
-        yield pref * amp * xi**n
+        log_amp = 0.5 * (log_gamma(n + 2.0 * k) - log_gamma(n + 1.0) - lg2k)
+        if log_amp > _LOG_DOUBLE_MAX:
+            yield cmath.exp(complex(log_pref + log_amp + n * log_mod, n * cmath.phase(xi)))
+        else:
+            yield pref * math.exp(log_amp) * xi**n
 
 
 def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
@@ -127,22 +133,14 @@ def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
         raise DomainError("truncation order requires |xi| < 1")
     if rho == 0.0:
         return 0
-    lg2k = log_gamma(2.0 * k)
-    n = 0
-    while True:
-        log_c2_next = (
-            2.0 * k * math.log1p(-rho)
-            + log_gamma(n + 1 + 2.0 * k)
-            - log_gamma(n + 2.0)
-            - lg2k
-            + (n + 1) * math.log(rho)
-        )
-        q = rho * (n + 1 + 2.0 * k) / (n + 2.0)
+    two_k = 2.0 * k
+    lg2k, head, log_rho = log_gamma(two_k), two_k * math.log1p(-rho), math.log(rho)
+    for n in range(100_001):
+        log_c2_next = head + math.lgamma(n + 1 + two_k) - math.lgamma(n + 2.0) - lg2k + (n + 1) * log_rho
+        q = rho * (n + 1 + two_k) / (n + 2.0)
         if q < 1.0 and math.exp(log_c2_next) / (1.0 - q) < l2_tail:
             return n
-        n += 1
-        if n > 100000:
-            raise DomainError("truncation order did not converge; |xi| too close to 1")
+    raise DomainError("truncation order did not converge; |xi| too close to 1")
 
 
 def _sqrt_gamma(x: float) -> float:
@@ -201,12 +199,7 @@ def coherent_ratio_Bn_prime(s: float, xi: complex, a_ref: float, omega_ref: floa
     xi = complex(xi)
     if abs(xi) >= 1.0:
         raise DomainError(f"ratio requires |xi| < 1, got |xi| = {abs(xi)}")
-    return (
-        omega_ref
-        * (1.0 - xi) ** 2
-        / (a_ref * (1.0 - abs(xi) ** 2))
-        * math.sqrt(s / (2.0 * (2.0 * s + 1.0)))
-    )
+    return omega_ref * (1.0 - xi) ** 2 / (a_ref * (1.0 - abs(xi) ** 2)) * math.sqrt(s / (2.0 * (2.0 * s + 1.0)))
 
 
 def closed_form_coherent_normalization(s: float, kappa: float, alpha_plus: float,
@@ -232,15 +225,9 @@ def closed_form_coherent_normalization(s: float, kappa: float, alpha_plus: float
         gamma_1, gamma_3 = math.exp(log_gamma(2.0 * s + 1.0)), math.exp(log_gamma(2.0 * s + 3.0))
     except OverflowError:
         return None
-    tau_p = (
-        -2.0 * omega_ref * (s - kappa) * alpha_v * abs1mxi2
-        * gamma_1 / (a_ref * (1.0 - mod2))
-    )
-    chi_p = (
-        (omega_ref * abs1mxi2 / ((2.0 * s + 1.0) * a_ref * (1.0 - mod2))) ** 2
-        * gamma_3
-        * (alpha_minus**2 + (s - kappa) ** 2)
-    )
+    tau_p = -2.0 * omega_ref * (s - kappa) * alpha_v * abs1mxi2 * gamma_1 / (a_ref * (1.0 - mod2))
+    chi_p = ((omega_ref * abs1mxi2 / ((2.0 * s + 1.0) * a_ref * (1.0 - mod2))) ** 2 * gamma_3
+             * (alpha_minus**2 + (s - kappa) ** 2))
     bracket = sigma_p + tau_p + chi_p
     if bracket <= 0.0:
         return None
@@ -288,21 +275,14 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
 
     mod2 = abs(xi) ** 2
     try:
-        pref = (
-            (1.0 - mod2) ** s * 2.0**s * a_ref ** (s - 1.0)
-            / (_sqrt_gamma(2.0 * s) * (1.0 - xi) ** (2.0 * s))
-        )
+        pref = (1.0 - mod2) ** s * 2.0**s * a_ref ** (s - 1.0) / (_sqrt_gamma(2.0 * s) * (1.0 - xi) ** (2.0 * s))
     except OverflowError:
         raise NonNormalizable(f"coherent spinor prefactor is out of double range at s = {s}") from None
     w_over = omega_ref / (2.0 * s + 1.0)
-    f_expr = (
-        LaguerreSum.single(pref * (s - k), power=s, decay=decay)
-        + LaguerreSum.single(-pref * constants.alpha_minus * w_over, power=s + 1.0, decay=decay)
-    )
-    g_expr = (
-        LaguerreSum.single(-pref * constants.alpha_plus, power=s, decay=decay)
-        + LaguerreSum.single(pref * (s - k) * w_over, power=s + 1.0, decay=decay)
-    )
+    f_expr = (LaguerreSum.single(pref * (s - k), power=s, decay=decay)
+              + LaguerreSum.single(-pref * constants.alpha_minus * w_over, power=s + 1.0, decay=decay))
+    g_expr = (LaguerreSum.single(-pref * constants.alpha_plus, power=s, decay=decay)
+              + LaguerreSum.single(pref * (s - k) * w_over, power=s + 1.0, decay=decay))
 
     # |F|^2 + |G|^2 = (|pref| A')^2 r^{2s} e^{-2 Re(decay) r} (C_0 + C_1 r + C_2 r^2), so
     # 1 / A'^2 = |pref|^2 sum_q C_q Gamma(2s+1+q) / (2 Re decay)^{2s+1+q}, where
@@ -319,14 +299,8 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
     sign = 1.0 if (s - k) - constants.alpha_minus * omega_ref / (a_ref * (2.0 * s + 1.0)) >= 0.0 else -1.0
     a_prime = sign * constant_from_log_norm(log_norm_sq)
 
-    comparison = NormalizationComparison(
-        quadrature_constant=abs(a_prime),
-        closed_form=closed_form_coherent_normalization(
-            s, k, constants.alpha_plus, constants.alpha_minus, xi, a_ref, omega_ref
-        ),
-    )
-    label = CoherentLabel.from_xi(xi, bargmann=s)
-    return CoherentSpinor(
-        label=label, a_ref=a_ref, omega_ref=omega_ref, A_n_prime=a_prime,
-        F=f_expr * a_prime, G=g_expr * a_prime, normalization=comparison,
-    )
+    closed = closed_form_coherent_normalization(s, k, constants.alpha_plus, constants.alpha_minus,
+                                                xi, a_ref, omega_ref)
+    comparison = NormalizationComparison(quadrature_constant=abs(a_prime), closed_form=closed)
+    return CoherentSpinor(label=CoherentLabel.from_xi(xi, bargmann=s), a_ref=a_ref, omega_ref=omega_ref,
+                          A_n_prime=a_prime, F=f_expr * a_prime, G=g_expr * a_prime, normalization=comparison)

@@ -3,7 +3,9 @@
 All reals are written with 17 significant digits, which round-trips
 doubles bit-faithfully; key order is insertion order and nothing
 time- or environment-dependent is ever emitted, so identical inputs
-produce byte-identical output.
+produce byte-identical output.  Tables are rendered column by column
+(emit_table): callers format only the values a row prints, and the rows
+are filled into a template in blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 import numpy as np
 
 __all__ = ["format_value", "format_reals", "token", "emit_json", "emit_csv", "emit_table"]
+
+_BLOCK_ROWS = 16  # table rows per % of emit_table; larger blocks raised the state ops' peak RSS
 
 
 def format_value(value) -> str:
@@ -37,11 +41,9 @@ def format_reals(values) -> list[str]:
 
 def token(value, fmt: str) -> str:
     """One scalar as emit_json (fmt "json") or else emit_csv writes it."""
-    if fmt != "json":
-        return format_value(value)
-    pieces: list[str] = []
-    _json_value(value, 0, pieces)
-    return pieces[0]
+    if fmt == "json" and (value is None or isinstance(value, str)):
+        return json.dumps(value)
+    return format_value(value)
 
 
 def _json_value(value, indent: int, pieces: list[str]) -> None:
@@ -100,18 +102,30 @@ def emit_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_table(fmt: str, meta: dict, keys, fixed: dict, rows, reports=()) -> str:
+def emit_table(fmt: str, meta: dict, keys, fixed: dict, columns, reports=()) -> str:
     """emit_json({"meta": meta, "rows": ..., "reports": list(reports)}) for fmt "json", else
-    emit_csv, of non-empty rows that need no CSV quoting, without a dict per row: the `fixed`
-    values are rendered once into a row template; each tuple of `rows` holds the other keys'
-    tokens."""
+    emit_csv, of non-empty rows that need no CSV quoting, without a dict or tuple per row: the
+    `fixed` values are rendered once into a row template, and `columns` holds one list of
+    tokens per other key, in key order: the text each row prints, so a caller formats only
+    what is shown (a spectrum table's E/m and a only in ok rows).  The template is filled for
+    _BLOCK_ROWS rows per `%`, and head, blocks and tail are joined once."""
     slots = [token(fixed[k], fmt).replace("%", "%%") if k in fixed else "%s" for k in keys]
     if fmt != "json":
+        head, sep, tail = ",".join(keys) + "\n", "", ""
         template = ",".join(slots) + "\n"
-        return ",".join(keys) + "\n" + "".join([template % row for row in rows])
-    template = "    {\n" + ",\n".join(
-        f"      {json.dumps(k).replace('%', '%%')}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
-    head = emit_json({"meta": meta})[:-len("\n}\n")]
-    body = ",\n".join([template % row for row in rows])
-    tail = emit_json({"reports": list(reports)})[len("{\n"):]
-    return f'{head},\n  "rows": [\n{body}\n  ],\n{tail}'
+    else:
+        head = emit_json({"meta": meta})[:-len("\n}\n")] + ',\n  "rows": [\n'
+        sep, tail = ",\n", "\n  ],\n" + emit_json({"reports": list(reports)})[len("{\n"):]
+        template = "    {\n" + ",\n".join(
+            f"      {json.dumps(k).replace('%', '%%')}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
+    width, rows = len(columns), len(columns[0])
+    tokens = [None] * (rows * width)  # row by row
+    for i, column in enumerate(columns):
+        tokens[i::width] = column
+    block, pieces = sep.join([template] * _BLOCK_ROWS), []
+    for start in range(0, rows, _BLOCK_ROWS):
+        if rows - start < _BLOCK_ROWS:
+            block = sep.join([template] * (rows - start))
+        pieces += [sep, block % tuple(tokens[start * width:(start + _BLOCK_ROWS) * width])]
+    pieces[0] = head  # in place of the first separator
+    return "".join(pieces + [tail])

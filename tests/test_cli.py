@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 
 from cli_support import run_cli
 from dirac_coulomb import VERIFY_CHECK_COUNT, cli
+from dirac_coulomb.errors import DiracCoulombError
 from dirac_coulomb.verification import sommerfeld_energy
 
 BASE = ["--dimension", "3", "--j", "0.5", "--aligned", "--mass", "1"]
@@ -384,6 +386,47 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha-v=-1.7e308..1.7e308..3"], "alpha_v must be finite, got nan"),  # linspace overflows
+        (["--alpha-s=-0.2..0.1..3", "--mass", "-1"], "alpha_s must be non-negative, got -0.2"),
+    ])
+    def test_first_invalid_cell_is_named_without_warnings(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", *BASE, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_mask_names_the_cell_the_per_cell_check_names(self, seed, monkeypatch, capsys):
+        # reference: ProblemParams of every cell of row 0, then of column 0, until one fails
+        rng = np.random.default_rng([19, seed])
+        valid, invalid = [0.3, 1.5, 5.0], [0.0, -0.0, -0.2, math.nan, math.inf, -math.inf]
+        for _ in range(50):
+            axes = [[valid[i] for i in rng.integers(0, len(valid), int(rng.integers(1, 5)))] for _ in "vs"]
+            for axis in axes:  # 0-2 values that may be invalid, at random places
+                for _ in range(int(rng.integers(0, 3))):
+                    axis[int(rng.integers(0, len(axis)))] = invalid[int(rng.integers(0, len(invalid)))]
+            # a quarter of the cases also give a mass or dimension that fails in every cell
+            failing = [["--mass", "-1"], ["--mass", "nan"], ["--dimension", "1"]] + [[]] * 9
+            extra = failing[int(rng.integers(0, len(failing)))]
+            argv = ["sweep", *BASE, *extra, f"--alpha-v=1..2..{len(axes[0])}",
+                    f"--alpha-s=1..2..{len(axes[1])}", "--n", "1", "--format", "csv"]
+            args = cli.build_parser().parse_args(argv)
+            cli._fill_defaults(args)
+            expected = ""
+            for av, as_ in [(axes[0][0], v) for v in axes[1]] + [(v, axes[1][0]) for v in axes[0][1:]]:
+                try:
+                    cli._problem_params(args, alpha_v=av, alpha_s=as_)
+                except DiracCoulombError as exc:
+                    expected = f"error: {exc}\n"
+                    break
+            given = iter(axes)
+            monkeypatch.setattr(cli, "_axis", lambda *_: next(given))
+            assert cli.main(argv) == (2 if expected else 0)
+            assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("flag, message", [
         ("--alpha-v=0.1..inf..3", "alpha_v must be finite, got inf"),

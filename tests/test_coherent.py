@@ -1,5 +1,9 @@
 import cmath
+import contextlib
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from dirac_coulomb import (
     assemble_coherent_spinor,
     bound_level,
     build_rule,
+    cli,
     coherent_ratio_Bn_prime,
     integrate_radial,
     perelomov_weights,
@@ -17,8 +22,37 @@ from dirac_coulomb import (
     sturmian,
     sturmian_coherent,
     truncation_order,
+    verification,
 )
 from dirac_coulomb.verification import coherent_truncated_sum
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def reference_weights(k, xi, n_max):
+    """The weights as formed before the log-space branch (math.exp raises past the doubles)."""
+    xi = complex(xi)
+    pref = (1.0 - abs(xi) ** 2) ** k
+    lg2k = math.lgamma(2.0 * k)
+    return np.array([pref * math.exp(0.5 * (math.lgamma(n + 2.0 * k) - math.lgamma(n + 1.0) - lg2k)) * xi**n
+                     for n in range(n_max + 1)], dtype=complex)
+
+
+def reference_truncation_order(k, xi, l2_tail=1e-14):
+    """truncation_order before its loop invariants were hoisted."""
+    rho = abs(complex(xi)) ** 2
+    if rho == 0.0:
+        return 0
+    lg2k = math.lgamma(2.0 * k)
+    n = 0
+    while True:
+        log_c2_next = (2.0 * k * math.log1p(-rho) + math.lgamma(n + 1 + 2.0 * k) - math.lgamma(n + 2.0)
+                       - lg2k + (n + 1) * math.log(rho))
+        q = rho * (n + 1 + 2.0 * k) / (n + 2.0)
+        if q < 1.0 and math.exp(log_c2_next) / (1.0 - q) < l2_tail:
+            return n
+        n += 1
 
 
 class TestWeights:
@@ -37,6 +71,50 @@ class TestWeights:
         k, xi = 1.3, 0.45
         w = perelomov_weights(k, xi, 1)
         assert abs(w[1]) ** 2 / abs(w[0]) ** 2 == pytest.approx(2.0 * k * abs(xi) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("xi", [0.7, 0.7 * cmath.exp(2.1j), 0.3 - 0.2j, 0.0])
+    def test_weights_stay_finite_past_the_double_range(self, xi):
+        # sqrt(Gamma(n + 800) / (n! Gamma(800))) passes the doubles at n = 1,362, where c_n ~ 1e-20
+        w = perelomov_weights(400.0, xi, 2000)
+        assert np.isfinite(w).all()
+        assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0, abs=1e-10)
+        assert w[:1362].tobytes() == reference_weights(400.0, xi, 1361).tobytes()
+        assert np.abs(w[1362:]).max() < 1e-19
+        # across and past the switch to log space, c_{n+1} / c_n = xi sqrt((n + 2k) / (n + 1))
+        # (at |xi| = 0.7 no weight there underflows; the smaller labels' weights are 0 there)
+        n = np.arange(1300, 1999)
+        if abs(xi) > 0.5:
+            assert np.allclose(w[n + 1] / w[n], xi * np.sqrt((n + 800.0) / (n + 1.0)), rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("xi", [0.5, 0.3 + 0.2j, -0.85j, 0.95 * cmath.exp(0.4j)])
+    def test_default_problem_weights_keep_their_bits(self, default_constants, xi):
+        for k in (default_constants.s, default_constants.s + 1.0):
+            n_max = truncation_order(k, xi) + 400
+            assert perelomov_weights(k, xi, n_max).tobytes() == reference_weights(k, xi, n_max).tobytes()
+
+    def test_truncation_order_matches_the_unhoisted_loop_on_a_grid(self):
+        for k in (0.05, 0.5, 0.866, 1.866, 7.3, 60.0, 400.0):
+            for mod in (1e-8, 0.01, 0.3, 0.7, 0.9, 0.99):
+                for phase in (0.0, 1.0, -2.5):
+                    xi = mod * cmath.exp(1j * phase)
+                    for tail in (1e-14, 1e-8):
+                        assert truncation_order(k, xi, tail) == reference_truncation_order(k, xi, tail)
+
+    def test_truncation_order_matches_the_unhoisted_loop_on_the_benchmark_deck(self, monkeypatch):
+        calls = []
+
+        def recording(k, xi, l2_tail=1e-14):
+            calls.append((k, xi, l2_tail))
+            return truncation_order(k, xi, l2_tail)
+
+        monkeypatch.setattr(verification, "truncation_order", recording)
+        for op in workloads.state_queries(1):
+            if op.kind == "coherent":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(list(op.argv))
+        assert len(calls) >= 300
+        for k, xi, tail in calls:
+            assert truncation_order(k, xi, tail) == reference_truncation_order(k, xi, tail)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -11,12 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from dirac_coulomb import cli
+from dirac_coulomb import cli, output
 from dirac_coulomb.errors import DiracCoulombError, SupercriticalCoupling
 from dirac_coulomb.output import emit_csv, emit_json, emit_table, token
 from dirac_coulomb.problem import derive_constants, kappa
 from dirac_coulomb.report import SpectrumRecord
 from dirac_coulomb.spectrum import energy
+from test_state_tables import per_row_stdout as state_per_row_stdout
 
 
 def record(params, n):
@@ -77,6 +78,12 @@ ARGVS = {
     "s-squared-zero": ["sweep", "--alpha-v", "1..3..5", "--alpha-s", "0"],  # kappa^2 = alpha_v^2
     "n-to-400": ["sweep", "--dimension", "6", "--j", "2.5", "--alpha-v", "0.5..4..3",
                  "--alpha-s", "0.3", "--n", "1..400"],
+    # more rows than one emit_table block (output._BLOCK_ROWS rows): 257 and 1,449 rows end in a
+    # partial block, 512 in a whole one
+    "rows-257": ["sweep", "--alpha-v", "0.05..1.5..257", "--alpha-s", "0.1", "--n", "1"],
+    "rows-512": ["sweep", "--alpha-v", "0.1..1.4..16", "--alpha-s", "0..0.4..4", "--n", "1..8"],
+    "rows-1449": ["sweep", "--dimension", "4", "--j", "1.5", "--mass", "3e5", "--alpha-v", "0.1..3.1..9",
+                  "--alpha-s", "0..3..7", "--n", "2..24"],
     "spectrum-default": ["spectrum"],
     "spectrum-n-to-400": ["spectrum", "--alpha-v", "0.9", "--alpha-s", "0", "--n", "1..400"],
     **{f"{cmd}-free-limit-{mass}": [cmd, "--alpha-v", "1e-12", "--alpha-s", "1e-12",
@@ -90,6 +97,33 @@ ARGVS = {
 def test_table_matches_per_row_path(name, fmt, capsys):
     argv = ARGVS[name] + ["--format", fmt]
     expected = per_row_stdout(argv)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name", ["rows-257", "rows-512", "rows-1449"])
+def test_large_cases_span_several_blocks(name, capsys):
+    assert cli.main(ARGVS[name] + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") - 1 > output._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", ["seeded-0", "seeded-5", "rows-512", "spectrum-default"])
+def test_every_block_size_prints_the_per_row_path(name, fmt, block_rows, monkeypatch, capsys):
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block_rows)
+    argv = ARGVS[name] + ["--format", fmt]
+    expected = per_row_stdout(argv)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("points", [1000, 1001])
+@pytest.mark.parametrize("argv", [["wavefunction", "--n", "3"], ["coherent", "--xi-re=-0.4", "--xi-im=0.5"]])
+def test_state_tables_across_blocks_match_per_row_path(argv, points, fmt, capsys):
+    argv = argv + ["--r-points", str(points), "--format", fmt]
+    expected = state_per_row_stdout(argv)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
 
@@ -120,8 +154,8 @@ def test_emit_table_matches_emit_json_and_emit_csv(fmt):
     varying = [(0.1, True, 3), (-2.5e-300, False, -1)]
     rows = [dict(zip(keys, (label, x, None, flag, k))) for x, flag, k in varying]
     meta = {"command": "table", "values": [1.5, None]}
-    tokens = [tuple(token(v, fmt) for v in row) for row in varying]
+    columns = [[token(v, fmt) for v in column] for column in zip(*varying)]
     for reports in ([], [{"check": "a", "value": -0.0, "context": "n=1;s=2"}, {"passed": True}]):
         expected = (emit_json({"meta": meta, "rows": rows, "reports": reports}) if fmt == "json"
                     else emit_csv(rows))
-        assert emit_table(fmt, meta, keys, {"label": label, "missing": None}, tokens, reports) == expected
+        assert emit_table(fmt, meta, keys, {"label": label, "missing": None}, columns, reports) == expected
