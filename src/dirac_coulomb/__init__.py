@@ -21,8 +21,6 @@ from .problem import (
     Alignment,
     DerivedConstants,
     ProblemParams,
-    coupling_matrix,
-    decoupling_matrix,
     derive_constants,
     kappa,
 )
@@ -51,7 +49,6 @@ from .radial import (
 from .algebra import (
     OperatorKind,
     RadialOperator,
-    ladder_matrix_elements,
     scaling_identity_residual,
     su11_commutator_report,
 )

@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import build_rule, integrate_radial
+from .quadrature import integrate_radial
 from .radialfn import LaguerreSum
 from .report import VerificationReport
 from .radial import radial_channel, sturmian
@@ -48,7 +48,6 @@ __all__ = [
     "RadialOperator",
     "SU11_RELATIONS",
     "su11_commutator_report",
-    "ladder_matrix_elements",
     "scaling_identity_residual",
 ]
 
@@ -214,27 +213,17 @@ def su11_commutator_report(channel: str, s: float, levels, grid,
     return reports
 
 
-def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float]:
-    """Quadrature projections <f_{n+1}, K+ f_n> and <f_{n-1}, K- f_n>
-    under the measure r dr.
-
-    With group index n_g (n for u, n-1 for v) and Bargmann index k these
-    must equal sqrt((n_g+1)(2k+n_g)) and sqrt(n_g(2k+n_g-1)); for the
-    lowest state the down coefficient is the norm of K- f, which vanishes.
-    A label below the channel's lowest raises DomainError.
-    """
-    return _ladder_projections(channel, [n], s, build_rule(*_ladder_rule_key(channel, n, s)))[0]
-
-
 def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
-    """(order, alpha) of the quadrature rule behind ladder_matrix_elements."""
+    """(order, alpha) of a quadrature rule that _ladder_projections of levels up to n may use."""
     return max(32, n + 10), radial_channel(channel, s).alpha
 
 
 def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[float, float]]:
-    """ladder_matrix_elements of each n in ``levels``, on one rule that
-    _ladder_rule_key gives them all: K+ f_n and K- f_n from the jets (f, f', f'')
-    of the Sturmians, all evaluated in one batch, and one integral of rows."""
+    """(<f_{n+1}, K+ f_n>, <f_{n-1}, K- f_n>) under r dr of each n in ``levels``, on
+    one rule that _ladder_rule_key gives them all: K+ f_n and K- f_n from the jets
+    (f, f', f'') of the Sturmians, all evaluated in one batch, and one integral of
+    rows.  At the lowest n the down entry is the norm of K- f_n, which vanishes;
+    a label below the lowest raises DomainError."""
     lowest, sigma, _, _ = radial_channel(channel, s)
     if min(levels) < lowest:
         raise DomainError(f"{channel}-channel ladder labels must be >= {lowest}, got {min(levels)}")

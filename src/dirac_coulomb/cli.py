@@ -30,7 +30,7 @@ from .radial import (
     physical_components,
 )
 from .report import SpectrumRecord, VerificationReport
-from .output import emit_csv, emit_json, emit_table, format_reals, token
+from .output import emit_table, format_reals, token
 from .spectrum import bound_level
 from .verification import VERIFY_CHECK_COUNT, coherent_closed_residuals, resolve_tolerances, run_suite
 
@@ -196,7 +196,9 @@ def _parse_n_range(text: str) -> range:
         values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise _UsageError(f"--n expects an integer or a..b, got {text!r}") from exc
-    if not values or values[0] < 1:
+    if not values:
+        raise _UsageError(f"--n range {text!r} is empty: its end is below its start")
+    if values[0] < 1:
         raise _UsageError(f"--n values must be >= 1, got {text!r}")
     return values
 
@@ -220,6 +222,8 @@ def _parse_coupling_range(text, name: str, allow_range: bool) -> tuple[float, fl
         for bound in (start, stop):
             if not math.isfinite(bound):
                 raise _UsageError(f"{name.replace('-', '_')} must be finite, got {bound}")
+        if not math.isfinite(stop - start):
+            raise _UsageError(f"--{name} range from {start!r} to {stop!r} spans more than the double range")
         if count < 1:
             raise _UsageError(f"--{name} range count must be >= 1")
         return start, stop, count
@@ -236,7 +240,7 @@ def _check_rows(command: str, total: int) -> None:
 
 
 def _axis(start: float, stop: float | None, count: int) -> list[float]:
-    with np.errstate(all="ignore"):  # a span past the double range gives nan, which sweep rejects
+    with np.errstate(over="ignore"):  # np.linspace may overflow its last step, which it then sets to stop
         return [start] if stop is None else np.linspace(start, stop, count).tolist()
 
 
@@ -415,17 +419,12 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _problem_params(args)
-    tolerances = _parse_tolerances(args)
-    reports = run_suite(params, tolerances, perturb=getattr(args, "perturb", False))
+    reports = run_suite(params, _parse_tolerances(args), perturb=args.perturb)
     rows = [rep.to_row() for rep in reports]
     all_passed = all(rep.passed for rep in reports)
-    document = {
-        "meta": _meta(args, params, {"check_count": VERIFY_CHECK_COUNT, "all_passed": all_passed}),
-        "rows": rows,
-        "reports": rows,
-    }
-    # emit_table would not quote the contexts that csv.writer may quote
-    _write_text(args, emit_json(document) if args.format == "json" else emit_csv(rows))
+    meta = _meta(args, params, {"check_count": VERIFY_CHECK_COUNT, "all_passed": all_passed})
+    columns = [[token(row[k], args.format) for row in rows] for k in rows[0]]
+    _write_text(args, emit_table(args.format, meta, tuple(rows[0]), {}, columns, rows))
     return 0 if all_passed else 1
 
 

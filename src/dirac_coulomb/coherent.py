@@ -90,9 +90,6 @@ class CoherentLabel:
         eta = math.log1p(-mod * mod)
         return cls(xi=xi, bargmann=bargmann, tau=tau, phi=phi, eta=eta)
 
-    def to_xi(self) -> complex:
-        return -math.tanh(0.5 * self.tau) * cmath.exp(-1.0j * self.phi)
-
 
 def perelomov_weights(k: float, xi: complex, n_max: int) -> np.ndarray:
     """Expansion weights c_0 .. c_{n_max} of D(xi)|k,0> in the group basis."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -22,16 +23,18 @@ _BLOCK_ROWS = 16  # table rows per % of emit_table; larger blocks raised the sta
 
 
 def format_value(value) -> str:
-    """Canonical scalar rendering shared by both formats."""
+    """Canonical rendering of a float, None, bool, int or str, shared by both formats; else TypeError."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
 def format_reals(values) -> list[str]:
@@ -40,46 +43,35 @@ def format_reals(values) -> list[str]:
 
 
 def token(value, fmt: str) -> str:
-    """One scalar as emit_json (fmt "json") or else emit_csv writes it."""
-    if fmt == "json" and (value is None or isinstance(value, str)):
-        return json.dumps(value)
+    """One scalar as emit_json (fmt "json") or else emit_csv writes it: csv.writer
+    quotes a string that holds a ',', a '"' or its line terminator, doubling each '"'."""
+    if isinstance(value, str):
+        if fmt == "json":
+            return json.dumps(value)
+        return '"' + value.replace('"', '""') + '"' if "," in value or '"' in value or "\n" in value else value
+    if value is None and fmt == "json":
+        return "null"
     return format_value(value)
 
 
 def _json_value(value, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    if value is None:
-        pieces.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(format(float(value), ".17g"))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            pieces.append(f"{pad}  {json.dumps(str(key))}: ")
-            _json_value(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(pad + "}")
+    if isinstance(value, dict):
+        brackets, items = "{}", ((f"{json.dumps(str(key))}: ", item) for key, item in value.items())
     elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(value):
-            pieces.append(pad + "  ")
-            _json_value(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(pad + "]")
+        brackets, items = "[]", zip(repeat(""), value)
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+        pieces.append(token(value, "json"))
+        return
+    if not value:
+        pieces.append(brackets)
+        return
+    pad = "\n" + "  " * indent
+    sep = brackets[0] + pad + "  "
+    for label, item in items:
+        pieces.append(sep + label)
+        _json_value(item, indent + 1, pieces)
+        sep = "," + pad + "  "
+    pieces.append(pad + brackets[1])
 
 
 def emit_json(document: dict) -> str:
@@ -104,10 +96,10 @@ def emit_csv(rows: list[dict]) -> str:
 
 def emit_table(fmt: str, meta: dict, keys, fixed: dict, columns, reports=()) -> str:
     """emit_json({"meta": meta, "rows": ..., "reports": list(reports)}) for fmt "json", else
-    emit_csv, of non-empty rows that need no CSV quoting, without a dict or tuple per row: the
-    `fixed` values are rendered once into a row template, and `columns` holds one list of
-    tokens per other key, in key order: the text each row prints, so a caller formats only
-    what is shown (a spectrum table's E/m and a only in ok rows).  The template is filled for
+    emit_csv, of non-empty rows whose keys need no CSV quoting, without a dict or tuple per
+    row: the `fixed` values are rendered once into a row template, and `columns` holds one
+    list of tokens per other key, in key order: the text each row prints, so a caller formats
+    only what is shown (a spectrum table's E/m and a only in ok rows).  The template is filled for
     _BLOCK_ROWS rows per `%`, and head, blocks and tail are joined once."""
     slots = [token(fixed[k], fmt).replace("%", "%%") if k in fixed else "%s" for k in keys]
     if fmt != "json":

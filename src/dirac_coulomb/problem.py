@@ -2,8 +2,7 @@
 
 Maps (D, j, spin alignment, couplings, mass) to the spin-orbit eigenvalue
 kappa and the effective angular parameter s, which fixes both radial
-channels (radial.radial_channel), and builds the 2x2 similarity transform
-that decouples the radial Dirac system.
+channels (radial.radial_channel).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SingularTransform, SupercriticalCoupling
+from .errors import DomainError, SupercriticalCoupling
 
 __all__ = [
     "Alignment",
@@ -22,8 +21,6 @@ __all__ = [
     "DerivedConstants",
     "kappa",
     "derive_constants",
-    "coupling_matrix",
-    "decoupling_matrix",
 ]
 
 
@@ -123,39 +120,3 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
                           f"alpha_v = {params.alpha_v:.6g}, alpha_s = {params.alpha_s:.6g})")
     return DerivedConstants(kappa=k, s=s, alpha_plus=a_plus, alpha_minus=a_minus)
 
-
-def coupling_matrix(constants: DerivedConstants) -> np.ndarray:
-    """The 1/r coefficient matrix of the coupled first-order radial system.
-
-    With the potentials -alpha_v/r, -alpha_s/r the system reads
-
-        d/dr (F, G)^T + (1/r) C (F, G)^T = [[0, m+E], [m-E, 0]] (F, G)^T,
-
-    and C = [[kappa, -(alpha_v-alpha_s)], [alpha_v+alpha_s, -kappa]].  Its
-    eigenvalues are exactly +-s, which is what makes the decoupling to the
-    (u, v) channels possible.
-    """
-    return np.array(
-        [
-            [constants.kappa, -constants.alpha_minus],
-            [constants.alpha_plus, -constants.kappa],
-        ]
-    )
-
-
-def decoupling_matrix(constants: DerivedConstants) -> np.ndarray:
-    """Similarity transform M with M^-1 C M = diag(-s, s).
-
-    M = [[s-kappa, -(alpha_v-alpha_s)], [-(alpha_v+alpha_s), s-kappa]] with
-    det M = 2 s (s - kappa); the transform is singular exactly when
-    s = kappa.
-    """
-    s, k = constants.s, constants.kappa
-    if abs(s - k) <= 1e-14 * max(1.0, abs(k)):
-        raise SingularTransform(f"decoupling matrix is singular: s = kappa = {k}")
-    return np.array(
-        [
-            [s - k, -constants.alpha_minus],
-            [-constants.alpha_plus, s - k],
-        ]
-    )

@@ -35,10 +35,6 @@ class QuadratureRule:
     nodes: np.ndarray
     log_weights: np.ndarray
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
     def integrate_moment(self, k: float) -> float:
         """int_0^inf x^(alpha+k) e^-x dx by this rule; exact for k <= 2N-1 integer."""
         return float(np.sum(np.exp(self.log_weights + k * np.log(self.nodes))))

@@ -240,10 +240,10 @@ def assemble_spinor(level: BoundLevel, constants: DerivedConstants) -> RadialSpi
     )
 
 
-def default_residual_grid(a: float, points: int = 400) -> np.ndarray:
-    """Logarithmic grid on [1e-2/a, 40/a]; r -> 0 is excluded because the
-    1/r terms amplify rounding there without testing anything new."""
-    return np.geomspace(1e-2 / a, 40.0 / a, points)
+def default_residual_grid(a: float) -> np.ndarray:
+    """Logarithmic grid of 400 points on [1e-2/a, 40/a]; r -> 0 is excluded
+    because the 1/r terms amplify rounding there without testing anything new."""
+    return np.geomspace(1e-2 / a, 40.0 / a, 400)
 
 
 def _guard_scale(values_a: np.ndarray, values_b: np.ndarray, a: float, grid: np.ndarray) -> np.ndarray:
@@ -290,9 +290,7 @@ def ode_residual_first_order(spinor: RadialSpinor, grid: np.ndarray | None = Non
 
 
 def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
-                              constants: DerivedConstants,
-                              grid: np.ndarray | None = None, channel: str = "v",
-                              energy: float | None = None,
+                              constants: DerivedConstants, grid: np.ndarray, channel: str = "v",
                               tolerance: float = SECOND_ORDER_TOL) -> VerificationReport:
     """Guarded relative residual of the decoupled second-order equation.
 
@@ -300,15 +298,12 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
          + m^2 - E^2) f = 0,
 
     with centrifugal constant c = s(s+1) for the v channel and s(s-1) for
-    the u channel.  Passing an explicit ``energy`` detunes the operator
-    (sensitivity checks)."""
+    the u channel; E is ``level.energy``."""
     ch = radial_channel(channel, constants.s)
-    if grid is None:
-        grid = default_residual_grid(level.a)
     grid = np.asarray(grid, dtype=float)
     cent = ch.bargmann * ch.sigma  # sigma (sigma + 1) = k (k - 1)
     m = level.mass
-    e = level.energy if energy is None else energy
+    e = level.energy
     av = 0.5 * (constants.alpha_plus + constants.alpha_minus)
     as_ = 0.5 * (constants.alpha_plus - constants.alpha_minus)
     coulomb = av * e + as_ * m

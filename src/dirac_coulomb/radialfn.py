@@ -203,6 +203,3 @@ class LaguerreSum:
 
     def __len__(self) -> int:
         return len(self._map)
-
-    def __repr__(self) -> str:
-        return f"LaguerreSum({len(self._map)} terms, real={self.is_real})"

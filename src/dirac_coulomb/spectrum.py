@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoBoundState, SingularTransform
-from .problem import DerivedConstants, ProblemParams, derive_constants
+from .problem import DerivedConstants, ProblemParams
 
 __all__ = ["BoundLevel", "energy", "omega", "scale_and_theta", "bound_level"]
 
@@ -81,10 +81,8 @@ def scale_and_theta(e: float, mass: float) -> tuple[float, float]:
     return a, math.log(a)
 
 
-def bound_level(n: int, params: ProblemParams, constants: DerivedConstants | None = None) -> BoundLevel:
-    """Assemble the full BoundLevel record for level n."""
-    if constants is None:
-        constants = derive_constants(params)
+def bound_level(n: int, params: ProblemParams, constants: DerivedConstants) -> BoundLevel:
+    """Assemble the full BoundLevel record for level n; ``constants`` are params' derived constants."""
     e = energy(n, constants, params)
     a, theta = scale_and_theta(e, params.mass)
     w = omega(e, params.mass, constants)

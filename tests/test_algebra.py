@@ -9,13 +9,13 @@ from dirac_coulomb import (
     LaguerreSum,
     OperatorKind,
     RadialOperator,
-    ladder_matrix_elements,
     radial_channel,
     run_suite,
     scaling_identity_residual,
     sturmian,
     su11_commutator_report,
 )
+from reference import ladder_matrix_elements
 
 GRID = np.geomspace(0.05, 30.0, 80)
 

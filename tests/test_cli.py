@@ -388,7 +388,8 @@ class TestSweep:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--alpha-v=-1.7e308..1.7e308..3"], "alpha_v must be finite, got nan"),  # linspace overflows
+        (["--alpha-v=-1.7e308..1.7e308..3"],  # stop - start overflows, and np.linspace with it
+         "--alpha-v range from -1.7e+308 to 1.7e+308 spans more than the double range"),
         (["--alpha-s=-0.2..0.1..3", "--mass", "-1"], "alpha_s must be non-negative, got -0.2"),
     ])
     def test_first_invalid_cell_is_named_without_warnings(self, argv, message, capsys):
@@ -537,6 +538,19 @@ class TestGridValidation:
     def test_invalid_level_exits_2(self):
         proc = run_cli("wavefunction", *BASE, "--alpha-v", "0.5", "--alpha-s", "0.2", "--n", "0")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction", "sweep"])
+    @pytest.mark.parametrize("n, message", [
+        ("0", "--n values must be >= 1, got '0'"),
+        ("-2..3", "--n values must be >= 1, got '-2..3'"),
+        ("5..1", "--n range '5..1' is empty: its end is below its start"),
+        ("1..0", "--n range '1..0' is empty: its end is below its start"),
+    ])
+    def test_bad_level_is_named(self, command, n, message, capsys):
+        assert cli.main([command, f"--n={n}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["wavefunction", "coherent"])
     @pytest.mark.parametrize("source", ["flag", "config"])

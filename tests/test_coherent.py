@@ -282,7 +282,8 @@ class TestLabel:
     def test_round_trip(self):
         for xi in (0.3, -0.5, 0.2 + 0.6j, 0.0, -0.1 - 0.7j):
             label = CoherentLabel.from_xi(xi, bargmann=1.9)
-            assert abs(label.to_xi() - complex(xi)) < 1e-14
+            back = -math.tanh(0.5 * label.tau) * cmath.exp(-1.0j * label.phi)  # xi from (tau, phi)
+            assert abs(back - complex(xi)) < 1e-14
 
     def test_eta_identity(self):
         label = CoherentLabel.from_xi(0.6, bargmann=1.9)

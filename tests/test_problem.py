@@ -11,12 +11,11 @@ from dirac_coulomb import (
     ProblemParams,
     SingularTransform,
     SupercriticalCoupling,
-    coupling_matrix,
-    decoupling_matrix,
     derive_constants,
     kappa,
     radial_channel,
 )
+from reference import coupling_matrix, decoupling_matrix
 
 
 def make_constants(kap, alpha_v, alpha_s):

@@ -98,14 +98,14 @@ class TestPhysicalComponents:
     def test_v_nodeless_for_n1(self, default_params, default_constants):
         level = bound_level(1, default_params, default_constants)
         _, v_t = physical_components(level, default_constants)
-        grid = default_residual_grid(level.a, 300)
+        grid = np.geomspace(1e-2 / level.a, 40.0 / level.a, 300)
         assert sign_changes(v_t(grid)) == 0
 
     def test_v_has_two_interior_zeros_for_n3(self, default_params, default_constants):
         # zero count of the degree-2 Laguerre factor by sign-change scan
         level = bound_level(3, default_params, default_constants)
         _, v_t = physical_components(level, default_constants)
-        grid = default_residual_grid(level.a, 2000)
+        grid = np.geomspace(1e-2 / level.a, 40.0 / level.a, 2000)
         assert sign_changes(v_t(grid)) == 2
 
     def test_components_solve_their_equations(self, default_params, default_constants):
@@ -217,14 +217,14 @@ class TestOdeResiduals:
         for n in (1, 4):
             level = bound_level(n, default_params, default_constants)
             _, v_t = physical_components(level, default_constants)
-            rep = ode_residual_second_order(v_t, level, default_constants)
+            rep = ode_residual_second_order(v_t, level, default_constants, default_residual_grid(level.a))
             assert rep.residual_max < 1e-7
 
     def test_second_order_wrong_energy(self, default_params, default_constants):
         level = bound_level(1, default_params, default_constants)
         _, v_t = physical_components(level, default_constants)
-        rep = ode_residual_second_order(v_t, level, default_constants,
-                                        energy=level.energy + 0.01 * default_params.mass)
+        detuned = replace(level, energy=level.energy + 0.01 * default_params.mass)
+        rep = ode_residual_second_order(v_t, detuned, default_constants, default_residual_grid(level.a))
         assert rep.residual_max > 1e-3
 
 

@@ -24,7 +24,6 @@ from dirac_coulomb.algebra import (
     _su11_family_residuals,
     _ladder_projections,
     _ladder_rule_key,
-    ladder_matrix_elements,
     scaling_identity_residual,
     su11_commutator_report,
     SU11_RELATIONS,
@@ -32,6 +31,7 @@ from dirac_coulomb.algebra import (
 from dirac_coulomb.quadrature import build_rule, integrate_radial
 from dirac_coulomb.report import VerificationReport
 from dirac_coulomb.special import laguerre
+from reference import ladder_matrix_elements
 from test_verify_table import test_each_check_builds_each_distinct_rule_once as _builds_each_rule_once
 
 
@@ -427,7 +427,7 @@ def test_oracles_compute_each_laguerre_factor_once(default_params, default_const
         once(lambda: radial.ode_residual_first_order(radial.assemble_spinor(level, default_constants)))
         for channel, component in zip("uv", physical_components(level, default_constants)):
             once(lambda: radial.ode_residual_second_order(component, level, default_constants,
-                                                          channel=channel))
+                                                          radial.default_residual_grid(level.a), channel))
     for channel, n in (("u", 0), ("u", 3), ("v", 1), ("v", 4)):
         once(lambda: _ladder_projections(channel, [n, n + 1], s, build_rule(*_ladder_rule_key(channel, n, s))))
         once(lambda: scaling_identity_residual([0.7, -0.7], [sturmian(channel, n, s)], grid,

@@ -150,7 +150,7 @@ def test_cases_reach_supercritical_cells_and_the_clamp(capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_table_matches_emit_json_and_emit_csv(fmt):
     keys = ("label", "x", "missing", "flag", "k%")
-    label = '100% "quoted"' if fmt == "json" else "100%"  # emit_csv would quote a '"'
+    label = '100% "quoted", once'
     varying = [(0.1, True, 3), (-2.5e-300, False, -1)]
     rows = [dict(zip(keys, (label, x, None, flag, k))) for x, flag, k in varying]
     meta = {"command": "table", "values": [1.5, None]}
