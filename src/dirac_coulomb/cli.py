@@ -24,10 +24,10 @@ from .errors import DiracCoulombError, DomainError, SupercriticalCoupling
 from .problem import Alignment, ProblemParams, derive_constants, kappa as kappa_of
 from .radial import (
     assemble_spinor,
-    default_residual_grid,
     ode_residual_first_order,
     ode_residual_second_order,
     physical_components,
+    radial_window,
 )
 from .report import SpectrumRecord, VerificationReport
 from .output import emit_table, format_reals, token
@@ -262,8 +262,9 @@ def _meta(args: argparse.Namespace, params: ProblemParams, extra: dict) -> dict:
 
 
 def _grid(args: argparse.Namespace, scale_a: float) -> np.ndarray:
-    r_min = args.r_min if args.r_min is not None else 1e-2 / scale_a
-    r_max = args.r_max if args.r_max is not None else 40.0 / scale_a
+    r_min, r_max = radial_window(scale_a)
+    r_min = args.r_min if args.r_min is not None else r_min
+    r_max = args.r_max if args.r_max is not None else r_max
     points = int(args.r_points)
     if points < 2:
         raise _UsageError("grid needs at least 2 points")
@@ -378,16 +379,16 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     fv, gv = spinor(grid)
 
     tolerances = _parse_tolerances(args)
-    res_grid = default_residual_grid(level.a)
-    first = ode_residual_first_order(spinor, res_grid, tolerance=tolerances["ode_first_order"])
+    first = ode_residual_first_order(spinor)
     u_t, v_t = physical_components(level, constants)
-    second = ode_residual_second_order(v_t, level, constants, res_grid, "v",
-                                       tolerance=tolerances["ode_second_order"])
+    second = ode_residual_second_order(v_t, level, constants)
+    reports = [VerificationReport.from_residuals(name, residuals, tolerances[name], context).to_row()
+               for name, (residuals, context) in (("ode_first_order", first), ("ode_second_order", second))]
     _write_columns(args, _meta(args, params, {
         "n": level.n, "energy_over_mass": level.energy / params.mass,
         "scale_a": level.a, "omega": level.omega,
         "grid_points": int(args.r_points), "grid_spacing": args.r_spacing,
-    }), {"r": grid, "F": fv, "G": gv}, [spinor.normalization.to_row(), first.to_row(), second.to_row()])
+    }), {"r": grid, "F": fv, "G": gv}, [spinor.normalization.to_row(), *reports])
     return 0
 
 

@@ -62,33 +62,30 @@ __all__ = [
 ]
 
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+L2_TAIL = 1e-14  # the weight mass that truncation_order leaves out
 
 
 @dataclass(frozen=True)
 class CoherentLabel:
-    """Disc label xi (|xi| < 1) with its displacement parameters.
+    """The displacement parameters of a disc label xi (|xi| < 1):
 
     xi = -tanh(tau/2) e^{-i phi}, eta = ln(1 - |xi|^2) <= 0.
     """
 
-    xi: complex
-    bargmann: float
     tau: float
     phi: float
     eta: float
 
     @classmethod
-    def from_xi(cls, xi: complex, bargmann: float) -> "CoherentLabel":
+    def from_xi(cls, xi: complex) -> "CoherentLabel":
         xi = complex(xi)
         mod = abs(xi)
         if mod >= 1.0:
             raise DomainError(f"coherent label requires |xi| < 1, got |xi| = {mod}")
-        if bargmann <= 0.0:
-            raise DomainError(f"Bargmann index must be positive, got {bargmann}")
         tau = 2.0 * math.atanh(mod)
         phi = -cmath.phase(-xi) if mod > 0.0 else 0.0
         eta = math.log1p(-mod * mod)
-        return cls(xi=xi, bargmann=bargmann, tau=tau, phi=phi, eta=eta)
+        return cls(tau=tau, phi=phi, eta=eta)
 
 
 def perelomov_weights(k: float, xi: complex, n_max: int) -> np.ndarray:
@@ -118,8 +115,8 @@ def _perelomov_weight_sequence(k: float, xi: complex):
             yield pref * math.exp(log_amp) * xi**n
 
 
-def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
-    """Smallest N with sum_{n>N} |c_n|^2 < l2_tail.
+def truncation_order(k: float, xi: complex) -> int:
+    """Smallest N with sum_{n>N} |c_n|^2 < L2_TAIL.
 
     The squared weights are a negative-binomial sequence, so the tail is
     bounded by the next term times a geometric factor with ratio
@@ -135,7 +132,7 @@ def truncation_order(k: float, xi: complex, l2_tail: float = 1e-14) -> int:
     for n in range(100_001):
         log_c2_next = head + math.lgamma(n + 1 + two_k) - math.lgamma(n + 2.0) - lg2k + (n + 1) * log_rho
         q = rho * (n + 1 + two_k) / (n + 2.0)
-        if q < 1.0 and math.exp(log_c2_next) / (1.0 - q) < l2_tail:
+        if q < 1.0 and math.exp(log_c2_next) / (1.0 - q) < L2_TAIL:
             return n
     raise DomainError("truncation order did not converge; |xi| too close to 1")
 
@@ -233,12 +230,12 @@ def closed_form_coherent_normalization(s: float, kappa: float, alpha_plus: float
 
 @dataclass(frozen=True)
 class CoherentSpinor:
-    """Evaluable normalized coherent pair (F, G)(r, xi)."""
+    """Evaluable normalized coherent pair (F, G)(r, xi); normalization.quadrature_constant
+    holds |A'|."""
 
     label: CoherentLabel
     a_ref: float
     omega_ref: float
-    A_n_prime: float
     F: LaguerreSum
     G: LaguerreSum
     normalization: NormalizationComparison
@@ -299,5 +296,5 @@ def assemble_coherent_spinor(params: ProblemParams, constants: DerivedConstants,
     closed = closed_form_coherent_normalization(s, k, constants.alpha_plus, constants.alpha_minus,
                                                 xi, a_ref, omega_ref)
     comparison = NormalizationComparison(quadrature_constant=abs(a_prime), closed_form=closed)
-    return CoherentSpinor(label=CoherentLabel.from_xi(xi, bargmann=s), a_ref=a_ref, omega_ref=omega_ref,
-                          A_n_prime=a_prime, F=f_expr * a_prime, G=g_expr * a_prime, normalization=comparison)
+    return CoherentSpinor(label=CoherentLabel.from_xi(xi), a_ref=a_ref, omega_ref=omega_ref,
+                          F=f_expr * a_prime, G=g_expr * a_prime, normalization=comparison)

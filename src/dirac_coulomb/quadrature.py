@@ -30,7 +30,6 @@ _NEWTON_RTOL = 1e-14
 class QuadratureRule:
     """Nodes and weights of an N-point rule for int_0^inf x^alpha e^-x f(x) dx."""
 
-    order: int
     alpha: float
     nodes: np.ndarray
     log_weights: np.ndarray
@@ -96,7 +95,7 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
         + np.log(x)
         - 2.0 * np.log(np.abs(ltop))
     )
-    return QuadratureRule(order=n, alpha=alpha, nodes=x, log_weights=log_w)
+    return QuadratureRule(alpha=alpha, nodes=x, log_weights=log_w)
 
 
 def integrate_radial(f, scale: float, rule: QuadratureRule):
@@ -104,15 +103,11 @@ def integrate_radial(f, scale: float, rule: QuadratureRule):
 
     The caller declares smoothness: f(r) = r^rule.alpha * e^{-2 scale r}
     * (smooth slowly-varying part), and f must accept an array of radii.
-    The rule is applied under the substitution x = 2*scale*r.
+    The rule is applied under the substitution x = 2*scale*r.  The total is a
+    numpy scalar, or an array of one per row: real for a real f, else complex.
     """
     if scale <= 0.0:
         raise DomainError(f"integration scale must be positive, got {scale}")
     r = rule.nodes / (2.0 * scale)
     w = np.exp(rule.log_weights + rule.nodes - rule.alpha * np.log(rule.nodes)) / (2.0 * scale)
-    if np.ndim(total := np.sum(w * f(r), axis=-1)):
-        return total
-    gl = complex(total)
-    if abs(gl.imag) < 1e-300 + 1e-15 * abs(gl.real):
-        gl = gl.real
-    return gl
+    return np.sum(w * f(r), axis=-1)

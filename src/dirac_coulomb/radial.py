@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, NoBoundState, NonNormalizable
 from .problem import DerivedConstants
-from .radialfn import LaguerreSum, LaguerreTerm
-from .report import NormalizationComparison, VerificationReport
+from .radialfn import LaguerreSum
+from .report import NormalizationComparison
 from .special import log_gamma, log_gamma_ratio
 from .spectrum import BoundLevel
 
@@ -43,11 +44,9 @@ __all__ = [
     "closed_form_normalization_constant",
     "ode_residual_first_order",
     "ode_residual_second_order",
+    "radial_window",
     "default_residual_grid",
 ]
-
-FIRST_ORDER_TOL = 1e-8
-SECOND_ORDER_TOL = 1e-7
 
 
 class RadialChannel(NamedTuple):
@@ -83,12 +82,7 @@ def sturmian(channel: str, n: int, s: float) -> LaguerreSum:
     ch = radial_channel(channel, s)
     if n < ch.lowest:
         raise DomainError(f"{channel}-channel Sturmian requires n >= {ch.lowest}, got {n}")
-    return LaguerreSum([_sturmian_term(ch, n, s)])
-
-
-def _sturmian_term(ch: RadialChannel, n: int, s: float) -> LaguerreTerm:
-    """The single term of the Sturmian of label n in the channel ``ch`` at s."""
-    return LaguerreTerm(next(_sturmian_coefs(ch, n, s)), ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
+    return LaguerreSum.single(next(_sturmian_coefs(ch, n, s)), ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
 
 
 def _sturmian_coefs(ch: RadialChannel, n: int, s: float):
@@ -129,15 +123,11 @@ def spinor_coefficients(n: int, constants: DerivedConstants, omega: float) -> tu
 
 @dataclass(frozen=True)
 class RadialSpinor:
-    """Evaluable normalized pair (F, G) for one bound level."""
+    """Evaluable normalized pair (F, G) for one bound level; spinor_coefficients gives
+    its mixing coefficients, and normalization.quadrature_constant holds |A_n|."""
 
     level: BoundLevel
     constants: DerivedConstants
-    F1: float
-    F2: float
-    G1: float
-    G2: float
-    A_n: float
     F: LaguerreSum
     G: LaguerreSum
     normalization: NormalizationComparison
@@ -232,18 +222,24 @@ def assemble_spinor(level: BoundLevel, constants: DerivedConstants) -> RadialSpi
         quadrature_constant=abs(a_n),
         closed_form=closed_form_normalization_constant(level, constants),
     )
-    return RadialSpinor(
-        level=level, constants=constants,
-        F1=f1, F2=f2, G1=g1, G2=g2, A_n=a_n,
-        F=f_expr * a_n, G=g_expr * a_n,
-        normalization=comparison,
-    )
+    return RadialSpinor(level=level, constants=constants, F=f_expr * a_n, G=g_expr * a_n,
+                        normalization=comparison)
 
 
+def radial_window(a: float) -> tuple[float, float]:
+    """(1e-2/a, 40/a): the span of the residual grids and of the CLI's default grid
+    for a state of scale a; r -> 0 is left out because the 1/r terms amplify
+    rounding there without testing anything new."""
+    return 1e-2 / a, 40.0 / a
+
+
+@lru_cache(maxsize=1)  # both oracles of a level use it, and geomspace costs 10-20% of an oracle
 def default_residual_grid(a: float) -> np.ndarray:
-    """Logarithmic grid of 400 points on [1e-2/a, 40/a]; r -> 0 is excluded
-    because the 1/r terms amplify rounding there without testing anything new."""
-    return np.geomspace(1e-2 / a, 40.0 / a, 400)
+    """Logarithmic grid of 400 points on radial_window(a), where the ODE oracles evaluate;
+    read-only, since calls at the same a return the same array."""
+    grid = np.geomspace(*radial_window(a), 400)
+    grid.flags.writeable = False
+    return grid
 
 
 def _guard_scale(values_a: np.ndarray, values_b: np.ndarray, a: float, grid: np.ndarray) -> np.ndarray:
@@ -257,10 +253,9 @@ def _guard_scale(values_a: np.ndarray, values_b: np.ndarray, a: float, grid: np.
     ])
 
 
-def ode_residual_first_order(spinor: RadialSpinor, grid: np.ndarray | None = None,
-                             perturb_F: float = 1.0,
-                             tolerance: float = FIRST_ORDER_TOL) -> VerificationReport:
-    """Guarded relative residual of the coupled first-order system.
+def ode_residual_first_order(spinor: RadialSpinor, perturb_F: float = 1.0) -> tuple[np.ndarray, dict]:
+    """(residuals, context): the guarded relative residuals of the coupled first-order
+    system on default_residual_grid(a), both rows' in turn,
 
         F' + (kappa F - alpha_- G)/r = (m+E) G
         G' + (alpha_+ F - kappa G)/r = (m-E) F
@@ -269,9 +264,7 @@ def ode_residual_first_order(spinor: RadialSpinor, grid: np.ndarray | None = Non
     ``perturb_F`` scales F to exercise the sensitivity of the oracle.
     """
     level, constants = spinor.level, spinor.constants
-    if grid is None:
-        grid = default_residual_grid(level.a)
-    grid = np.asarray(grid, dtype=float)
+    grid = default_residual_grid(level.a)
     k = constants.kappa
     m, e = level.mass, level.energy
 
@@ -283,16 +276,13 @@ def ode_residual_first_order(spinor: RadialSpinor, grid: np.ndarray | None = Non
     row2 = gp + (constants.alpha_plus * fv - k * gv) / grid - (m - e) * fv
     scale = _guard_scale(fv, gv, level.a, grid)
     residuals = np.concatenate([np.abs(row1) / scale, np.abs(row2) / scale])
-    return VerificationReport.from_residuals(
-        "ode_first_order", residuals, tolerance,
-        context={"n": level.n, "points": grid.size, "perturb_F": perturb_F},
-    )
+    return residuals, {"n": level.n, "points": grid.size, "perturb_F": perturb_F}
 
 
 def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
-                              constants: DerivedConstants, grid: np.ndarray, channel: str = "v",
-                              tolerance: float = SECOND_ORDER_TOL) -> VerificationReport:
-    """Guarded relative residual of the decoupled second-order equation.
+                              constants: DerivedConstants, channel: str = "v") -> tuple[np.ndarray, dict]:
+    """(residuals, context): the guarded relative residuals on default_residual_grid(a)
+    of the decoupled second-order equation
 
         (-d^2/dr^2 - (2/r) d/dr + c/r^2 - 2(alpha_v E + alpha_s m)/r
          + m^2 - E^2) f = 0,
@@ -300,7 +290,7 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     with centrifugal constant c = s(s+1) for the v channel and s(s-1) for
     the u channel; E is ``level.energy``."""
     ch = radial_channel(channel, constants.s)
-    grid = np.asarray(grid, dtype=float)
+    grid = default_residual_grid(level.a)
     cent = ch.bargmann * ch.sigma  # sigma (sigma + 1) = k (k - 1)
     m = level.mass
     e = level.energy
@@ -315,8 +305,4 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     op_mag = abs(m * m - e * e) + abs(cent) / grid**2 + 2.0 * abs(coulomb) / grid
     glob = np.max(np.abs(fv))
     scale = op_mag * np.maximum(np.abs(fv), np.minimum(level.a * grid, 1.0) * glob)
-    residuals = np.abs(row) / scale
-    return VerificationReport.from_residuals(
-        "ode_second_order", residuals, tolerance,
-        context={"n": level.n, "channel": channel, "points": grid.size},
-    )
+    return np.abs(row) / scale, {"n": level.n, "channel": channel, "points": grid.size}

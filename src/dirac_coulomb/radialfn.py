@@ -33,9 +33,9 @@ class LaguerreTerm(NamedTuple):
     coef: complex
     power: float
     decay: complex
-    degree: int = 0
-    alpha: float = 0.0
-    argscale: float = 1.0
+    degree: int
+    alpha: float
+    argscale: float
 
 
 class LaguerreSum:
@@ -162,16 +162,9 @@ class LaguerreSum:
         return self._derivative
 
     def times_power(self, k) -> "LaguerreSum":
-        """Multiply by r**k (k may be negative or fractional)."""
-        pairs = [((p + k, d, n, a, b), c) for (p, d, n, a, b), c in self._map.items()]
-        shifted = dict(pairs)
-        if len(shifted) < len(pairs):  # two powers rounded together: merge their terms
-            return LaguerreSum._of(pairs)
-        # distinct keys keep their coefficients, which a merge would leave as they are
-        out = object.__new__(LaguerreSum)
-        out._map = shifted
-        out._derivative, out._real = None, self._real  # the same coefficients and decays
-        return out
+        """Multiply by r**k (k may be negative or fractional); terms whose powers round
+        together merge."""
+        return LaguerreSum._of(((p + k, d, n, a, b), c) for (p, d, n, a, b), c in self._map.items())
 
     def scaled(self, theta: float) -> "LaguerreSum":
         """The dilation image e^theta f(e^theta r)."""
@@ -187,17 +180,13 @@ class LaguerreSum:
     def __sub__(self, other: "LaguerreSum") -> "LaguerreSum":
         if not isinstance(other, LaguerreSum):
             return NotImplemented
-        return LaguerreSum._of(((k, c * -1.0) for k, c in other._map.items()), self._map)  # self + other * -1.0
+        return self + other * -1.0
 
     def __mul__(self, scalar) -> "LaguerreSum":
         if isinstance(scalar, LaguerreSum):
             raise DomainError("products of LaguerreSum objects are not supported; "
                               "evaluate pointwise instead")
-        # the keys stay distinct, so each product only gets the 0j + of a merge
-        out = object.__new__(LaguerreSum)
-        out._map = {key: 0j + v for key, c in self._map.items() if (v := c * scalar) != 0}
-        out._derivative = out._real = None
-        return out
+        return LaguerreSum._of((key, c * scalar) for key, c in self._map.items())
 
     __rmul__ = __mul__
 

@@ -42,11 +42,11 @@ from .quadrature import build_rule, integrate_radial
 from .radial import (
     _sturmian_coefs,
     assemble_spinor,
-    default_residual_grid,
     ode_residual_first_order,
     ode_residual_second_order,
     physical_components,
     radial_channel,
+    radial_window,
     sturmian,
 )
 from .radialfn import LaguerreSum
@@ -69,23 +69,24 @@ __all__ = [
 
 STURMIAN_S_GRID = (0.6, 0.866, 1.5, 2.2)
 XI_GRID = (0.2, 0.4, 0.6)
+REL_TAIL = 1e-16  # generating_reference_sum stops after four terms this small, relative to the sum
+SUP_TAIL = 1e-10  # coherent_truncated_sums stops after three terms this small, relative to the sum
 
 
 # ----------------------------------------------------------------------
 # reference-series helpers shared with the test suite
 
 
-def generating_reference_sum(nu: float, y: complex, x: float,
-                             rel_tail: float = 1e-16) -> complex:
+def generating_reference_sum(nu: float, y: complex, x: float) -> complex:
     """Truncated sum_n L_n^nu(x) y^n, extended until the running term is
-    negligible for several consecutive degrees."""
+    negligible (REL_TAIL) for several consecutive degrees."""
     y = complex(y)
     total = 0.0 + 0.0j
     quiet = 0
     for n, value in zip(range(4000), laguerre_sequence(nu, x)):
         term = value * y**n
         total += term
-        if abs(term) <= rel_tail * max(abs(total), 1.0):
+        if abs(term) <= REL_TAIL * max(abs(total), 1.0):
             quiet += 1
             if quiet >= 4:
                 break
@@ -98,11 +99,11 @@ def generating_reference_sum(nu: float, y: complex, x: float,
 _BLOCK_ROWS = 64
 
 
-def coherent_truncated_sums(s: float, requests, grid: np.ndarray,
-                            l2_tail: float = 1e-14, sup_tail: float = 1e-10) -> list:
+def coherent_truncated_sums(s: float, requests, grid: np.ndarray) -> list:
     """Group-basis expansions of coherent states on a grid, (values, N_used, N_l2) for each
-    (channel, xi) of ``requests``: each series runs past the order N_l2 of the L^2 tail bound
-    until, three degrees in a row, max |term| <= sup_tail max |partial sum| (or N_l2 + 400).
+    (channel, xi) of ``requests``: each series runs past the order N_l2 = truncation_order(k, xi)
+    of the L^2 tail bound until, three degrees in a row, max |term| <= SUP_TAIL max |partial sum|
+    (or N_l2 + 400).
     One pass over blocks of degrees serves all requests: one Laguerre recurrence for a column
     of both channels' orders, each channel's basis values, and each request's terms, running
     sums (a sequential accumulate; np.sum adds pairwise) and row maxima for its stopping rule.
@@ -120,7 +121,7 @@ def coherent_truncated_sums(s: float, requests, grid: np.ndarray,
     for i, (channel, xi) in enumerate(requests):
         k = channels[channel].sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
         live.append([i, channel, _perelomov_weight_sequence(k, complex(xi)),
-                     truncation_order(k, complex(xi), l2_tail), np.zeros(grid.shape, dtype=complex), 0.0, 0])
+                     truncation_order(k, complex(xi)), np.zeros(grid.shape, dtype=complex), 0.0, 0])
     results, start = [None] * len(requests), 0
     while live:
         n_min = min(req[3] for req in live)  # no series stops before degree N_l2 + 2
@@ -144,7 +145,7 @@ def coherent_truncated_sums(s: float, requests, grid: np.ndarray,
             scale = max([scale, *sum_max[:lo]])
             for row, top in enumerate(term_max, lo):
                 scale = max(scale, sum_max[row])
-                quiet = quiet + 1 if top <= sup_tail * scale else 0
+                quiet = quiet + 1 if top <= SUP_TAIL * scale else 0
                 if quiet >= 3 or start + row == n_l2 + 400:
                     results[i] = (sums[row].copy(), start + row, n_l2)
                     live.remove(req)
@@ -154,16 +155,15 @@ def coherent_truncated_sums(s: float, requests, grid: np.ndarray,
     return results
 
 
-def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray,
-                           l2_tail: float = 1e-14, sup_tail: float = 1e-10):
+def coherent_truncated_sum(channel: str, s: float, xi: complex, grid: np.ndarray):
     """The (values, N_used, N_l2) of coherent_truncated_sums for the one request (channel, xi)."""
-    return coherent_truncated_sums(s, [(channel, xi)], grid, l2_tail, sup_tail)[0]
+    return coherent_truncated_sums(s, [(channel, xi)], grid)[0]
 
 
 def coherent_closed_residuals(s: float, requests) -> list[float]:
     """For each (channel, xi) of ``requests``, the sup-norm distance between the closed-form
-    coherent state and its truncated group expansion on [1e-2, 40], relative to its peak."""
-    grid = np.geomspace(0.01, 40.0, 200)
+    coherent state and its truncated group expansion on radial_window(1), relative to its peak."""
+    grid = np.geomspace(*radial_window(1.0), 200)
     closed = [sturmian_coherent(channel, s, xi)(grid) for channel, xi in requests]
     series = coherent_truncated_sums(s, requests, grid)
     return [float(np.max(np.abs(c - values)) / np.max(np.abs(c))) for c, (values, _, _) in zip(closed, series)]
@@ -324,9 +324,8 @@ def _check_scaling(params):
     probes = (("v", 1), ("v", 2), ("v", 4), ("u", 0), ("u", 3))
     fns = [sturmian(channel, n, s) for channel, n in probes]
     sigmas = [radial_channel(channel, s).sigma for channel, _ in probes]
-    residuals = [rep.residual_max
-                 for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, sigmas)]
-    return residuals, {"thetas": "0,+-0.7,ln2"}
+    thetas = (0.0, 0.7, -0.7, math.log(2.0))
+    return scaling_identity_residual(thetas, fns, grid, sigmas), {"thetas": "0,+-0.7,ln2"}
 
 
 def _check_ode_first(perturb: bool, params):
@@ -334,7 +333,7 @@ def _check_ode_first(perturb: bool, params):
     for constants, level in _levels(params, 5):
         spinor = assemble_spinor(level, constants)
         factor = 1.01 if perturb else 1.0
-        residuals.append(ode_residual_first_order(spinor, perturb_F=factor).residual_max)
+        residuals.append(float(np.max(ode_residual_first_order(spinor, perturb_F=factor)[0])))
     return residuals, {"n_max": 5, "perturbed": perturb}
 
 
@@ -342,9 +341,8 @@ def _check_ode_second(params):
     residuals = []
     for constants, level in _levels(params, 5):
         u_t, v_t = physical_components(level, constants)
-        grid = default_residual_grid(level.a)
-        residuals.append(ode_residual_second_order(v_t, level, constants, grid, "v").residual_max)
-        residuals.append(ode_residual_second_order(u_t, level, constants, grid, "u").residual_max)
+        residuals.append(float(np.max(ode_residual_second_order(v_t, level, constants, "v")[0])))
+        residuals.append(float(np.max(ode_residual_second_order(u_t, level, constants, "u")[0])))
     return residuals, {"n_max": 5, "channels": "u,v"}
 
 
@@ -378,7 +376,7 @@ def _check_perelomov_norm(params):
     for k in (s, s + 1.0):
         for mod in XI_GRID:
             for xi in (mod, mod * np.exp(1.7j)):
-                n_max = truncation_order(k, xi, 1e-14)
+                n_max = truncation_order(k, xi)
                 w = perelomov_weights(k, xi, n_max)
                 residuals.append(abs(float(np.sum(np.abs(w) ** 2)) - 1.0))
     return residuals, {"xi": "0.2,0.4,0.6"}
@@ -386,7 +384,7 @@ def _check_perelomov_norm(params):
 
 def _check_coherent_identity(params):
     s = derive_constants(params).s
-    grid = np.geomspace(0.01, 40.0, 200)
+    grid = np.geomspace(*radial_window(1.0), 200)
     residuals = []
     for channel in ("u", "v"):
         lowest = sturmian(channel, radial_channel(channel, s).lowest, s)(grid)

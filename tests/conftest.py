@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -11,12 +14,23 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
+def source_size() -> tuple[int, int]:
+    """(lines, ast statements) of src/dirac_coulomb/*.py: the package's size figure."""
+    lines = statements = 0
+    for path in sorted((Path(__file__).parents[1] / "src" / "dirac_coulomb").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += len(text.splitlines())
+        statements += sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(text)))
+    return lines, statements
+
+
 def pytest_terminal_summary(terminalreporter):
-    """Echo one pass/fail line per acceptance criterion after the run."""
+    """Echo one pass/fail line per acceptance criterion after the run, then the source size."""
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    terminalreporter.write_line("src/dirac_coulomb/*.py: {:,} lines, {:,} ast statements".format(*source_size()))
 
 
 @pytest.fixture(scope="session")

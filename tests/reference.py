@@ -5,7 +5,9 @@ against, and that no CLI path needs.
   first-order radial system and the similarity transform M that takes it to
   diag(-s, s), whose eigenvalues fix the two Sturmian channels;
 - ladder_matrix_elements: the quadrature projections of K+ and K- between
-  neighbouring Sturmians, on the rule the verify suite's ladder check uses.
+  neighbouring Sturmians, on the rule the verify suite's ladder check uses;
+- sturmian_term: the one term of a Sturmian, before a LaguerreSum is built
+  from it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dirac_coulomb import SingularTransform
 from dirac_coulomb.algebra import _ladder_projections, _ladder_rule_key
 from dirac_coulomb.problem import DerivedConstants
 from dirac_coulomb.quadrature import build_rule
+from dirac_coulomb.radial import _sturmian_coefs, radial_channel
+from dirac_coulomb.radialfn import LaguerreTerm
 
 
 def coupling_matrix(constants: DerivedConstants) -> np.ndarray:
@@ -64,3 +68,10 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     the down entry is the norm of K- f, which vanishes.  A label below the
     channel's lowest raises DomainError."""
     return _ladder_projections(channel, [n], s, build_rule(*_ladder_rule_key(channel, n, s)))[0]
+
+
+def sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:
+    """The term of radial.sturmian(channel, n, s) as it enters LaguerreSum.single, whose
+    merge drops a coefficient that underflowed to 0."""
+    ch = radial_channel(channel, s)
+    return LaguerreTerm(next(_sturmian_coefs(ch, n, s)), ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)

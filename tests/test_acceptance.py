@@ -22,7 +22,6 @@ from dirac_coulomb import (
     assemble_spinor,
     bound_level,
     build_rule,
-    default_residual_grid,
     derive_constants,
     energy,
     integrate_radial,
@@ -157,8 +156,7 @@ def test_c06_scaling_identities():
         fns = [sturmian("v", n, s) for n in (1, 2, 4)]
         fns += [sturmian("u", n, s) for n in (0, 3)]
         sigmas = [s] * 3 + [s - 1.0] * 2
-        for rep in scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, sigmas):
-            worst = max(worst, rep.residual_max)
+        worst = max(worst, *scaling_identity_residual((0.0, 0.7, -0.7, math.log(2.0)), fns, grid, sigmas))
     ok = worst < 1e-9
     _announce(6, "scaling identities", ok, f" (max={worst:.2e}, tol=1e-9)")
     assert ok
@@ -172,14 +170,13 @@ def test_c07_ode_residuals():
         for n in range(1, 6):
             level = bound_level(n, p, c)
             spinor = assemble_spinor(level, c)
-            worst1 = max(worst1, ode_residual_first_order(spinor).residual_max)
+            worst1 = max(worst1, *ode_residual_first_order(spinor)[0])
             u_t, v_t = physical_components(level, c)
-            grid = default_residual_grid(level.a)
-            worst2 = max(worst2, ode_residual_second_order(v_t, level, c, grid, "v").residual_max)
-            worst2 = max(worst2, ode_residual_second_order(u_t, level, c, grid, "u").residual_max)
+            worst2 = max(worst2, *ode_residual_second_order(v_t, level, c, "v")[0])
+            worst2 = max(worst2, *ode_residual_second_order(u_t, level, c, "u")[0])
     level = bound_level(1, _coupling_grid()[0], derive_constants(_coupling_grid()[0]))
     spinor = assemble_spinor(level, derive_constants(_coupling_grid()[0]))
-    sensitivity = ode_residual_first_order(spinor, perturb_F=1.01).residual_max
+    sensitivity = max(ode_residual_first_order(spinor, perturb_F=1.01)[0])
     ok = worst1 < 1e-8 and worst2 < 1e-7 and sensitivity > 1e-3
     _announce(7, "ode residuals", ok,
               f" (first={worst1:.2e} tol=1e-8, second={worst2:.2e} tol=1e-7, "
@@ -220,8 +217,7 @@ def test_c09_coherent_closed_vs_sum():
         for mod in XI_MODULI:
             for xi in (mod, mod * cmath.exp(2.0j), -mod):
                 closed = sturmian_coherent(channel, s, xi)(grid)
-                series, n_used, n_l2 = coherent_truncated_sum(channel, s, xi, grid,
-                                                              l2_tail=1e-14, sup_tail=1e-10)
+                series, n_used, n_l2 = coherent_truncated_sum(channel, s, xi, grid)
                 assert n_used >= n_l2  # the stated tail bound is satisfied
                 rel = float(np.max(np.abs(closed - series)) / np.max(np.abs(closed)))
                 worst = max(worst, rel)
@@ -243,7 +239,7 @@ def test_c10_coherent_identity_limit():
     for k in (s, s + 1.0):
         for mod in XI_MODULI:
             for xi in (mod, mod * cmath.exp(1.3j)):
-                n_max = truncation_order(k, xi, 1e-14)
+                n_max = truncation_order(k, xi)
                 w = perelomov_weights(k, xi, n_max)
                 worst_norm = max(worst_norm, abs(float(np.sum(np.abs(w) ** 2)) - 1.0))
     ok = worst_pointwise < 1e-12 and worst_norm < 1e-12

@@ -194,16 +194,16 @@ class TestLadder:
 
 class TestScalingIdentities:
     def test_identity_at_theta_zero(self):
-        (rep,) = scaling_identity_residual([0.0], sturmian_family(0.866), GRID, [0.866] * 6)
-        assert rep.residual_max < 1e-14
+        (worst,) = scaling_identity_residual([0.0], sturmian_family(0.866), GRID, [0.866] * 6)
+        assert worst < 1e-14
 
     def test_log_two(self):
-        (rep,) = scaling_identity_residual([math.log(2.0)], sturmian_family(0.866), GRID, [0.866] * 6)
-        assert rep.residual_max < 1e-9
+        (worst,) = scaling_identity_residual([math.log(2.0)], sturmian_family(0.866), GRID, [0.866] * 6)
+        assert worst < 1e-9
 
     def test_hyperbolic_mixing_at_0p7(self):
-        (rep,) = scaling_identity_residual([0.7], sturmian_family(1.5), GRID, [1.5] * 6)
-        assert rep.residual_max < 1e-9
+        (worst,) = scaling_identity_residual([0.7], sturmian_family(1.5), GRID, [1.5] * 6)
+        assert worst < 1e-9
 
     def test_verify_conjugates_each_sturmian_under_its_own_channel(self, default_params, default_constants,
                                                                    monkeypatch):
@@ -211,9 +211,9 @@ class TestScalingIdentities:
         # tested: a Sturmian's sigma is its power, s for v and s - 1 for u
         calls = []
 
-        def recorded(thetas, test_functions, grid, sigmas, tolerance=1e-9):
+        def recorded(thetas, test_functions, grid, sigmas):
             calls.append((list(test_functions), list(sigmas)))
-            return scaling_identity_residual(thetas, test_functions, grid, sigmas, tolerance)
+            return scaling_identity_residual(thetas, test_functions, grid, sigmas)
 
         monkeypatch.setattr(verification, "scaling_identity_residual", recorded)
         verification._check_scaling(default_params)

@@ -15,6 +15,7 @@ from dirac_coulomb import (
     bound_level,
     build_rule,
     cli,
+    coherent,
     coherent_ratio_Bn_prime,
     integrate_radial,
     perelomov_weights,
@@ -63,7 +64,7 @@ class TestWeights:
 
     def test_normalization_at_tail_bound(self):
         k, xi = 1.866, 0.5
-        n_max = truncation_order(k, xi, 1e-14)
+        n_max = truncation_order(k, xi)
         w = perelomov_weights(k, xi, n_max)
         assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -92,20 +93,21 @@ class TestWeights:
             n_max = truncation_order(k, xi) + 400
             assert perelomov_weights(k, xi, n_max).tobytes() == reference_weights(k, xi, n_max).tobytes()
 
-    def test_truncation_order_matches_the_unhoisted_loop_on_a_grid(self):
-        for k in (0.05, 0.5, 0.866, 1.866, 7.3, 60.0, 400.0):
-            for mod in (1e-8, 0.01, 0.3, 0.7, 0.9, 0.99):
-                for phase in (0.0, 1.0, -2.5):
-                    xi = mod * cmath.exp(1j * phase)
-                    for tail in (1e-14, 1e-8):
-                        assert truncation_order(k, xi, tail) == reference_truncation_order(k, xi, tail)
+    def test_truncation_order_matches_the_unhoisted_loop_on_a_grid(self, monkeypatch):
+        for tail in (1e-14, 1e-8):
+            monkeypatch.setattr(coherent, "L2_TAIL", tail)  # read at each call
+            for k in (0.05, 0.5, 0.866, 1.866, 7.3, 60.0, 400.0):
+                for mod in (1e-8, 0.01, 0.3, 0.7, 0.9, 0.99):
+                    for phase in (0.0, 1.0, -2.5):
+                        xi = mod * cmath.exp(1j * phase)
+                        assert truncation_order(k, xi) == reference_truncation_order(k, xi, tail)
 
     def test_truncation_order_matches_the_unhoisted_loop_on_the_benchmark_deck(self, monkeypatch):
         calls = []
 
-        def recording(k, xi, l2_tail=1e-14):
-            calls.append((k, xi, l2_tail))
-            return truncation_order(k, xi, l2_tail)
+        def recording(k, xi):
+            calls.append((k, xi))
+            return truncation_order(k, xi)
 
         monkeypatch.setattr(verification, "truncation_order", recording)
         for op in workloads.state_queries(1):
@@ -113,8 +115,8 @@ class TestWeights:
                 with contextlib.redirect_stdout(io.StringIO()):
                     cli.main(list(op.argv))
         assert len(calls) >= 300
-        for k, xi, tail in calls:
-            assert truncation_order(k, xi, tail) == reference_truncation_order(k, xi, tail)
+        for k, xi in calls:
+            assert truncation_order(k, xi) == reference_truncation_order(k, xi)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -137,7 +139,7 @@ class TestSturmianCoherent:
     def test_truncated_sum_oracle_real_label(self):
         s, xi, r = 0.866, 0.4, 1.3
         closed = sturmian_coherent("v", s, xi)(r)
-        n_max = truncation_order(s + 1.0, xi, 1e-14)
+        n_max = truncation_order(s + 1.0, xi)
         w = perelomov_weights(s + 1.0, xi, n_max + 25)
         series = sum(w[ng] * sturmian("v", ng + 1, s)(r) for ng in range(len(w)))
         assert closed == pytest.approx(series, rel=1e-10)
@@ -145,7 +147,7 @@ class TestSturmianCoherent:
     def test_truncated_sum_oracle_complex_label(self):
         s, xi, r = 0.866, 0.3 + 0.2j, 2.0
         closed = sturmian_coherent("u", s, xi)(r)
-        n_max = truncation_order(s, xi, 1e-14)
+        n_max = truncation_order(s, xi)
         w = perelomov_weights(s, xi, n_max + 25)
         series = sum(w[ng] * sturmian("u", ng, s)(r) for ng in range(len(w)))
         assert closed == pytest.approx(series, rel=1e-10)
@@ -281,15 +283,15 @@ class TestCoherentSpinor:
 class TestLabel:
     def test_round_trip(self):
         for xi in (0.3, -0.5, 0.2 + 0.6j, 0.0, -0.1 - 0.7j):
-            label = CoherentLabel.from_xi(xi, bargmann=1.9)
+            label = CoherentLabel.from_xi(xi)
             back = -math.tanh(0.5 * label.tau) * cmath.exp(-1.0j * label.phi)  # xi from (tau, phi)
             assert abs(back - complex(xi)) < 1e-14
 
     def test_eta_identity(self):
-        label = CoherentLabel.from_xi(0.6, bargmann=1.9)
+        label = CoherentLabel.from_xi(0.6)
         assert label.eta == pytest.approx(math.log(1.0 - 0.36), rel=1e-14)
         assert label.eta <= 0.0
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
-            CoherentLabel.from_xi(1.0, bargmann=1.0)
+            CoherentLabel.from_xi(1.0)

@@ -42,10 +42,10 @@ def test_bound_constant_matches_quadrature(case):
         level = bound_level(n, params, constants)
         spinor = assemble_spinor(level, constants)
         norm_sq = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rule)
-        quadrature_constant = abs(spinor.A_n) / math.sqrt(norm_sq)
-        assert abs(spinor.A_n) == pytest.approx(quadrature_constant, rel=RTOL, abs=0.0)
-        assert spinor.normalization.quadrature_constant == abs(spinor.A_n)
-        assert math.copysign(1.0, spinor.A_n) == math.copysign(1.0, spinor.F1)
+        a_n = spinor.normalization.quadrature_constant  # |A_n|
+        assert a_n == pytest.approx(a_n / math.sqrt(norm_sq), rel=RTOL, abs=0.0)
+        # the sign of A_n makes F(r -> 0+) positive: F's term of the lowest power, r^s
+        assert min(spinor.F.terms, key=lambda t: t.power).coef.real > 0.0
 
 
 @pytest.mark.parametrize("case", [(d, 0.5, "aligned", m) for d in (2, 3, 5) for m in (1.0, 1e3)], ids=str)
@@ -56,8 +56,8 @@ def test_coherent_constant_matches_quadrature(case):
         spinor = assemble_coherent_spinor(params, constants, xi)
         decay = (spinor.a_ref * (1.0 + xi) / (1.0 - xi)).real
         norm_sq = integrate_radial(lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2, decay, rule)
-        quadrature_constant = abs(spinor.A_n_prime) / math.sqrt(norm_sq)
-        assert abs(spinor.A_n_prime) == pytest.approx(quadrature_constant, rel=RTOL, abs=0.0)
+        a_prime = spinor.normalization.quadrature_constant  # |A'|
+        assert a_prime == pytest.approx(a_prime / math.sqrt(norm_sq), rel=RTOL, abs=0.0)
 
 
 def mp_constant(n, a, s, coefficients) -> float:
@@ -82,7 +82,7 @@ def test_bound_constant_at_high_levels(n, default_params, default_constants):
     level = bound_level(n, default_params, default_constants)
     spinor = assemble_spinor(level, default_constants)
     want = mp_constant(n, level.a, default_constants.s, spinor_coefficients(n, default_constants, level.omega))
-    assert abs(spinor.A_n) == pytest.approx(want, rel=RTOL, abs=0.0)
+    assert spinor.normalization.quadrature_constant == pytest.approx(want, rel=RTOL, abs=0.0)
 
 
 def test_assembly_builds_no_quadrature_rule(default_params, default_constants, monkeypatch):

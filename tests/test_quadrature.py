@@ -154,6 +154,27 @@ class TestIntegrateRadial:
         want = math.exp(log_gamma(2.5)) / 2**2.5 + math.exp(log_gamma(3.5)) / 2**3.5
         assert val == pytest.approx(want, rel=1e-11)
 
+    def test_a_real_integrand_gives_a_real_numpy_scalar(self):
+        val = integrate_radial(lambda r: np.exp(-2.0 * r), 1.0, build_rule(16, 0.0))
+        assert type(val) is np.float64
+
+    def test_a_complex_integrand_stays_complex(self):
+        # also where its imaginary part cancels: a caller takes the real part it needs
+        rule = build_rule(16, 0.0)
+        for coef in (1.0 + 0j, 1.0 - 2.0j):
+            val = integrate_radial(lambda r: coef * np.exp(-2.0 * r), 1.0, rule)
+            assert type(val) is np.complex128
+            assert val == pytest.approx(0.5 * coef, abs=1e-13)
+
+    def test_a_2d_integrand_gives_one_total_per_row(self):
+        rule = build_rule(24, 1.0)
+        powers = (1.0, 2.0, 3.0)
+        totals = integrate_radial(lambda r: np.array([r**p * np.exp(-2.0 * r) for p in powers]), 1.0, rule)
+        assert totals.shape == (3,) and totals.dtype == np.float64
+        for total, p in zip(totals, powers):  # each row as if alone
+            assert total == integrate_radial(lambda r: r**p * np.exp(-2.0 * r), 1.0, rule)
+            assert total == pytest.approx(math.gamma(p + 1.0) / 2.0 ** (p + 1.0), rel=1e-13)
+
     def test_agreement_on_spinor_density(self, default_params, default_constants):
         # shipped integrand: Gauss-Laguerre vs QUADPACK
         from dirac_coulomb import assemble_spinor, bound_level

@@ -12,7 +12,6 @@ from dirac_coulomb import (
     assemble_spinor,
     bound_level,
     build_rule,
-    default_residual_grid,
     derive_constants,
     integrate_radial,
     log_gamma,
@@ -111,11 +110,8 @@ class TestPhysicalComponents:
     def test_components_solve_their_equations(self, default_params, default_constants):
         level = bound_level(2, default_params, default_constants)
         u_t, v_t = physical_components(level, default_constants)
-        grid = default_residual_grid(level.a)
-        rep_v = ode_residual_second_order(v_t, level, default_constants, grid, "v")
-        rep_u = ode_residual_second_order(u_t, level, default_constants, grid, "u")
-        assert rep_v.residual_max < 1e-8
-        assert rep_u.residual_max < 1e-8
+        assert max(ode_residual_second_order(v_t, level, default_constants, "v")[0]) < 1e-8
+        assert max(ode_residual_second_order(u_t, level, default_constants, "u")[0]) < 1e-8
 
 
 class TestCoefficientRatio:
@@ -195,15 +191,15 @@ class TestAssembleSpinor:
 class TestOdeResiduals:
     def test_exact_spinor_first_order(self, default_params, default_constants):
         spinor = assemble_spinor(bound_level(1, default_params, default_constants), default_constants)
-        rep = ode_residual_first_order(spinor)
-        assert rep.residual_max < 1e-8
-        assert rep.passed
+        residuals, context = ode_residual_first_order(spinor)
+        assert max(residuals) < 1e-8
+        assert context == {"n": 1, "points": 400, "perturb_F": 1.0}
 
     def test_perturbed_spinor_fails(self, default_params, default_constants):
         spinor = assemble_spinor(bound_level(1, default_params, default_constants), default_constants)
-        rep = ode_residual_first_order(spinor, perturb_F=1.01)
-        assert rep.residual_max > 1e-3
-        assert not rep.passed
+        residuals, context = ode_residual_first_order(spinor, perturb_F=1.01)
+        assert max(residuals) > 1e-3
+        assert context["perturb_F"] == 1.01
 
     def test_classic_dirac_coulomb_reduction(self):
         # alpha_s = 0, D = 3: the textbook system
@@ -211,21 +207,21 @@ class TestOdeResiduals:
         c = derive_constants(p)
         for n in (1, 3):
             spinor = assemble_spinor(bound_level(n, p, c), c)
-            assert ode_residual_first_order(spinor).residual_max < 1e-8
+            assert max(ode_residual_first_order(spinor)[0]) < 1e-8
 
     def test_second_order_exact(self, default_params, default_constants):
         for n in (1, 4):
             level = bound_level(n, default_params, default_constants)
             _, v_t = physical_components(level, default_constants)
-            rep = ode_residual_second_order(v_t, level, default_constants, default_residual_grid(level.a))
-            assert rep.residual_max < 1e-7
+            residuals, context = ode_residual_second_order(v_t, level, default_constants)
+            assert max(residuals) < 1e-7
+            assert context == {"n": n, "channel": "v", "points": 400}
 
     def test_second_order_wrong_energy(self, default_params, default_constants):
         level = bound_level(1, default_params, default_constants)
         _, v_t = physical_components(level, default_constants)
         detuned = replace(level, energy=level.energy + 0.01 * default_params.mass)
-        rep = ode_residual_second_order(v_t, detuned, default_constants, default_residual_grid(level.a))
-        assert rep.residual_max > 1e-3
+        assert max(ode_residual_second_order(v_t, detuned, default_constants)[0]) > 1e-3
 
 
 class TestRandomizedPipeline:
@@ -260,4 +256,4 @@ class TestRandomizedPipeline:
         rule = build_rule(max(48, n + 24), 2.0 * c.s)
         total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rule)
         assert abs(total - 1.0) < 1e-8
-        assert ode_residual_first_order(spinor).residual_max < 1e-8
+        assert max(ode_residual_first_order(spinor)[0]) < 1e-8

@@ -124,5 +124,3 @@ def test_cached_is_real_matches_a_fresh_scan():
                  f + complex_coef, f + real, complex_coef * 1j * 1j]
     for f in sums:
         assert f.is_real is f.is_real is scanned_real(f)
-    # a shifted copy keeps its source's flag, found or not
-    assert real.times_power(1)._real is True and sample_sum().times_power(1)._real is None

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from dirac_coulomb import LaguerreSum, laguerre, laguerre_sequence, radial_channel, verification
 from dirac_coulomb.coherent import sturmian_coherent, truncation_order
-from dirac_coulomb.radial import _sturmian_term
 from dirac_coulomb.special import log_gamma
 from dirac_coulomb.verification import (
     coherent_closed_residuals,
@@ -25,6 +24,7 @@ from dirac_coulomb.verification import (
     coherent_truncated_sums,
     generating_reference_sum,
 )
+from reference import sturmian_term
 
 # the grid of coherent_closed_residuals
 GRID = np.geomspace(0.01, 40.0, 200)
@@ -77,15 +77,15 @@ def sturmian_on_grid(channel, n, s):
     # many xi share a basis function; each is still made from degree 0.  Its one term is
     # evaluated as term_by_term does, but without the LaguerreSum merge, which drops a
     # coefficient that underflowed to 0: where r^s overflows, that term is 0 * inf = nan
-    t = _sturmian_term(radial_channel(channel, s), n, s)
+    t = sturmian_term(channel, n, s)
     return (0j + complex(t.coef) * GRID ** t.power * np.exp(-complex(t.decay) * GRID)
             * laguerre_from_zero(t.degree, t.alpha, t.argscale * GRID)).real
 
 
-def coherent_per_degree(channel, s, xi, l2_tail=1e-14, sup_tail=1e-10):
+def coherent_per_degree(channel, s, xi, sup_tail=1e-10):
     k = radial_channel(channel, s).sigma + 1.0
     xi = complex(xi)
-    n_l2 = truncation_order(k, xi, l2_tail)
+    n_l2 = truncation_order(k, xi)
     total = np.zeros(GRID.shape, dtype=complex)
     # every Perelomov weight up front, n_l2 + 400 of them
     pref = (1.0 - abs(xi) ** 2) ** k

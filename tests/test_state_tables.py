@@ -18,7 +18,6 @@ from dirac_coulomb.output import emit_csv, emit_json
 from dirac_coulomb.radial import (
     _guard_scale,
     assemble_spinor,
-    default_residual_grid,
     ode_residual_first_order,
     ode_residual_second_order,
     physical_components,
@@ -31,11 +30,9 @@ from dirac_coulomb.spectrum import bound_level
 # references: the per-call bodies before this rendering and evaluation sharing
 
 
-def reference_first_order(spinor, grid=None, perturb_F=1.0, tolerance=1e-8):
+def reference_first_order(spinor, perturb_F=1.0):
     level, constants = spinor.level, spinor.constants
-    if grid is None:
-        grid = default_residual_grid(level.a)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.geomspace(1e-2 / level.a, 40.0 / level.a, 400)
     k = constants.kappa
     m, e = level.mass, level.energy
     f_expr = spinor.F * perturb_F
@@ -47,13 +44,11 @@ def reference_first_order(spinor, grid=None, perturb_F=1.0, tolerance=1e-8):
     row2 = gp + (constants.alpha_plus * fv - k * gv) / grid - (m - e) * fv
     scale = _guard_scale(fv, gv, level.a, grid)
     residuals = np.concatenate([np.abs(row1) / scale, np.abs(row2) / scale])
-    return residuals, VerificationReport.from_residuals(
-        "ode_first_order", residuals, tolerance,
-        context={"n": level.n, "points": grid.size, "perturb_F": perturb_F})
+    return residuals, {"n": level.n, "points": grid.size, "perturb_F": perturb_F}
 
 
-def reference_second_order(component, level, constants, grid, channel, tolerance=1e-7):
-    grid = np.asarray(grid, dtype=float)
+def reference_second_order(component, level, constants, channel):
+    grid = np.geomspace(1e-2 / level.a, 40.0 / level.a, 400)
     s = constants.s
     cent = s * (s + 1.0) if channel == "v" else s * (s - 1.0)
     m, e = level.mass, level.energy
@@ -67,10 +62,7 @@ def reference_second_order(component, level, constants, grid, channel, tolerance
     op_mag = abs(m * m - e * e) + abs(cent) / grid**2 + 2.0 * abs(coulomb) / grid
     glob = np.max(np.abs(fv))
     scale = op_mag * np.maximum(np.abs(fv), np.minimum(level.a * grid, 1.0) * glob)
-    residuals = np.abs(row) / scale
-    return residuals, VerificationReport.from_residuals(
-        "ode_second_order", residuals, tolerance,
-        context={"n": level.n, "channel": channel, "points": grid.size})
+    return np.abs(row) / scale, {"n": level.n, "channel": channel, "points": grid.size}
 
 
 def per_row_stdout(argv):
@@ -87,12 +79,12 @@ def per_row_stdout(argv):
         grid = cli._grid(args, level.a)
         fv, gv = spinor.F(grid), spinor.G(grid)
         rows = [{"r": float(r), "F": float(f), "G": float(g)} for r, f, g in zip(grid, fv, gv)]
-        res_grid = default_residual_grid(level.a)
-        _, first = reference_first_order(spinor, res_grid, tolerance=tolerances["ode_first_order"])
         _, v_t = physical_components(level, constants)
-        _, second = reference_second_order(v_t, level, constants, res_grid, "v",
-                                           tolerance=tolerances["ode_second_order"])
-        reports = [spinor.normalization.to_row(), first.to_row(), second.to_row()]
+        oracles = {"ode_first_order": reference_first_order(spinor),
+                   "ode_second_order": reference_second_order(v_t, level, constants, "v")}
+        reports = [spinor.normalization.to_row()] + [
+            VerificationReport.from_residuals(name, residuals, tolerances[name], context).to_row()
+            for name, (residuals, context) in oracles.items()]
         extra = {"n": level.n, "energy_over_mass": level.energy / params.mass,
                  "scale_a": level.a, "omega": level.omega}
     else:
@@ -195,19 +187,6 @@ def test_config_format_other_than_json_prints_csv(command, tmp_path, capsys):
 # bit-identical oracles
 
 
-def captured_residuals(monkeypatch):
-    """The residual arrays handed to VerificationReport.from_residuals, in order."""
-    seen = []
-    original = VerificationReport.from_residuals.__func__
-
-    def capture(cls, name, residuals, tolerance, context=None):
-        seen.append(np.array(residuals))
-        return original(cls, name, residuals, tolerance, context)
-
-    monkeypatch.setattr(VerificationReport, "from_residuals", classmethod(capture))
-    return seen
-
-
 def seeded_levels(seed):
     flags, rng = seeded_problem_argv(seed)
     params = cli._problem_params(cli.build_parser().parse_args(["verify", *flags]))
@@ -217,19 +196,15 @@ def seeded_levels(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_ode_oracles_match_per_call_bodies(seed, monkeypatch):
-    seen = captured_residuals(monkeypatch)
+def test_ode_oracles_match_per_call_bodies(seed):
     for constants, level in seeded_levels(seed):
         spinor = assemble_spinor(level, constants)
-        grid = default_residual_grid(level.a)
         for perturb in (1.0, 1.01):
-            report = ode_residual_first_order(spinor, grid, perturb_F=perturb)
-            want, want_report = reference_first_order(spinor, grid, perturb_F=perturb)
-            assert seen[-1].tobytes() == want.tobytes()
-            assert report.to_row() == want_report.to_row()
+            residuals, context = ode_residual_first_order(spinor, perturb_F=perturb)
+            want, want_context = reference_first_order(spinor, perturb_F=perturb)
+            assert residuals.tobytes() == want.tobytes() and context == want_context
         u_t, v_t = physical_components(level, constants)
         for channel, component in (("u", u_t), ("v", v_t)):
-            report = ode_residual_second_order(component, level, constants, grid, channel)
-            want, want_report = reference_second_order(component, level, constants, grid, channel)
-            assert seen[-1].tobytes() == want.tobytes()
-            assert report.to_row() == want_report.to_row()
+            residuals, context = ode_residual_second_order(component, level, constants, channel)
+            want, want_context = reference_second_order(component, level, constants, channel)
+            assert residuals.tobytes() == want.tobytes() and context == want_context
