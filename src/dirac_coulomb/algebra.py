@@ -16,12 +16,12 @@ Each generator is L = a2 D^2 + a1 D + a0 with a2 = -r/2, a1 = t r - 1 and
 a0 = sigma(sigma+1)/(2r) +- r/2 + t (t = 0 for K0 and A1, +-1 for K+-; +r/2
 for K0 alone), and the checks apply it to jets: the values of f, f', ...,
 f^(k) on a grid, from the exact derivatives of a LaguerreSum.  By Leibniz
-the image of an order-k jet is an order-(k-2) jet (_image), so one
-LaguerreSum.evaluate_all call of the jets (f, ..., f^(4)) of a family of
-Sturmians gives every first- and second-order image as (Sturmian, point)
-arrays, for the three commutator relations, the Casimir
--K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n
-(su11_commutator_report); the residuals are floating-point noise unless an
+the image of an order-k jet is an order-(k-2) jet (_image), so the jets
+(f, ..., f^(4)) of families of Sturmians, one LaguerreSum.evaluate_all call
+each, give every first- and second-order image as (Sturmian, point) arrays,
+for the three commutator relations, the Casimir -K+K- + K0(K0 - 1) = k(k-1)
+and the eigenvalue A0 f_n = (n + s) f_n, in one pass over all the families
+(_su11_family_residuals); the residuals are floating-point noise unless an
 identity is wrong.  The ladder projections and the dilation identities take
 order-2 jets.  RadialOperator.apply builds each generator's exact symbolic
 image from its definition, which the tests hold the jets to.  A channel's
@@ -137,30 +137,32 @@ def _image(kind: OperatorKind, centrifugal: float, jet, r: np.ndarray) -> list[n
             + sum(math.comb(m, j) * a0[j] * jet[m - j] for j in range(m + 1)) for m in range(orders)]
 
 
-def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
-                           fault_centrifugal: float | None) -> dict[str, list[np.ndarray]]:
-    """Pointwise residuals, one array per Sturmian f = sturmian(channel, n, s)
-    with n in ``levels``, of every relation of SU11_RELATIONS,
-    [X, Y] f - sum_j c_j Z_j f, of the Casimir, (-K+K- + K0 K0 - K0) f against
-    k(k-1) f with Bargmann index k, and of the A0 eigenvalue, A0 f against
-    (n + s) f; in one pass.
+def _su11_family_residuals(families, grid: np.ndarray,
+                           fault_centrifugal: float | None) -> dict[str, np.ndarray]:
+    """Pointwise residuals, a (Sturmian, point) array per name, one row for each
+    f = sturmian(channel, n, s), n in ``levels``, of each (channel, s, levels) of
+    ``families`` in turn: of every relation of SU11_RELATIONS, [X, Y] f - sum_j
+    c_j Z_j f, of the Casimir, (-K+K- + K0 K0 - K0) f against k(k-1) f with
+    Bargmann index k, and of the A0 eigenvalue, A0 f against (n + s) f.
 
-    The pass evaluates the jets (f, f', ..., f^(4)) of the whole family in
-    one LaguerreSum.evaluate_all call, as (Sturmian, point) arrays, and
-    applies the generators to them as differential operators (_image): K0 f,
-    K+ f and K- f as jets of order 2, then each second-order image X Y f as
-    a value.  A ``fault_centrifugal`` other than None replaces sigma(sigma+1)
-    in the commuted pair only (the Z side keeps the true realization); the
-    three operators close su(1,1) for any constant when perturbed together,
-    so this is the injection that actually exposes a wrong realization.  The
-    Casimir takes its images from the commuted pair, so the fault reaches it
-    too; A0 f is the Z side's K0 f.
+    One pass stacks the jets (f, ..., f^(4)) of all families, one
+    LaguerreSum.evaluate_all call each (one call for all would hold all their
+    Laguerre values at once), and applies the generators to the stack as
+    differential operators (_image) with (Sturmian, 1) columns of constants:
+    K0 f, K+ f and K- f as jets of order 2, then each X Y f as a value; a row
+    has the bits of its family's pass alone.  A ``fault_centrifugal`` other than
+    None replaces sigma(sigma+1) in the commuted pair only (the Z side keeps the
+    true realization); the three operators close su(1,1) for any constant when
+    perturbed together, so this is the injection that actually exposes a wrong
+    realization.  The Casimir takes its images from the commuted pair, so the
+    fault reaches it too; A0 f is the Z side's K0 f.
     """
-    sigma = radial_channel(channel, s).sigma
+    sigma = np.array([[radial_channel(channel, s).sigma] for channel, s, levels in families for _ in levels])
     k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
-    pair_cent = true_cent if fault_centrifugal is None else fault_centrifugal
-    jet = _jets(grid, [sturmian(channel, n, s) for n in levels], 4)
+    pair_cent = true_cent if fault_centrifugal is None else np.full_like(true_cent, fault_centrifugal)
+    jet = np.concatenate([_jets(grid, [sturmian(channel, n, s) for n in levels], 4)
+                          for channel, s, levels in families], axis=1)
     fv = jet[0]
     ladder = (OperatorKind.K0, OperatorKind.KPLUS, OperatorKind.KMINUS)
     first = {kind: _image(kind, pair_cent, jet, grid) for kind in ladder}
@@ -177,14 +179,14 @@ def _su11_family_residuals(channel: str, s: float, levels, grid: np.ndarray,
         zval = sum(coef * true[z] for coef, z in expected)
         # f itself joins the scale so that identically annihilated states
         # (K- on the lowest one) do not reduce the residual to 0/0 noise
-        residuals[name] = list(_relative_residual(xy - yx - zval, [xy, yx, zval, fv]))
+        residuals[name] = _relative_residual(xy - yx - zval, [xy, yx, zval, fv])
     lhs = (second(OperatorKind.K0, OperatorKind.K0) - second(OperatorKind.KPLUS, OperatorKind.KMINUS)
            - first[OperatorKind.K0][0])
     rhs = k_barg * (k_barg - 1.0) * fv
-    residuals["casimir"] = list(_relative_residual(lhs - rhs, [lhs, rhs, fv]))
+    residuals["casimir"] = _relative_residual(lhs - rhs, [lhs, rhs, fv])
     lhs = true[OperatorKind.K0]
-    rhs = np.array([n + s for n in levels])[:, None] * fv
-    residuals["a0_eigenvalue"] = list(_relative_residual(lhs - rhs, [lhs, rhs]))
+    rhs = np.array([[n + s] for _, s, levels in families for n in levels]) * fv
+    residuals["a0_eigenvalue"] = _relative_residual(lhs - rhs, [lhs, rhs])
     return residuals
 
 
@@ -194,13 +196,13 @@ def su11_commutator_report(channel: str, s: float, levels, grid,
     n in ``levels``; every operator acts on exact derivatives.  First the three
     relations of SU11_RELATIONS, [K0,K+] = K+, [K0,K-] = -K-, [K-,K+] = 2 K0,
     each over the whole family; then for each Sturmian in turn its ``casimir``
-    and ``a0_eigenvalue`` reports, with context channel, n and s.  Each
-    report is judged at its check's default tolerance; the verify suite reads
-    only their residuals.  See _su11_family_residuals for ``fault_centrifugal``."""
+    and ``a0_eigenvalue`` reports, with context channel, n and s, each judged at
+    its check's default tolerance: the pass of _su11_family_residuals for one
+    family (see there for ``fault_centrifugal``), whose row maxima verify reads."""
     from .verification import DEFAULT_TOLERANCES  # that module imports this one
     grid = np.asarray(grid, dtype=float)
     levels = list(levels)
-    residuals = _su11_family_residuals(channel, s, levels, grid, fault_centrifugal)
+    residuals = _su11_family_residuals([(channel, s, levels)], grid, fault_centrifugal)
     family = {"functions": len(levels), "points": grid.size}
     reports = [VerificationReport.from_residuals(name, np.concatenate(residuals[name]),
                                                  DEFAULT_TOLERANCES[name], family) for name in SU11_RELATIONS]

@@ -23,9 +23,9 @@ import numpy as np
 from .algebra import (
     _ladder_projections,
     _ladder_rule_key,
+    _su11_family_residuals,
     SU11_RELATIONS,
     scaling_identity_residual,
-    su11_commutator_report,
 )
 from .coherent import (
     _perelomov_weight_sequence,
@@ -38,7 +38,7 @@ from .coherent import (
 )
 from .errors import DiracCoulombError
 from .problem import Alignment, ProblemParams, derive_constants
-from .quadrature import build_rule, integrate_radial
+from .quadrature import build_rule, build_rules, integrate_radial
 from .radial import (
     _sturmian_coefs,
     assemble_spinor,
@@ -204,11 +204,10 @@ def _levels(params, n_max):
 
 def _check_quadrature_moments(params):
     residuals = []
-    for order, alpha in ((16, 0.0), (32, 2.6), (48, 0.8)):
-        rule = build_rule(order, alpha)
-        for k in (0, 1, 3, 5, 7, 2 * order - 1):
+    for rule in build_rules([(16, 0.0), (32, 2.6), (48, 0.8)]):
+        for k in (0, 1, 3, 5, 7, 2 * rule.nodes.size - 1):
             got = rule.integrate_moment(k)
-            want = math.exp(log_gamma(alpha + k + 1.0))
+            want = math.exp(log_gamma(rule.alpha + k + 1.0))
             residuals.append(abs(got - want) / want)
     return residuals, {"orders": "16,32,48"}
 
@@ -250,10 +249,10 @@ def _check_diagonalization(params):
     return residuals, {"n_max": 8}
 
 
-def _gram_residual(channel, s, n_count):
-    ch = radial_channel(channel, s)
-    fns = [sturmian(channel, n, s) for n in range(ch.lowest, ch.lowest + n_count)]
-    rule = build_rule(max(48, n_count + 16), ch.alpha)
+def _gram_residual(channel, s, n_count, rule):
+    """max |<f_i, f_j> - delta_ij| over the first n_count Sturmians of a channel at s, on ``rule``."""
+    lowest = radial_channel(channel, s).lowest
+    fns = [sturmian(channel, n, s) for n in range(lowest, lowest + n_count)]
     # each function once, on the radii integrate_radial uses at scale 1, and the
     # entries i <= j as the rows of one integral
     values = np.array(LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns))
@@ -263,7 +262,9 @@ def _gram_residual(channel, s, n_count):
 
 
 def _check_orthonormality(channel, params):
-    residuals = [_gram_residual(channel, s, 12) for s in _s_grid(params)]
+    s_values = _s_grid(params)  # one rule for each s, of order max(48, 12 + 16)
+    rules = build_rules([(48, radial_channel(channel, s).alpha) for s in s_values])
+    residuals = [_gram_residual(channel, s, 12, rule) for s, rule in zip(s_values, rules)]
     return residuals, {"channel": channel, "count": 12}
 
 
@@ -275,46 +276,44 @@ _FAMILY_PROBES = {**{name: (None,) for name in SU11_RELATIONS}, "casimir": (0, 2
 
 def _check_family(which, families, params):
     """The residuals of one pointwise algebra check, read from the su(1,1)
-    passes over the families of the first ten Sturmians of one channel at one s.
-    ``families`` maps (s, channel) to that family's residual maxima, keyed
-    (name, n) with n None for a relation over the whole family; _registry
-    gives the five checks of one suite the same fresh dict, so whichever runs
-    first computes each family once."""
+    pass over the families of the first ten Sturmians of each channel at each
+    s.  ``families`` maps (s, channel) to that family's ten row maxima of each
+    residual of _su11_family_residuals; a relation reads their maximum.
+    _registry gives the five checks of one suite the same fresh dict, so
+    whichever runs first runs one pass for every family, and the others read it."""
     grid = _algebra_grid()
     s_values = _s_grid(params)
-    residuals = []
-    for s in s_values:
-        for channel in ("v", "u"):
-            lowest = radial_channel(channel, s).lowest
-            if (s, channel) not in families:
-                families[s, channel] = {(rep.name, rep.context.get("n")): rep.residual_max for rep in
-                                        su11_commutator_report(channel, s, range(lowest, lowest + 10), grid)}
-            residuals.extend(families[s, channel][which, offset if offset is None else lowest + offset]
-                             for offset in _FAMILY_PROBES[which])
+    keys = [(s, channel) for s in s_values for channel in ("v", "u")]
+    if missing := list(dict.fromkeys(key for key in keys if key not in families)):
+        batch = [(channel, s, range(low, low + 10)) for s, channel in missing
+                 for low in [radial_channel(channel, s).lowest]]
+        maxima = {name: rows.max(axis=1) for name, rows in _su11_family_residuals(batch, grid, None).items()}
+        families.update((key, {name: rows[10 * i:10 * i + 10] for name, rows in maxima.items()})
+                        for i, key in enumerate(missing))
+    residuals = [float(np.max(families[key][which]) if offset is None else families[key][which][offset])
+                 for key in keys for offset in _FAMILY_PROBES[which]]
     return residuals, {"families": len(residuals)} if which in SU11_RELATIONS else {"s_values": len(s_values)}
 
 
 def _check_ladder(params):
     residuals = []
-    rules = {}
     s_values = _s_grid(params)
-    for s in s_values:
-        for channel in ("u", "v"):
-            ch = radial_channel(channel, s)
-            k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
-            levels = range(ch.lowest, ch.lowest + 5)
-            key = _ladder_rule_key(channel, levels[-1], s)  # order max(32, n + 10): one rule for all five
-            if key not in rules:
-                rules[key] = build_rule(*key)
-            for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rules[key])):
-                ng = n - ch.lowest
-                up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
-                residuals.append(abs(up - up_want) / up_want)
-                if ng >= 1:
-                    down_want = math.sqrt(ng * (2.0 * k + ng - 1.0))
-                    residuals.append(abs(down - down_want) / down_want)
-                else:
-                    residuals.append(abs(down))
+    channels = [(channel, s, radial_channel(channel, s)) for s in s_values for channel in ("u", "v")]
+    # order max(32, n + 10): one rule for all five levels of a family, each distinct one built once
+    keys = [_ladder_rule_key(channel, ch.lowest + 4, s) for channel, s, ch in channels]
+    rules = dict(zip(unique := list(dict.fromkeys(keys)), build_rules(unique)))
+    for (channel, s, ch), key in zip(channels, keys):
+        k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
+        levels = range(ch.lowest, ch.lowest + 5)
+        for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rules[key])):
+            ng = n - ch.lowest
+            up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
+            residuals.append(abs(up - up_want) / up_want)
+            if ng >= 1:
+                down_want = math.sqrt(ng * (2.0 * k + ng - 1.0))
+                residuals.append(abs(down - down_want) / down_want)
+            else:
+                residuals.append(abs(down))
     return residuals, {"s_values": len(s_values)}
 
 

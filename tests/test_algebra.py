@@ -5,9 +5,11 @@ import pytest
 
 from dirac_coulomb import algebra, verification
 from dirac_coulomb import (
+    Alignment,
     DomainError,
     LaguerreSum,
     OperatorKind,
+    ProblemParams,
     RadialOperator,
     radial_channel,
     run_suite,
@@ -83,26 +85,27 @@ class TestCommutators:
 class TestVerifyCommutatorChecks:
     @staticmethod
     def count_family_passes(monkeypatch):
-        """The realization parameter of each su(1,1) family pass, in call order."""
+        """For each su(1,1) pass, in call order, the realization parameter of each of its families."""
         passes = []
         original = algebra._su11_family_residuals
 
-        def counted(channel, s, levels, grid, fault_centrifugal):
-            passes.append(radial_channel(channel, s).sigma)
-            return original(channel, s, levels, grid, fault_centrifugal)
+        def counted(families, grid, fault_centrifugal):
+            passes.append([radial_channel(channel, s).sigma for channel, s, _ in families])
+            return original(families, grid, fault_centrifugal)
 
-        monkeypatch.setattr(algebra, "_su11_family_residuals", counted)
+        monkeypatch.setattr(verification, "_su11_family_residuals", counted)
         return passes
 
     def test_each_relation_runs_once_per_family(self, default_params, monkeypatch):
-        # one pass gives a family's three relations and its Sturmians' Casimir and A0
+        # one pass gives every family's three relations and its Sturmians' Casimir and A0
         # residuals: 5 s-values (the acceptance grid plus the problem's own) x 2 channels
         passes = self.count_family_passes(monkeypatch)
         reports = {rep.name: rep for rep in run_suite(default_params)}
         s_values = verification._s_grid(default_params)
-        assert sorted(passes) == sorted(radial_channel(channel, s).sigma
-                                        for s in s_values for channel in ("v", "u"))
-        assert len(set(passes)) == 10
+        assert len(passes) == 1
+        assert sorted(passes[0]) == sorted(radial_channel(channel, s).sigma
+                                           for s in s_values for channel in ("v", "u"))
+        assert len(set(passes[0])) == 10
         for name in algebra.SU11_RELATIONS:
             assert reports[name].context == {"families": 10}
         for name in ("casimir", "a0_eigenvalue"):
@@ -115,7 +118,7 @@ class TestVerifyCommutatorChecks:
         first = list(passes)
         passes.clear()
         run_suite(default_params)
-        assert passes == first and len(set(first)) == len(first) == 10
+        assert passes == first and len(first) == 1 and len(set(first[0])) == len(first[0]) == 10
 
     def test_a_check_alone_matches_the_suite(self, default_params, monkeypatch):
         # alone, a check fills its own memo; in a suite the later checks only read the first's
@@ -152,9 +155,55 @@ class TestVerifyCommutatorChecks:
         monkeypatch.setattr(verification, "_registry", lambda perturb: {
             name: tagged(name, check) for name, check in original(perturb).items()})
         run_suite(default_params)
-        # per family: K0 f, K+ f, K- f, then the six X Y f of the relations and K0 K0 f
-        assert entered.count("commutator_k0_kplus") == 10 * (3 + 7)
+        # one pass for all ten families: K0 f, K+ f, K- f, then the six X Y f of the relations and K0 K0 f
+        assert entered.count("commutator_k0_kplus") == 3 + 7
         assert entered.count("casimir") == entered.count("a0_eigenvalue") == 0
+
+
+class TestBatchedFamilyPass:
+    """The verify suite's one su(1,1) pass over all its families reads, for every family,
+    the maxima that family's own su11_commutator_report gives, bit for bit."""
+
+    D5 = ProblemParams(dimension=5, j=1.5, alignment=Alignment.UNALIGNED, alpha_v=0.7, alpha_s=0.3, mass=1e-3)
+
+    @staticmethod
+    def assert_maxima_match_reports(params):
+        families = {}
+        verification._check_family("casimir", families, params)  # fills every family of the suite
+        grid = verification._algebra_grid()
+        assert len(families) == len(set(verification._s_grid(params))) * 2
+        for (s, channel), maxima in families.items():
+            levels = range(radial_channel(channel, s).lowest, radial_channel(channel, s).lowest + 10)
+            reports = su11_commutator_report(channel, s, levels, grid)
+            assert [float(np.max(maxima[rep.name])) for rep in reports[:3]] == [rep.residual_max for rep in reports[:3]]
+            alone = {(rep.name, rep.context["n"]): rep.residual_max for rep in reports[3:]}
+            for name in ("casimir", "a0_eigenvalue"):
+                assert maxima[name].tolist() == [alone[name, n] for n in levels], (s, channel, name)
+
+    def test_default_problem(self, default_params):
+        self.assert_maxima_match_reports(default_params)
+
+    def test_unaligned_d5_problem(self):
+        self.assert_maxima_match_reports(self.D5)
+
+    def test_twenty_seeded_s_values(self, default_params, monkeypatch):
+        s_values = tuple(np.random.default_rng(24).uniform(0.05, 6.0, 20).tolist())
+        monkeypatch.setattr(verification, "_s_grid", lambda params: s_values)
+        self.assert_maxima_match_reports(default_params)
+
+    def test_a_wrong_constant_fails_every_relation_and_the_casimir_in_a_batch(self):
+        # one constant for every family; the batched rows keep the bits of each family's pass alone
+        grid, fault = verification._algebra_grid(), 0.3
+        batch = [(channel, s, sturmian_levels(channel, 10)) for s in (0.866, 1.5, 2.2) for channel in ("v", "u")]
+        rows = algebra._su11_family_residuals(batch, grid, fault)
+        for i, family in enumerate(batch):
+            alone = algebra._su11_family_residuals([family], grid, fault)
+            for name, residuals in rows.items():
+                assert np.array_equal(residuals[10 * i:10 * i + 10], alone[name]), (family, name)
+        for name in algebra.SU11_RELATIONS:
+            assert rows[name].reshape(len(batch), -1).max(axis=1).min() >= 1e-3, name
+        assert rows["casimir"].max(axis=1).min() >= 1e-3
+        assert rows["a0_eigenvalue"].max() <= verification.DEFAULT_TOLERANCES["a0_eigenvalue"]
 
 
 class TestLadder:

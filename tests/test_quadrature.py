@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -7,13 +9,14 @@ from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
 from dirac_coulomb import (
+    ConvergenceFailure,
     DomainError,
     build_rule,
     integrate_radial,
     log_gamma,
-    run_suite,
 )
-from dirac_coulomb import verification
+from dirac_coulomb import cli, quadrature, verification
+from dirac_coulomb.quadrature import build_rules
 
 
 class TestBuildRule:
@@ -61,6 +64,26 @@ class TestBuildRule:
             build_rule(129, 0.0)
         with pytest.raises(DomainError):
             build_rule(8, -1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_alpha_is_a_domain_error(self, alpha):
+        with pytest.raises(DomainError, match="finite alpha"):
+            build_rule(48, alpha)
+        with pytest.raises(DomainError, match="finite alpha"):
+            build_rules([(16, 0.0), (48, alpha)])
+
+    def test_a_key_that_fails_to_converge_is_named(self, monkeypatch):
+        # the rows of one alpha read nan Laguerre values, so their Newton steps never settle;
+        # the other rows of the batch converge
+        original = quadrature.laguerre_sequence
+
+        def poisoned(alpha, x):
+            for values in original(alpha, x):
+                yield np.where(np.asarray(alpha) == 2.6, np.nan, values)
+
+        monkeypatch.setattr(quadrature, "laguerre_sequence", poisoned)
+        with pytest.raises(ConvergenceFailure, match=r"\(N=32, alpha=2\.6\) did not converge"):
+            build_rules([(16, 0.0), (32, 2.6), (48, 0.8)])
 
 
 def scaled_top(n, alpha, x):
@@ -114,17 +137,47 @@ def assert_matches_reference(order, alpha):
     assert np.array_equal(rule.log_weights, log_weights), (order, alpha)
 
 
-class TestBitIdentityWithScaledRecurrence:
-    """build_rule on the plain recurrence gives the scaled recurrence's rules bit for bit."""
+def assert_batch_matches_reference(keys):
+    """build_rules(keys) gives each key the bits of the single-key algorithm."""
+    for (order, alpha), rule in zip(keys, build_rules(keys), strict=True):
+        nodes, log_weights = reference_rule(order, alpha)
+        assert np.array_equal(rule.nodes, nodes), (order, alpha)
+        assert np.array_equal(rule.log_weights, log_weights), (order, alpha)
 
-    def test_every_rule_of_a_default_verify(self, default_params, monkeypatch):
-        keys, build = set(), verification.build_rule  # verify's one caller of build_rule
-        monkeypatch.setattr(verification, "build_rule",
-                            lambda order, alpha: keys.add((order, alpha)) or build(order, alpha))
-        run_suite(default_params)
-        assert len(keys) == 25
-        for order, alpha in sorted(keys):
-            assert_matches_reference(order, alpha)
+
+def verify_batches(argv, monkeypatch):
+    """The keys of each build_rules call of one verify run (build_rule calls build_rules)."""
+    batches, build = [], quadrature.build_rules
+    for module in (quadrature, verification):
+        monkeypatch.setattr(module, "build_rules", lambda keys: batches.append(list(keys)) or build(batches[-1]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return batches
+
+
+class TestBitIdentityWithScaledRecurrence:
+    """build_rule and build_rules on the plain recurrence give the scaled recurrence's rules bit for bit."""
+
+    def test_every_rule_of_a_default_verify(self, monkeypatch):
+        batches = verify_batches(["verify"], monkeypatch)
+        assert len({key for keys in batches for key in keys}) == 25
+        for keys in batches:
+            assert_batch_matches_reference(keys)
+
+    def test_every_rule_of_the_unaligned_d5_verify(self, monkeypatch):
+        batches = verify_batches(["verify", "--dimension", "5", "--j", "1.5", "--unaligned", "--alpha-v", "0.7",
+                                  "--alpha-s", "0.3", "--mass", "1e-3"], monkeypatch)
+        assert len({key for keys in batches for key in keys}) == 25
+        for keys in batches:
+            assert_batch_matches_reference(keys)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_mixed_orders_and_edge_keys_in_one_batch(self, reverse):
+        # orders 1 and 128 and the stall cases alpha near -1 and 1e4, among ordinary keys
+        keys = [(1, -0.9999), (128, 1e4), (16, 0.0), (128, -0.9999), (1, 1e4), (48, 0.8), (3, 2.6),
+                (127, 40.0), (32, 2.6), (128, 0.0)]
+        assert_batch_matches_reference(keys[::-1] if reverse else keys)
 
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.8, 2.6, 40.0, 1e3, 1e4])
     def test_order_alpha_grid(self, alpha):

@@ -32,6 +32,8 @@ ALLOWED = {
     "report.SpectrumRecord.to_row": _TRACER_BOUND,
     "radialfn.LaguerreSum.terms": _TRACER_BOUND,
     "verification.coherent_truncated_sum": _TRACER_BOUND,
+    "algebra.su11_commutator_report": _TRACER_BOUND + "; it is also the one-family report of the family pass "
+                                      "that the tests read, and the only way to reach its fault hook",
     "output.emit_csv": _TRACER_BOUND + "; it is also the csv.writer reference the tests hold emit_table to",
     "radialfn.LaguerreSum.__sub__": "RadialOperator.apply uses it",
     "cli.entrypoint": "the console script, which calls cli.main",

@@ -253,7 +253,7 @@ def test_commutator_residuals_per_function(problem, which, monkeypatch):
             sigma = radial_channel(channel, s).sigma
             relation = su11_relation(which, sigma, None)
             want = [reference_commutator(*relation, sturmian(channel, n, s), grid) for n in n_range]
-            got = _su11_family_residuals(channel, s, n_range, grid, None)[which]
+            got = _su11_family_residuals([(channel, s, n_range)], grid, None)[which]
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -269,7 +269,7 @@ def test_commutator_residuals_with_a_wrong_realization(which):
     s, grid = 0.866, verification._algebra_grid()
     for channel, n_range in FAMILIES:
         relation = su11_relation(which, radial_channel(channel, s).sigma, s * s)
-        got = _su11_family_residuals(channel, s, n_range, grid, s * s)[which]
+        got = _su11_family_residuals([(channel, s, n_range)], grid, s * s)[which]
         for g, n in zip(got, n_range):
             assert np.array_equal(g, reference_commutator(*relation, sturmian(channel, n, s), grid))
 
@@ -280,7 +280,7 @@ def test_casimir_and_a0_residuals(problem, monkeypatch):
     seen = captured_residuals(monkeypatch)
     for s in verification._s_grid(problem):
         for channel, n_range in FAMILIES:
-            got = _su11_family_residuals(channel, s, n_range, grid, None)
+            got = _su11_family_residuals([(channel, s, n_range)], grid, None)
             start = len(seen)
             su11_commutator_report(channel, s, n_range, grid)
             reported = seen[start + 3:]
@@ -304,7 +304,7 @@ def test_gram_entries(problem, channel, monkeypatch):
 
     monkeypatch.setattr(verification, "integrate_radial", recorded)
     for s in verification._s_grid(problem):
-        worst = verification._gram_residual(channel, s, 12)
+        worst = verification._gram_residual(channel, s, 12, build_rule(48, radial_channel(channel, s).alpha))
         want = reference_gram(channel, s, 12)
         assert len(entries) == 1 and np.array(entries[0]).tobytes() == np.array(want).tobytes()
         targets = [1.0 if i == j else 0.0 for i in range(12) for j in range(i, 12)]
@@ -379,17 +379,21 @@ def test_default_verify_builds_26_rules_over_25_keys(default_params, default_con
     # the assemblers build none: their constants are exact, so every rule here belongs to a check
     import dirac_coulomb
 
-    built = []
-    original = build_rule
+    calls = []
+    original = dirac_coulomb.quadrature.build_rules
 
-    def counted(order, alpha):
-        built.append((order, alpha))
-        return original(order, alpha)
+    def counted(keys):
+        calls.append(list(keys))
+        return original(calls[-1])
 
-    for name in ("algebra", "coherent", "radial", "verification"):
-        monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rule", counted, raising=False)
+    # build_rule calls quadrature.build_rules; the checks that build several rules call build_rules
+    for name in ("algebra", "coherent", "quadrature", "radial", "verification"):
+        monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rules", counted, raising=False)
     verification.run_suite(default_params)
+    built = [key for keys in calls for key in keys]
     assert (len(built), len(set(built))) == (26, 25)
+    # quadrature moments, each orthonormality check and the ladder each build their rules in one call
+    assert [len(keys) for keys in calls] == [3, 5, 5, 10, 1, 1, 1]
     assert Counter(order for order, _ in built) == {16: 1, 32: 11, 48: 14}
     # normalization's rule for the problem's own s, which coherent_norm builds again
     assert [key for key, times in Counter(built).items() if times > 1] == [(48, 2.0 * default_constants.s)]
@@ -455,7 +459,7 @@ def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
 
     monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
     monkeypatch.setattr(verification, "sturmian", recorded)
-    verification._gram_residual(channel, 0.866, 12)
+    verification._gram_residual(channel, 0.866, 12, build_rule(48, radial_channel(channel, 0.866).alpha))
     assert len(made) == 12
     assert len(gathered) == 1 and [id(f) for f in gathered[0]] == [id(f) for f in made]
 

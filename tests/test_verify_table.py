@@ -12,9 +12,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dirac_coulomb import cli, verification
+from dirac_coulomb import cli, quadrature, verification
 from dirac_coulomb.errors import DiracCoulombError
 from dirac_coulomb.verification import (
     DEFAULT_TOLERANCES,
@@ -51,9 +52,11 @@ def test_traced_verify_spans_each_check_once_and_prints_the_same():
     assert checks == {name: 1 for name in VERIFY_CHECK_NAMES}
 
 
-def test_traced_verify_sees_each_family_pass_and_reads_every_report():
-    # the benchmark's per-layer view of the su(1,1) family pass: one span per
-    # (s, channel) family, and every report a pass returns is read by a check
+def test_traced_verify_sees_one_family_pass_in_the_first_algebra_check():
+    # the benchmark's per-layer view of the su(1,1) family pass: the first of the
+    # five algebra checks builds the 10 Sturmians of each of the 10 (s, channel)
+    # families, in one pass that returns no reports, and the other four build none;
+    # the tracer still binds su11_commutator_report, which the suite no longer calls
     tracer = Tracer()
     tracer.install()
     try:
@@ -61,11 +64,14 @@ def test_traced_verify_sees_each_family_pass_and_reads_every_report():
     finally:
         tracer.uninstall()
     assert code == 0
-    assert tracer.summary()["algebra.su11_commutator_report"]["calls"] == 10
-    assert len(tracer.trackers) == 10
-    # 3 relations, then a casimir and an a0_eigenvalue report for each of 10 Sturmians
-    assert [len(tracker) for tracker in tracer.trackers] == [23] * 10
-    assert all(tracker.used == set(range(len(tracker))) for tracker in tracer.trackers)
+    assert tracer.summary()["algebra.su11_commutator_report"]["calls"] == 0
+    assert tracer.trackers == []
+    spans = tracer.arrays()
+    sturmians = spans["name"] == tracer.names.index("radial.sturmian")
+    for name, built in [("commutator_k0_kplus", 100), *((name, 0) for name in (
+            "commutator_k0_kminus", "commutator_kminus_kplus", "casimir", "a0_eigenvalue"))]:
+        (check,) = np.flatnonzero(spans["name"] == tracer.names.index(f"verification.{name}"))
+        assert np.count_nonzero(sturmians & (spans["parent"] == check)) == built, name
 
 
 def test_resolver_applies_overrides_in_order():
@@ -84,15 +90,21 @@ def test_run_suite_rejects_a_non_finite_tolerance_before_any_check(default_param
         run_suite(default_params, {"casimir": value})
 
 
-@pytest.mark.parametrize("name, rules", [("normalization", 2), ("coherent_norm", 1)])
+@pytest.mark.parametrize("name, rules", [("normalization", 2), ("coherent_norm", 1), ("quadrature_moments", 3),
+                                         ("sturmian_orthonormality_u", 5), ("sturmian_orthonormality_v", 5)])
 def test_each_check_builds_each_distinct_rule_once(default_params, name, rules, monkeypatch):
-    built = []
-    original = verification.build_rule
+    # a check builds all its rules in one build_rules call, but normalization builds
+    # the rule of each coupling variant when it reaches it (build_rule calls build_rules)
+    calls = []
+    original = quadrature.build_rules
 
-    def counted(order, alpha):
-        built.append((order, alpha))
-        return original(order, alpha)
+    def counted(keys):
+        calls.append(list(keys))
+        return original(calls[-1])
 
-    monkeypatch.setattr(verification, "build_rule", counted)
+    for module in (quadrature, verification):
+        monkeypatch.setattr(module, "build_rules", counted)
     verification._registry(False)[name](default_params)
+    built = [key for keys in calls for key in keys]
     assert len(built) == len(set(built)) == rules
+    assert len(calls) == (rules if name == "normalization" else 1)
