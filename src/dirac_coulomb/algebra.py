@@ -79,12 +79,13 @@ class RadialOperator:
         (r P_r^2 + cent/r +- r) / 2, and K+- = A1 +- i A2 with i A2 f = r f' + f."""
         kind = self.kind
         sign = 1.0 if kind in (OperatorKind.A0, OperatorKind.K0) else -1.0
-        pr2 = f.derivative().derivative() * (-1.0) - f.derivative().times_power(-1) * 2.0
+        fp = f.derivative()
+        pr2 = fp.derivative() * (-1.0) + fp.times_power(-1) * 2.0 * -1.0
         image = (pr2.times_power(1) + f.times_power(-1) * self._cent() + f.times_power(1) * sign) * 0.5
         if kind is OperatorKind.KPLUS:
-            return image + (f.derivative().times_power(1) + f)
+            return image + (fp.times_power(1) + f)
         if kind is OperatorKind.KMINUS:
-            return image - (f.derivative().times_power(1) + f)
+            return image + (fp.times_power(1) + f) * -1.0
         return image
 
 
@@ -112,7 +113,7 @@ _COEFFICIENTS = {OperatorKind.A0: (0.0, 0.5), OperatorKind.K0: (0.0, 0.5), Opera
 
 def _jets(r: np.ndarray, functions, order: int) -> np.ndarray:
     """f, f', ..., f^(order) of each function on r, as an (order + 1, function,
-    point) array: the exact derivatives, which each LaguerreSum keeps, all
+    point) array: the exact derivatives, each built from the one before, all
     evaluated in one LaguerreSum.evaluate_all call."""
     sums = []
     for f in functions:

@@ -298,8 +298,8 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     as_ = 0.5 * (constants.alpha_plus - constants.alpha_minus)
     coulomb = av * e + as_ * m
 
-    fv, fp, fpp = LaguerreSum.evaluate_all(grid, component, component.derivative(),
-                                           component.derivative().derivative())
+    df = component.derivative()
+    fv, fp, fpp = LaguerreSum.evaluate_all(grid, component, df, df.derivative())
     row = -fpp - 2.0 * fp / grid + cent * fv / grid**2 - 2.0 * coulomb * fv / grid + (m * m - e * e) * fv
 
     op_mag = abs(m * m - e * e) + abs(cent) / grid**2 + 2.0 * abs(coulomb) / grid

@@ -9,7 +9,8 @@ a family closed under d/dr, multiplication by integer powers of r, and
 dilation r -> e^theta r.  Derivatives are therefore exact term
 manipulations, so residuals downstream measure floating-point error only,
 never differencing error.  Coefficients and decay rates may be complex
-(coherent states); Laguerre arguments stay real.
+(coherent states); Laguerre arguments stay real.  A sum is an immutable value
+that holds only its terms: every operation, d/dr included, builds a new sum.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ class LaguerreTerm(NamedTuple):
 class LaguerreSum:
     """A finite linear combination of Laguerre-type radial terms, kept as an
     insertion-ordered map (power, decay, degree, alpha, argscale) -> coef.
-    A sum never changes once built, so it keeps its derivative and whether it
-    is real, each found when first asked for."""
+    A sum never changes once built; every operation returns a new one."""
 
-    __slots__ = ("_map", "_derivative", "_real")
+    __slots__ = ("_map",)
 
     def __init__(self, terms):
         self._merge((((t.power, complex(t.decay), t.degree, t.alpha, t.argscale), complex(t.coef))
@@ -68,14 +68,11 @@ class LaguerreSum:
         if 0 in merged.values():
             merged = {k: c for k, c in merged.items() if c != 0}
         self._map = merged
-        self._derivative = self._real = None
 
     @property
     def is_real(self) -> bool:
         """Every coefficient and decay real."""
-        if self._real is None:
-            self._real = all(c.imag == 0.0 and k[1].imag == 0.0 for k, c in self._map.items())
-        return self._real
+        return all(c.imag == 0.0 and k[1].imag == 0.0 for k, c in self._map.items())
 
     @classmethod
     def single(cls, coef, power, decay, degree: int = 0, alpha: float = 0.0,
@@ -93,12 +90,16 @@ class LaguerreSum:
     def evaluate_all(r, *sums) -> tuple:
         """Each sum at r (a number or an array), making each distinct r**power,
         exp(-decay r) and Laguerre recurrence once.  Each sum adds its terms
-        ((coef r^p) e^{-dr}) L in complex arithmetic in stored order from zero:
-        term by term (verification.coherent_truncated_sums keeps these bits
-        for each degree's one real term), or, past _TERM_BY_TERM terms at a
-        1-D r, as one product array added one term position at a time for all
-        sums (np.sum rounds otherwise), in float64 if every coefficient and
-        decay is real and every product finite."""
+        ((coef r^p) e^{-dr}) L in stored order from zero, one of two ways, with
+        the same bits:
+        - past _TERM_BY_TERM terms at a 1-D r, if every coefficient and decay is
+          real and every product finite, as one float64 product array added one
+          term position at a time for all sums (np.sum rounds otherwise): finite
+          float products are the complex ones' real parts;
+        - otherwise term by term in complex arithmetic, so that a complex batch,
+          or a product that overflows, gives what complex arithmetic gives
+          (verification.coherent_truncated_sums keeps these bits for each
+          degree's one real term)."""
         scalar = np.isscalar(r)
         rv = np.asarray(r, dtype=float)
         index, degrees, lag = {}, {}, {}  # index numbers each distinct key
@@ -110,56 +111,49 @@ class LaguerreSum:
                 lag.update(((n, a, b), laguerre(n, a, b * rv)) for n in ns)
             else:
                 lag.update(((n, a, b), value) for n, value in zip(range(max(ns) + 1), laguerre_sequence(a, b * rv)))
-        if scalar or rv.ndim != 1 or len(term) <= _TERM_BY_TERM:
-            rows, powers, decays = [], {}, {}
-            for f in sums:
-                out = np.zeros(rv.shape, dtype=complex)
-                for (p, d, n, a, b), c in f._map.items():
-                    if p not in powers:
-                        powers[p] = rv ** p
-                    if d not in decays:
-                        decays[d] = np.exp(-d * rv)
-                    out += c * powers[p] * decays[d] * lag[n, a, b]
-                rows.append(out.real if f.is_real else out)
-            return tuple(row.item() if scalar else row for row in rows)
-        # the product array holds the first terms of all sums, longest sums first, then
-        # their second terms, ...: the sums with a j-th term are a prefix
-        lens = np.array([len(f) for f in sums])
-        row = np.argsort(np.argsort(-lens, kind="stable"))
-        position = np.arange(len(term)) - np.repeat(np.cumsum(lens) - lens, lens)
-        layout = np.lexsort((np.repeat(row, lens), position))
-        counts = np.bincount(position).tolist()
-        coefs = np.array([c for f in sums for c in f._map.values()], dtype=complex)[layout, None]
         powers = {p: rv ** p for p in {key[0] for key in index}}
         decays = {d: np.exp(-d * rv) for d in {key[1] for key in index}}
-        term = np.array(term, dtype=np.intp)[layout]
-        rp, ed, lv = (np.array(table) for table in zip(*(
-            (powers[p], decays[d], lag[n, a, b]) for p, d, n, a, b in index)))
-        real = not coefs.imag.any() and not any(d.imag for d in decays)
-        with np.errstate(over="ignore", invalid="ignore"):  # in place: each new terms x points array page-faults
-            prod = rp[term] * coefs.real if real else None
-            for table in (ed.real, lv) if real else ():
-                prod *= table[term]
-        if not real or not np.isfinite(prod).all():  # finite, they are the complex products' real parts
-            real, prod = False, coefs * rp[term] * ed[term] * lv[term]
-        out = np.zeros((len(sums), rv.size), dtype=prod.dtype)
-        for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
-            out[:count] += prod[start:start + count]
-        return tuple(out[i] if real or not f.is_real else out[i].real for i, f in zip(row.tolist(), sums))
+        if (not scalar and rv.ndim == 1 and len(term) > _TERM_BY_TERM and not any(d.imag for d in decays)
+                and not (coefs := np.array([c for f in sums for c in f._map.values()])).imag.any()):
+            # the product array holds the first terms of all sums, longest sums first, then
+            # their second terms, ...: the sums with a j-th term are a prefix
+            lens = np.array([len(f) for f in sums])
+            row = np.argsort(np.argsort(-lens, kind="stable"))
+            position = np.arange(len(term)) - np.repeat(np.cumsum(lens) - lens, lens)
+            layout = np.lexsort((np.repeat(row, lens), position))
+            counts = np.bincount(position).tolist()
+            coefs = coefs.real[layout, None]
+            term = np.array(term, dtype=np.intp)[layout]
+            rp, ed, lv = (np.array(table) for table in zip(*(
+                (powers[p], decays[d].real, lag[n, a, b]) for p, d, n, a, b in index)))
+            with np.errstate(over="ignore", invalid="ignore"):  # in place: each new terms x points array page-faults
+                prod = rp[term] * coefs
+                prod *= ed[term]
+                prod *= lv[term]
+            if np.isfinite(prod).all():
+                out = np.zeros((len(sums), rv.size))
+                for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
+                    out[:count] += prod[start:start + count]
+                return tuple(out[i] for i in row.tolist())
+        rows = []
+        for f in sums:
+            out = np.zeros(rv.shape, dtype=complex)
+            for (p, d, n, a, b), c in f._map.items():
+                out += c * powers[p] * decays[d] * lag[n, a, b]
+            rows.append(out.real if f.is_real else out)
+        return tuple(row.item() if scalar else row for row in rows)
 
     def derivative(self) -> "LaguerreSum":
         """Exact d/dr, using d/dx L_n^a(x) = -L_{n-1}^{a+1}(x)."""
-        if self._derivative is None:
-            out = []
-            for key, c in self._map.items():
-                p, d, n, a, b = key
-                if p != 0.0:
-                    out.append(((p - 1.0, d, n, a, b), c * p))
-                out.append((key, -c * d))
-                if n >= 1:
-                    out.append(((p, d, n - 1, a + 1.0, b), -c * b))
-            self._derivative = LaguerreSum._of(out)
-        return self._derivative
+        out = []
+        for key, c in self._map.items():
+            p, d, n, a, b = key
+            if p != 0.0:
+                out.append(((p - 1.0, d, n, a, b), c * p))
+            out.append((key, -c * d))
+            if n >= 1:
+                out.append(((p, d, n - 1, a + 1.0, b), -c * b))
+        return LaguerreSum._of(out)
 
     def times_power(self, k) -> "LaguerreSum":
         """Multiply by r**k (k may be negative or fractional); terms whose powers round
@@ -176,11 +170,6 @@ class LaguerreSum:
         if not isinstance(other, LaguerreSum):
             return NotImplemented
         return LaguerreSum._of(other._map.items(), self._map)
-
-    def __sub__(self, other: "LaguerreSum") -> "LaguerreSum":
-        if not isinstance(other, LaguerreSum):
-            return NotImplemented
-        return self + other * -1.0
 
     def __mul__(self, scalar) -> "LaguerreSum":
         if isinstance(scalar, LaguerreSum):

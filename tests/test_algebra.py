@@ -43,7 +43,7 @@ class TestApplyOperator:
         # i A2 = K+ - A1, and A2 e^-r = -i r (d/dr + 1/r) e^-r = -i (-r e^-r + e^-r)
         f = LaguerreSum.single(1.0, power=0.0, decay=1.0)
         i_a2 = (RadialOperator(OperatorKind.KPLUS, 0.9).apply(f)
-                - RadialOperator(OperatorKind.A1, 0.9).apply(f))
+                + RadialOperator(OperatorKind.A1, 0.9).apply(f) * -1.0)
         for r in (0.3, 1.0, 4.2):
             want = -1.0j * (-r * math.exp(-r) + math.exp(-r))
             assert -1.0j * i_a2(r) == pytest.approx(want, rel=1e-13)

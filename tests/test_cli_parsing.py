@@ -84,3 +84,15 @@ def test_verify_perturb_and_abbreviation_parse(monkeypatch):
     assert cli.main(["spectrum", "--dim", "3"]) == 0
     assert seen[0].perturb is True
     assert seen[1].dimension == 3
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["coherent", "--xi-re", "-1e-3"], ["coherent", "--xi-re=-1e-3"]),
+    (["coherent", "--xi-r", "-1e-3", "--xi-im", "-2E-1"], ["coherent", "--xi-re=-1e-3", "--xi-im=-2E-1"]),
+    (["spectrum", "--n", "-2..3"], ["spectrum", "--n=-2..3"]),
+], ids=lambda argv: " ".join(argv))
+def test_a_word_that_starts_with_a_minus_and_a_digit_is_a_value(argv, joined, capsys, monkeypatch):
+    # "-1e-3" is no plain number, yet as its own word it is the flag's value, as joined by "="
+    want = run(joined, capsys, monkeypatch)
+    assert run(argv, capsys, monkeypatch) == want
+    assert want["code"] == (0 if argv[0] == "coherent" else 2)

@@ -35,7 +35,6 @@ ALLOWED = {
     "algebra.su11_commutator_report": _TRACER_BOUND + "; it is also the one-family report of the family pass "
                                       "that the tests read, and the only way to reach its fault hook",
     "output.emit_csv": _TRACER_BOUND + "; it is also the csv.writer reference the tests hold emit_table to",
-    "radialfn.LaguerreSum.__sub__": "RadialOperator.apply uses it",
     "cli.entrypoint": "the console script, which calls cli.main",
 }
 _TRACER_BOUND_CLASS = "the class of a method perfbench's tracer binds (see ALLOWED); ROADMAP item 11 retires it"

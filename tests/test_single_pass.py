@@ -244,7 +244,7 @@ class TestImmutability:
         f.times_power(-1)
         f.scaled(0.4)
         f + g
-        f - g
+        f + g * -1.0
         2.5 * f
         f(np.geomspace(0.1, 5.0, 9))
         assert f.terms == f_terms
