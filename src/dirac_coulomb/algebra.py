@@ -15,17 +15,18 @@ itself one of the tested invariants, not an assumption.
 Each generator is L = a2 D^2 + a1 D + a0 with a2 = -r/2, a1 = t r - 1 and
 a0 = sigma(sigma+1)/(2r) +- r/2 + t (t = 0 for K0 and A1, +-1 for K+-; +r/2
 for K0 alone), and the checks apply it to jets: the values of f, f', ...,
-f^(k) on a grid, from the exact derivatives of a LaguerreSum.  By Leibniz
-the image of an order-k jet is an order-(k-2) jet (_image), so the jets
-(f, ..., f^(4)) of families of Sturmians, one LaguerreSum.evaluate_all call
-each, give every first- and second-order image as (Sturmian, point) arrays,
-for the three commutator relations, the Casimir -K+K- + K0(K0 - 1) = k(k-1)
-and the eigenvalue A0 f_n = (n + s) f_n, in one pass over all the families
-(_su11_family_residuals); the residuals are floating-point noise unless an
-identity is wrong.  The ladder projections and the dilation identities take
-order-2 jets.  RadialOperator.apply builds each generator's exact symbolic
-image from its definition, which the tests hold the jets to.  A channel's
-sigma, lowest label and Laguerre order come from radial.radial_channel.
+f^(k) on a grid, from LaguerreSum.jets, which has the bits of the exact
+derivative() chain.  By Leibniz the image of an order-k jet is an
+order-(k-2) jet (_image), so the jets (f, ..., f^(4)) of all the families'
+Sturmians, one LaguerreSum.jets call, give every first- and second-order
+image as (Sturmian, point) arrays, for the three commutator relations, the
+Casimir -K+K- + K0(K0 - 1) = k(k-1) and the eigenvalue A0 f_n = (n + s) f_n,
+in one pass over all the families (_su11_family_residuals); the residuals
+are floating-point noise unless an identity is wrong.  The ladder
+projections and the dilation identities take order-2 jets.
+RadialOperator.apply builds each generator's exact symbolic image from its
+definition, which the tests hold the jets to.  A channel's sigma, lowest
+label and Laguerre order come from radial.radial_channel.
 """
 
 from __future__ import annotations
@@ -111,19 +112,6 @@ _COEFFICIENTS = {OperatorKind.A0: (0.0, 0.5), OperatorKind.K0: (0.0, 0.5), Opera
                  OperatorKind.KPLUS: (1.0, -0.5), OperatorKind.KMINUS: (-1.0, -0.5)}
 
 
-def _jets(r: np.ndarray, functions, order: int) -> np.ndarray:
-    """f, f', ..., f^(order) of each function on r, as an (order + 1, function,
-    point) array: the exact derivatives, each built from the one before, all
-    evaluated in one LaguerreSum.evaluate_all call."""
-    sums = []
-    for f in functions:
-        sums.append(f)
-        for _ in range(order):
-            sums.append(sums[-1].derivative())
-    values = np.array(LaguerreSum.evaluate_all(r, *sums))
-    return values.reshape(-1, order + 1, r.size).swapaxes(0, 1)
-
-
 def _image(kind: OperatorKind, centrifugal: float, jet, r: np.ndarray) -> list[np.ndarray]:
     """The jet of L g, two orders shorter than the jet of g on r, for the
     generator L = a2 D^2 + a1 D + a0 of ``kind``, by Leibniz:
@@ -146,9 +134,8 @@ def _su11_family_residuals(families, grid: np.ndarray,
     c_j Z_j f, of the Casimir, (-K+K- + K0 K0 - K0) f against k(k-1) f with
     Bargmann index k, and of the A0 eigenvalue, A0 f against (n + s) f.
 
-    One pass stacks the jets (f, ..., f^(4)) of all families, one
-    LaguerreSum.evaluate_all call each (one call for all would hold all their
-    Laguerre values at once), and applies the generators to the stack as
+    One pass takes the jets (f, ..., f^(4)) of all the families' Sturmians
+    from one LaguerreSum.jets call and applies the generators to them as
     differential operators (_image) with (Sturmian, 1) columns of constants:
     K0 f, K+ f and K- f as jets of order 2, then each X Y f as a value; a row
     has the bits of its family's pass alone.  A ``fault_centrifugal`` other than
@@ -162,8 +149,7 @@ def _su11_family_residuals(families, grid: np.ndarray,
     k_barg = sigma + 1.0
     true_cent = sigma * (sigma + 1.0)
     pair_cent = true_cent if fault_centrifugal is None else np.full_like(true_cent, fault_centrifugal)
-    jet = np.concatenate([_jets(grid, [sturmian(channel, n, s) for n in levels], 4)
-                          for channel, s, levels in families], axis=1)
+    jet = LaguerreSum.jets(grid, 4, *(sturmian(channel, n, s) for channel, s, levels in families for n in levels))
     fv = jet[0]
     ladder = (OperatorKind.K0, OperatorKind.KPLUS, OperatorKind.KMINUS)
     first = {kind: _image(kind, pair_cent, jet, grid) for kind in ladder}
@@ -230,7 +216,7 @@ def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[floa
         raise DomainError(f"{channel}-channel ladder labels must be >= {lowest}, got {min(levels)}")
     first = max(min(levels) - 1, lowest)
     r = rule.nodes / 2.0  # the radii integrate_radial uses at scale 1
-    jet = _jets(r, [sturmian(channel, n, s) for n in range(first, max(levels) + 2)], 2)
+    jet = LaguerreSum.jets(r, 2, *(sturmian(channel, n, s) for n in range(first, max(levels) + 2)))
     fv, at = jet[0], [n - first for n in levels]
     kp_km = zip(*(_image(kind, sigma * (sigma + 1.0), jet[:, at], r)[0]
                   for kind in (OperatorKind.KPLUS, OperatorKind.KMINUS)))
@@ -254,8 +240,9 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigmas) -> li
 
     Each side is the A0 or A1 image of a jet (f, f', f''): of the functions
     on the grid, which serves every theta, and for each theta of the dilated
-    functions f.scaled(theta) on e^-theta r, one batch per theta.  Each
-    function is conjugated under its own realization constant, the entry of
+    functions f.scaled(theta) on e^-theta r, one LaguerreSum.jets call per
+    theta, so each function holds at most one real term.  Each function is
+    conjugated under its own realization constant, the entry of
     ``sigmas`` at its position (a Sturmian's is its channel's sigma).
     """
     if any(abs(theta) > 3.0 for theta in thetas):
@@ -268,11 +255,11 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigmas) -> li
     def a0_a1(jet, r):
         return [_image(kind, cent, jet, r)[0] for kind in (OperatorKind.A0, OperatorKind.A1)]
 
-    (a0f, a1f), maxima = a0_a1(_jets(grid, fs, 2), grid), []
+    (a0f, a1f), maxima = a0_a1(LaguerreSum.jets(grid, 2, *fs), grid), []
     for theta in thetas:
         shrink = math.exp(-theta)  # S_-theta g (r) = e^-theta g(e^-theta r)
         r = shrink * grid
-        conj0, conj1 = (shrink * g for g in a0_a1(_jets(r, [f.scaled(theta) for f in fs], 2), r))
+        conj0, conj1 = (shrink * g for g in a0_a1(LaguerreSum.jets(r, 2, *(f.scaled(theta) for f in fs)), r))
         ch, sh = math.cosh(theta), math.sinh(theta)
         checks = [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),

@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {name: sub.add_parser(name, parents=[_common_arguments()], help=help_text)
                   for name, help_text in _SUBCOMMAND_HELP.items()}
-    for subparser in subparsers.values():  # argparse's own pattern misses values such as -1e-3 and -0.1..0.5..3
-        subparser._negative_number_matcher = re.compile(r"-\.?\d")
+    for subparser in subparsers.values():  # argparse's own pattern misses -1e-3, -0.1..0.5..3, -inf and -nan
+        subparser._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
     subparsers["verify"].add_argument("--_perturb", dest="perturb", action="store_true",
                                       help=argparse.SUPPRESS)
     return parser

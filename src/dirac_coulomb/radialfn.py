@@ -15,6 +15,7 @@ that holds only its terms: every operation, d/dr included, builds a new sum.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import exp
 from typing import NamedTuple
 
@@ -25,9 +26,12 @@ from .special import laguerre, laguerre_sequence
 
 __all__ = ["LaguerreTerm", "LaguerreSum"]
 
-# evaluate_all adds up to this many terms one by one: timed on family-pass sums over 60 and 200
-# points, the two ways cross between 16 and 53 terms, where no verify or state op call falls
-_TERM_BY_TERM = 16
+
+def _distinct(*columns):
+    """The distinct rows of the stacked columns, in order, and an array of each entry's row among them."""
+    seen = {}
+    at = [seen.setdefault(key, len(seen)) for key in zip(*(c.ravel().tolist() for c in columns))]
+    return np.array(list(seen)), np.array(at).reshape(columns[0].shape)
 
 
 class LaguerreTerm(NamedTuple):
@@ -90,51 +94,23 @@ class LaguerreSum:
     def evaluate_all(r, *sums) -> tuple:
         """Each sum at r (a number or an array), making each distinct r**power,
         exp(-decay r) and Laguerre recurrence once.  Each sum adds its terms
-        ((coef r^p) e^{-dr}) L in stored order from zero, one of two ways, with
-        the same bits:
-        - past _TERM_BY_TERM terms at a 1-D r, if every coefficient and decay is
-          real and every product finite, as one float64 product array added one
-          term position at a time for all sums (np.sum rounds otherwise): finite
-          float products are the complex ones' real parts;
-        - otherwise term by term in complex arithmetic, so that a complex batch,
-          or a product that overflows, gives what complex arithmetic gives
-          (verification.coherent_truncated_sums keeps these bits for each
-          degree's one real term)."""
+        ((coef r^p) e^{-dr}) L in stored order from zero, in complex arithmetic,
+        and a sum whose coefficients and decays are all real gives the real part
+        (verification.coherent_truncated_sums keeps these bits for each degree's
+        one real term)."""
         scalar = np.isscalar(r)
         rv = np.asarray(r, dtype=float)
-        index, degrees, lag = {}, {}, {}  # index numbers each distinct key
-        term = [index.setdefault(key, len(index)) for f in sums for key in f._map]
-        for _, _, n, a, b in index:
+        keys = {key for f in sums for key in f._map}
+        degrees, lag = {}, {}
+        for _, _, n, a, b in keys:
             degrees.setdefault((a, b), set()).add(n)
         for (a, b), ns in degrees.items():
             if len(ns) == 1 or min(ns) < 0:  # laguerre runs the same recurrence, and rejects n < 0
                 lag.update(((n, a, b), laguerre(n, a, b * rv)) for n in ns)
             else:
                 lag.update(((n, a, b), value) for n, value in zip(range(max(ns) + 1), laguerre_sequence(a, b * rv)))
-        powers = {p: rv ** p for p in {key[0] for key in index}}
-        decays = {d: np.exp(-d * rv) for d in {key[1] for key in index}}
-        if (not scalar and rv.ndim == 1 and len(term) > _TERM_BY_TERM and not any(d.imag for d in decays)
-                and not (coefs := np.array([c for f in sums for c in f._map.values()])).imag.any()):
-            # the product array holds the first terms of all sums, longest sums first, then
-            # their second terms, ...: the sums with a j-th term are a prefix
-            lens = np.array([len(f) for f in sums])
-            row = np.argsort(np.argsort(-lens, kind="stable"))
-            position = np.arange(len(term)) - np.repeat(np.cumsum(lens) - lens, lens)
-            layout = np.lexsort((np.repeat(row, lens), position))
-            counts = np.bincount(position).tolist()
-            coefs = coefs.real[layout, None]
-            term = np.array(term, dtype=np.intp)[layout]
-            rp, ed, lv = (np.array(table) for table in zip(*(
-                (powers[p], decays[d].real, lag[n, a, b]) for p, d, n, a, b in index)))
-            with np.errstate(over="ignore", invalid="ignore"):  # in place: each new terms x points array page-faults
-                prod = rp[term] * coefs
-                prod *= ed[term]
-                prod *= lv[term]
-            if np.isfinite(prod).all():
-                out = np.zeros((len(sums), rv.size))
-                for count, start in zip(counts, np.cumsum([0, *counts]).tolist()):
-                    out[:count] += prod[start:start + count]
-                return tuple(out[i] for i in row.tolist())
+        powers = {p: rv ** p for p in {key[0] for key in keys}}
+        decays = {d: np.exp(-d * rv) for d in {key[1] for key in keys}}
         rows = []
         for f in sums:
             out = np.zeros(rv.shape, dtype=complex)
@@ -142,6 +118,56 @@ class LaguerreSum:
                 out += c * powers[p] * decays[d] * lag[n, a, b]
             rows.append(out.real if f.is_real else out)
         return tuple(row.item() if scalar else row for row in rows)
+
+    @staticmethod
+    def jets(r, order: int, *sums) -> np.ndarray:
+        """f, f', ..., f^(order) of each sum on a 1-D r, as an (order + 1, sum, point)
+        array with the bits of evaluate_all over each sum's derivative() chain.
+        A sum holds one real term c r^p e^{-dr} L_g^a(br), or none (zero rows);
+        DomainError otherwise.  Derivative j is a sum over keys (i, l) of i p-steps
+        and l n-steps (a d-step keeps the key) of ((r^(p-i) C) e^{-dr}) L_(g-l)^(a+l)(br),
+        added from zero.  Each C is a float64 vector over the sums, built in
+        derivative()'s order and arithmetic (children p, d, n: C p, -C d, -C b,
+        merged from 0.0); a zero C is a term the chain drops.  Each distinct r^p
+        and e^{-dr} is made once, every Laguerre value in one column recurrence
+        over the distinct (a + l, b).  If a value is not finite, the terms are
+        added again in complex arithmetic, so that inf and nan land as there."""
+        if any(len(f) > 1 or not f.is_real for f in sums):
+            raise DomainError("jets take sums of at most one real term")
+        rv = np.asarray(r, dtype=float)
+        coef, power, decay, degree, alpha, argscale = (np.array(v) for v in zip(*(
+            (t.coef.real, t.power, t.decay.real, t.degree, t.alpha, t.argscale)
+            for f in sums for t in (f.terms or (LaguerreTerm(0.0, 0.0, 0.0, 0, 0.0, 0.0),)))))
+        step = np.ones((order, len(sums)))  # p - i and a + l, one step at a time
+        powers, orders = np.cumsum([power, *-step], axis=0), np.cumsum([alpha, *step], axis=0)
+        levels = [{(0, 0): coef}]
+        for _ in range(order):
+            level = {}
+            for (i, l), c in levels[-1].items():
+                for key, child in (((i + 1, l), c * powers[i]), ((i, l), -c * decay),
+                                   ((i, l + 1), np.where(degree > l, -c * argscale, 0.0))):
+                    level[key] = level[key] + child if key in level else 0.0 + child
+            levels.append(level)
+        values, at = _distinct(powers)
+        rp = np.array([rv ** q for q in values[:, 0].tolist()])[at]
+        values, at = _distinct(decay)
+        ec = np.exp(-(values + 0j) * rv)[at]
+        values, at = _distinct(orders, np.broadcast_to(argscale, orders.shape))
+        lv = np.array(list(islice(laguerre_sequence(values[:, :1], values[:, 1:] * rv), int(degree.max()) + 1)))
+        lv = lv[np.maximum(degree - np.arange(order + 1)[:, None], 0), at]
+        out = np.zeros((order + 1, len(sums), rv.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, level in enumerate(levels):
+                for (i, l), c in level.items():
+                    out[j] += rp[i] * c[:, None] * ec.real * lv[l]
+        if np.isfinite(out).all():
+            return out
+        out = np.zeros(out.shape, dtype=complex)
+        for j, level in enumerate(levels):
+            for (i, l), c in level.items():
+                k = c != 0
+                out[j, k] += (c[k, None] + 0j) * rp[i, k] * ec[k] * lv[l, k]
+        return out.real
 
     def derivative(self) -> "LaguerreSum":
         """Exact d/dr, using d/dx L_n^a(x) = -L_{n-1}^{a+1}(x)."""

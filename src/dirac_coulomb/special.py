@@ -40,7 +40,8 @@ def laguerre_sequence(alpha, x):
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
     seeded with L_0 = 1 and L_1 = 1 + alpha - x.
 
-    ``alpha`` may be a column (rows, 1) of orders: row i of each degree then has order alpha[i]'s bits.
+    ``alpha`` may be a column (rows, 1) of orders, beside an x of points or of
+    (rows, points): row i of each degree then has the bits of order alpha[i] on its x.
 
     Yielded arrays feed the next step: read them, never modify them.
     """

@@ -7,7 +7,9 @@ against, and that no CLI path needs.
 - ladder_matrix_elements: the quadrature projections of K+ and K- between
   neighbouring Sturmians, on the rule the verify suite's ladder check uses;
 - sturmian_term: the one term of a Sturmian, before a LaguerreSum is built
-  from it.
+  from it;
+- chain_jets: f, f', ..., f^(order) of any LaguerreSums from their symbolic
+  derivative() chains, the reference LaguerreSum.jets keeps the bits of.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dirac_coulomb.algebra import _ladder_projections, _ladder_rule_key
 from dirac_coulomb.problem import DerivedConstants
 from dirac_coulomb.quadrature import build_rule
 from dirac_coulomb.radial import _sturmian_coefs, radial_channel
-from dirac_coulomb.radialfn import LaguerreTerm
+from dirac_coulomb.radialfn import LaguerreSum, LaguerreTerm
 
 
 def coupling_matrix(constants: DerivedConstants) -> np.ndarray:
@@ -75,3 +77,16 @@ def sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:
     merge drops a coefficient that underflowed to 0."""
     ch = radial_channel(channel, s)
     return LaguerreTerm(next(_sturmian_coefs(ch, n, s)), ch.sigma, 1.0, n - ch.lowest, ch.alpha, 2.0)
+
+
+def chain_jets(r: np.ndarray, functions, order: int) -> np.ndarray:
+    """f, f', ..., f^(order) of each function on r, as an (order + 1, function,
+    point) array: the exact derivatives, each built from the one before, all
+    evaluated in one LaguerreSum.evaluate_all call."""
+    sums = []
+    for f in functions:
+        sums.append(f)
+        for _ in range(order):
+            sums.append(sums[-1].derivative())
+    values = np.array(LaguerreSum.evaluate_all(r, *sums))
+    return values.reshape(-1, order + 1, r.size).swapaxes(0, 1)

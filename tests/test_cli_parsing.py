@@ -90,9 +90,13 @@ def test_verify_perturb_and_abbreviation_parse(monkeypatch):
     (["coherent", "--xi-re", "-1e-3"], ["coherent", "--xi-re=-1e-3"]),
     (["coherent", "--xi-r", "-1e-3", "--xi-im", "-2E-1"], ["coherent", "--xi-re=-1e-3", "--xi-im=-2E-1"]),
     (["spectrum", "--n", "-2..3"], ["spectrum", "--n=-2..3"]),
+    (["sweep", "--alpha-v", "-inf..0.5..2"], ["sweep", "--alpha-v=-inf..0.5..2"]),
+    (["spectrum", "--mass", "-nan"], ["spectrum", "--mass=-nan"]),
+    (["spectrum", "--mass", "-Infinity"], ["spectrum", "--mass=-Infinity"]),
 ], ids=lambda argv: " ".join(argv))
 def test_a_word_that_starts_with_a_minus_and_a_digit_is_a_value(argv, joined, capsys, monkeypatch):
-    # "-1e-3" is no plain number, yet as its own word it is the flag's value, as joined by "="
+    # "-1e-3" is no plain number, yet as its own word it is the flag's value, as joined by "=";
+    # so are -inf, -nan and -Infinity in any case, which reach the CLI's own "must be finite"
     want = run(joined, capsys, monkeypatch)
     assert run(argv, capsys, monkeypatch) == want
     assert want["code"] == (0 if argv[0] == "coherent" else 2)

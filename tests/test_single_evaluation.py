@@ -400,24 +400,31 @@ def test_default_verify_builds_26_rules_over_25_keys(default_params, default_con
 
 
 def test_oracles_compute_each_laguerre_factor_once(default_params, default_constants, monkeypatch):
-    # each (alpha, argscale r) recurrence runs once per evaluate_all call, through laguerre
-    # for a lone degree and through laguerre_sequence for several
+    # each (alpha, argscale r) recurrence runs once per kernel call: in evaluate_all through laguerre
+    # for a lone degree and through laguerre_sequence for several, in jets as one row of its one column
     from dirac_coulomb import radial, radialfn, spectrum
 
     runs, calls = [], []
-    original_all, original_laguerre, original_sequence = (
-        LaguerreSum.evaluate_all, radialfn.laguerre, radialfn.laguerre_sequence)
+    original_all, original_jets, original_laguerre, original_sequence = (
+        LaguerreSum.evaluate_all, LaguerreSum.jets, radialfn.laguerre, radialfn.laguerre_sequence)
 
     def kernel(r, *sums):
         calls.append(len(runs))
         return original_all(r, *sums)
+
+    def jets(r, order, *sums):
+        calls.append(len(runs))
+        return original_jets(r, order, *sums)
 
     def lone(n, alpha, x):
         runs.append((alpha, np.asarray(x).tobytes()))
         return original_laguerre(n, alpha, x)
 
     def sequence(alpha, x):
-        runs.append((alpha, np.asarray(x).tobytes()))
+        if np.isscalar(alpha):
+            runs.append((alpha, np.asarray(x).tobytes()))
+        else:
+            runs.extend((a, row.tobytes()) for a, row in zip(np.ravel(alpha).tolist(), x))
         return original_sequence(alpha, x)
 
     def once(call):
@@ -429,6 +436,7 @@ def test_oracles_compute_each_laguerre_factor_once(default_params, default_const
             assert len(set(runs[start:end])) == end - start
 
     monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    monkeypatch.setattr(LaguerreSum, "jets", staticmethod(jets))
     monkeypatch.setattr(radialfn, "laguerre", lone)
     monkeypatch.setattr(radialfn, "laguerre_sequence", sequence)
     s, grid = default_constants.s, verification._algebra_grid()
@@ -468,15 +476,15 @@ def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
 def test_family_pass_makes_one_kernel_call_per_family(levels, monkeypatch):
     # the jets (f, ..., f^(4)) of all the family's Sturmians, in one call
     calls = []
-    original_all = LaguerreSum.evaluate_all
+    original_jets = LaguerreSum.jets
 
-    def kernel(r, *sums):
-        calls.append([bits(f) for f in sums])
-        return original_all(r, *sums)
+    def kernel(r, order, *sums):
+        calls.append((order, [bits(f) for f in sums]))
+        return original_jets(r, order, *sums)
 
-    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    monkeypatch.setattr(LaguerreSum, "jets", staticmethod(kernel))
     su11_commutator_report("v", 0.866, levels, verification._algebra_grid())
-    assert calls == [[bits(f) for f in family_block("v", 0.866, levels)]]
+    assert calls == [(4, [bits(sturmian("v", n, 0.866)) for n in levels])]
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +530,7 @@ KERNEL_BLOCKS = {
     # finite products whose sums overflow: the float sums reach the same inf as the complex real parts
     "sum_overflow": lambda: [LaguerreSum(LaguerreTerm(sign * 1.5e307, 0.01 * k, 0.0, 0, 0.0, 1.0)
                                          for k in range(17)) for sign in (1.0, -1.0)],
-    # past _TERM_BY_TERM terms: a complex batch, and a real batch whose float products overflow
+    # more than 16 terms at a 1-D r: a complex batch, and a real batch whose float products overflow
     "complex_batch": lambda: [f * (0.5 - 2j) for f in family_block("v", 0.866, range(1, 4))] + [mixed_sum()],
     "overflow_batch": lambda: [LaguerreSum.single(1e-300, power=300.0, decay=0.5),
                                *family_block("v", 0.866, range(1, 4))],

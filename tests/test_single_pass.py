@@ -132,6 +132,14 @@ class TestLaguerreSequence:
             assert stacked.shape == (len(orders), x.size)
             assert stacked.tobytes() == np.array(scalar).tobytes()
 
+    def test_column_of_orders_beside_rows_of_arguments(self):
+        # row i runs order i on its own x, as LaguerreSum.jets runs each distinct (order, argscale)
+        orders, scales = np.array([[-0.9], [0.3], [0.3], [41.0]]), np.array([[2.0], [2.0], [1.4], [0.5]])
+        r = np.geomspace(1e-3, 120.0, 41)
+        rows = zip(*(laguerre_sequence(a, b * r) for a, b in zip(orders[:, 0], scales[:, 0])))
+        for k, stacked, scalar in zip(range(200), laguerre_sequence(orders, scales * r), rows):
+            assert stacked.tobytes() == np.array(scalar).tobytes()
+
 
 class TestSeriesSums:
     @pytest.mark.parametrize("nu, y, x", [(1.5, 0.3, 0.5), (2.4, -0.55, 2.0),
