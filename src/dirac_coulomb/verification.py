@@ -8,15 +8,17 @@ coherent closed forms against truncated group expansions.  One table,
 _CHECKS, names every check with its default tolerance and its code; its
 order and count are part of the CLI contract.  A check returns its
 residuals and context, and run_suite turns each into a VerificationReport.
+Shared work is done once per suite, in the memo _registry hands every check.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
-from itertools import islice
+from itertools import islice, tee
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .coherent import (
 )
 from .errors import DiracCoulombError
 from .problem import Alignment, ProblemParams, derive_constants
-from .quadrature import build_rule, build_rules, integrate_radial
+from .quadrature import build_rules, integrate_radial
 from .radial import (
     _sturmian_coefs,
     assemble_spinor,
@@ -69,6 +71,7 @@ __all__ = [
 
 STURMIAN_S_GRID = (0.6, 0.866, 1.5, 2.2)
 XI_GRID = (0.2, 0.4, 0.6)
+_MOMENT_RULES = ((16, 0.0), (32, 2.6), (48, 0.8))  # the quadrature_moments rules
 REL_TAIL = 1e-16  # generating_reference_sum stops after four terms this small, relative to the sum
 SUP_TAIL = 1e-10  # coherent_truncated_sums stops after three terms this small, relative to the sum
 
@@ -77,22 +80,25 @@ SUP_TAIL = 1e-10  # coherent_truncated_sums stops after three terms this small, 
 # reference-series helpers shared with the test suite
 
 
-def generating_reference_sum(nu: float, y: complex, x: float) -> complex:
-    """Truncated sum_n L_n^nu(x) y^n, extended until the running term is
-    negligible (REL_TAIL) for several consecutive degrees."""
-    y = complex(y)
-    total = 0.0 + 0.0j
-    quiet = 0
-    for n, value in zip(range(4000), laguerre_sequence(nu, x)):
-        term = value * y**n
-        total += term
-        if abs(term) <= REL_TAIL * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 4:
-                break
-        else:
-            quiet = 0
-    return total
+def generating_reference_sum(nu: float, ys, x: float) -> list[complex]:
+    """For each y of ``ys``, the truncated sum_n L_n^nu(x) y^n, extended until the
+    running term is negligible (REL_TAIL) for several consecutive degrees; one
+    Laguerre sequence serves every y, and each y adds its own terms and stops alone."""
+    sums = []
+    for y, lag in zip(map(complex, ys), tee(laguerre_sequence(nu, x), len(ys))):
+        total = 0.0 + 0.0j
+        quiet = 0
+        for n, value in zip(range(4000), lag):
+            term = value * y**n
+            total += term
+            if abs(term) <= REL_TAIL * max(abs(total), 1.0):
+                quiet += 1
+                if quiet >= 4:
+                    break
+            else:
+                quiet = 0
+        sums.append(total)
+    return sums
 
 
 # the most degrees in a block of coherent_truncated_sums: a first block of all N_l2 + 3 raised the peak RSS
@@ -197,14 +203,32 @@ def _levels(params, n_max):
             yield constants, bound_level(n, p, constants)
 
 
+def _rules(memo, params, keys):
+    """The quadrature rules of ``keys``, from the suite's memo.  The first read builds every rule
+    the suite reads in one build_rules call; if that raises (a variant with no bound spectrum, a
+    rule that does not converge), each read builds its own and raises what its check raises."""
+    if missing := [key for key in keys if key not in memo]:
+        with suppress(DiracCoulombError):
+            s_values = _s_grid(params)  # the keys of the moment, orthonormality, ladder and normalization checks
+            batch = list(dict.fromkeys([*_MOMENT_RULES, *((48, radial_channel(channel, s).alpha)
+                                                          for channel in ("u", "v") for s in s_values),
+                                        *(_ladder_rule_key(channel, radial_channel(channel, s).lowest + 4, s)
+                                          for s in s_values for channel in ("u", "v")),
+                                        *((48, 2.0 * constants.s) for constants, _ in _levels(params, 1))]))
+            memo.update(zip(batch, build_rules(batch)))
+        if missing := [key for key in missing if key not in memo]:
+            memo.update(zip(missing, build_rules(missing)))
+    return [memo[key] for key in keys]
+
+
 # ----------------------------------------------------------------------
-# individual checks: check(params) -> (residuals, context); the table binds
-# the leading argument of the parametrized ones
+# individual checks: check(memo, params) -> (residuals, context); the table binds
+# the leading argument of the parametrized ones, _registry the suite's memo
 
 
-def _check_quadrature_moments(params):
+def _check_quadrature_moments(memo, params):
     residuals = []
-    for rule in build_rules([(16, 0.0), (32, 2.6), (48, 0.8)]):
+    for rule in _rules(memo, params, _MOMENT_RULES):
         for k in (0, 1, 3, 5, 7, 2 * rule.nodes.size - 1):
             got = rule.integrate_moment(k)
             want = math.exp(log_gamma(rule.alpha + k + 1.0))
@@ -212,7 +236,7 @@ def _check_quadrature_moments(params):
     return residuals, {"orders": "16,32,48"}
 
 
-def _check_spectrum_free_limit(params):
+def _check_spectrum_free_limit(memo, params):
     free = replace(params, alpha_v=1e-12, alpha_s=1e-12)
     constants = derive_constants(free)
     residuals = [abs(energy(n, constants, free) / free.mass - 1.0) for n in range(1, 11)]
@@ -227,7 +251,7 @@ def _sommerfeld_grid(params):
             yield replace(params, dimension=3, j=j, alignment=alignment, alpha_v=alpha_v, alpha_s=0.0)
 
 
-def _check_sommerfeld(params):
+def _check_sommerfeld(memo, params):
     residuals = []
     for p in _sommerfeld_grid(params):
         constants = derive_constants(p)
@@ -237,7 +261,7 @@ def _check_sommerfeld(params):
     return residuals, {"kappas": "-1,-2,+1", "n_max": 8}
 
 
-def _check_diagonalization(params):
+def _check_diagonalization(memo, params):
     residuals = []
     for p in (params, *_sommerfeld_grid(params)):
         constants = derive_constants(p)
@@ -261,9 +285,9 @@ def _gram_residual(channel, s, n_count, rule):
     return max(0.0, *np.abs(np.real(entries) - (i == j)).tolist())
 
 
-def _check_orthonormality(channel, params):
-    s_values = _s_grid(params)  # one rule for each s, of order max(48, 12 + 16)
-    rules = build_rules([(48, radial_channel(channel, s).alpha) for s in s_values])
+def _check_orthonormality(channel, memo, params):
+    s_values = _s_grid(params)
+    rules = _rules(memo, params, [(48, radial_channel(channel, s).alpha) for s in s_values])  # 48 >= 12 + 16
     residuals = [_gram_residual(channel, s, 12, rule) for s, rule in zip(s_values, rules)]
     return residuals, {"channel": channel, "count": 12}
 
@@ -274,38 +298,37 @@ def _check_orthonormality(channel, params):
 _FAMILY_PROBES = {**{name: (None,) for name in SU11_RELATIONS}, "casimir": (0, 2), "a0_eigenvalue": (0, 1, 4)}
 
 
-def _check_family(which, families, params):
+def _check_family(which, memo, params):
     """The residuals of one pointwise algebra check, read from the su(1,1)
     pass over the families of the first ten Sturmians of each channel at each
-    s.  ``families`` maps (s, channel) to that family's ten row maxima of each
+    s.  ``memo`` maps (s, channel) to that family's ten row maxima of each
     residual of _su11_family_residuals; a relation reads their maximum.
-    _registry gives the five checks of one suite the same fresh dict, so
+    _registry gives the five checks of one suite the same fresh memo, so
     whichever runs first runs one pass for every family, and the others read it."""
     grid = _algebra_grid()
     s_values = _s_grid(params)
     keys = [(s, channel) for s in s_values for channel in ("v", "u")]
-    if missing := list(dict.fromkeys(key for key in keys if key not in families)):
+    if missing := list(dict.fromkeys(key for key in keys if key not in memo)):
         batch = [(channel, s, range(low, low + 10)) for s, channel in missing
                  for low in [radial_channel(channel, s).lowest]]
         maxima = {name: rows.max(axis=1) for name, rows in _su11_family_residuals(batch, grid, None).items()}
-        families.update((key, {name: rows[10 * i:10 * i + 10] for name, rows in maxima.items()})
+        memo.update((key, {name: rows[10 * i:10 * i + 10] for name, rows in maxima.items()})
                         for i, key in enumerate(missing))
-    residuals = [float(np.max(families[key][which]) if offset is None else families[key][which][offset])
+    residuals = [float(np.max(memo[key][which]) if offset is None else memo[key][which][offset])
                  for key in keys for offset in _FAMILY_PROBES[which]]
     return residuals, {"families": len(residuals)} if which in SU11_RELATIONS else {"s_values": len(s_values)}
 
 
-def _check_ladder(params):
+def _check_ladder(memo, params):
     residuals = []
     s_values = _s_grid(params)
     channels = [(channel, s, radial_channel(channel, s)) for s in s_values for channel in ("u", "v")]
-    # order max(32, n + 10): one rule for all five levels of a family, each distinct one built once
+    # order max(32, n + 10): one rule for all five levels of a family
     keys = [_ladder_rule_key(channel, ch.lowest + 4, s) for channel, s, ch in channels]
-    rules = dict(zip(unique := list(dict.fromkeys(keys)), build_rules(unique)))
-    for (channel, s, ch), key in zip(channels, keys):
+    for (channel, s, ch), rule in zip(channels, _rules(memo, params, keys)):
         k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
         levels = range(ch.lowest, ch.lowest + 5)
-        for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rules[key])):
+        for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rule)):
             ng = n - ch.lowest
             up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
             residuals.append(abs(up - up_want) / up_want)
@@ -317,7 +340,7 @@ def _check_ladder(params):
     return residuals, {"s_values": len(s_values)}
 
 
-def _check_scaling(params):
+def _check_scaling(memo, params):
     grid = _algebra_grid()
     s = derive_constants(params).s
     probes = (("v", 1), ("v", 2), ("v", 4), ("u", 0), ("u", 3))
@@ -327,7 +350,7 @@ def _check_scaling(params):
     return scaling_identity_residual(thetas, fns, grid, sigmas), {"thetas": "0,+-0.7,ln2"}
 
 
-def _check_ode_first(perturb: bool, params):
+def _check_ode_first(perturb: bool, memo, params):
     residuals = []
     for constants, level in _levels(params, 5):
         spinor = assemble_spinor(level, constants)
@@ -336,7 +359,7 @@ def _check_ode_first(perturb: bool, params):
     return residuals, {"n_max": 5, "perturbed": perturb}
 
 
-def _check_ode_second(params):
+def _check_ode_second(memo, params):
     residuals = []
     for constants, level in _levels(params, 5):
         u_t, v_t = physical_components(level, constants)
@@ -345,31 +368,28 @@ def _check_ode_second(params):
     return residuals, {"n_max": 5, "channels": "u,v"}
 
 
-def _check_normalization(params):
+def _check_normalization(memo, params):
     residuals = []
-    rules = {}  # one rule per coupling variant: order 48 >= n + 24 for every n <= 8
-    for constants, level in _levels(params, 8):
-        if constants.s not in rules:
-            rules[constants.s] = build_rule(48, 2.0 * constants.s)
+    for constants, level in _levels(params, 8):  # one rule per variant: order 48 >= n + 24 for every n <= 8
+        (rule,) = _rules(memo, params, [(48, 2.0 * constants.s)])
         spinor = assemble_spinor(level, constants)
-        total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rules[constants.s])
+        total = integrate_radial(lambda r: np.sum(np.abs(spinor(r)) ** 2, axis=0), level.a, rule)  # F, G at once
         residuals.append(abs(float(np.real(total)) - 1.0))
     return residuals, {"n_max": 8}
 
 
-def _check_generating(params):
+def _check_generating(memo, params):
     residuals = []
     ys = [0.3, -0.3, 0.55, -0.55, 0.7, 0.3 + 0.2j, 0.7 * np.exp(2j * np.pi / 3.0)]
     for nu in (1.5, 2.4, 3.0):
         for x in (0.5, 1.0, 2.0):
-            for y in ys:
+            for y, reference in zip(ys, generating_reference_sum(nu, ys, x)):
                 closed = laguerre_generating_closed(nu, y, x)
-                reference = generating_reference_sum(nu, y, x)
                 residuals.append(abs(closed - reference) / max(abs(reference), 1e-30))
     return residuals, {"nu": "1.5,2.4,3.0", "x": "0.5,1,2"}
 
 
-def _check_perelomov_norm(params):
+def _check_perelomov_norm(memo, params):
     s = derive_constants(params).s
     residuals = []
     for k in (s, s + 1.0):
@@ -381,7 +401,7 @@ def _check_perelomov_norm(params):
     return residuals, {"xi": "0.2,0.4,0.6"}
 
 
-def _check_coherent_identity(params):
+def _check_coherent_identity(memo, params):
     s = derive_constants(params).s
     grid = np.geomspace(*radial_window(1.0), 200)
     residuals = []
@@ -392,28 +412,26 @@ def _check_coherent_identity(params):
     return residuals, {"xi": 0.0}
 
 
-def _check_coherent_closed(params):
+def _check_coherent_closed(memo, params):
     residuals = coherent_closed_residuals(derive_constants(params).s, [
         (channel, xi) for channel in ("u", "v") for mod in XI_GRID for xi in (mod, mod * np.exp(2.0j))])
     return residuals, {"xi": "0.2,0.4,0.6", "channels": "u,v"}
 
 
-def _check_coherent_norm(params):
+def _check_coherent_norm(memo, params):
     constants = derive_constants(params)
-    rule = build_rule(48, 2.0 * constants.s)
+    (rule,) = _rules(memo, params, [(48, 2.0 * constants.s)])
     residuals = []
     for mod in XI_GRID:
         for xi in (mod, -mod, mod * np.exp(1.1j)):
             spinor = assemble_coherent_spinor(params, constants, xi)
             decay = spinor.a_ref * (1.0 + xi) / (1.0 - xi)
-            total = integrate_radial(
-                lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2,
-                complex(decay).real, rule)
+            total = integrate_radial(lambda r: np.sum(np.abs(spinor(r)) ** 2, axis=0), complex(decay).real, rule)
             residuals.append(abs(float(np.real(total)) - 1.0))
     return residuals, {"xi": "+-0.2,0.4,0.6"}
 
 
-def _check_coherent_ratio(params):
+def _check_coherent_ratio(memo, params):
     constants = derive_constants(params)
     s = constants.s
     ref = bound_level(1, params, constants)
@@ -473,18 +491,19 @@ VERIFY_CHECK_COUNT = len(VERIFY_CHECK_NAMES)
 
 
 def _registry(perturb: bool):
-    """{name: check} in report order.  The five pointwise algebra checks are
-    bound to their name and to one fresh memo of su(1,1) family passes, which
-    lives as long as this registry.  ``perturb`` is the fault-injection hook: its
-    first-order ODE check scales F by 1% and must then fail."""
-    families = {}
+    """{name: check(params)} in report order, each bound to one fresh memo that lives
+    as long as this registry: the five pointwise algebra checks, bound to their name
+    too, keep their su(1,1) family passes in it by (s, channel), and the checks that
+    integrate the suite's quadrature rules by (order, alpha) (_rules).  ``perturb`` is
+    the fault-injection hook: its first-order ODE check scales F by 1% and must fail."""
+    memo = {}
     registry = {}
     for name, (_, check) in _CHECKS.items():
         if check is _check_family:
-            check = partial(_check_family, name, families)
+            check = partial(_check_family, name)
         elif perturb and name == "ode_first_order":
             check = partial(_check_ode_first, True)
-        registry[name] = check
+        registry[name] = partial(check, memo)
     return registry
 
 

@@ -265,7 +265,7 @@ class TestScalingIdentities:
             return scaling_identity_residual(thetas, test_functions, grid, sigmas)
 
         monkeypatch.setattr(verification, "scaling_identity_residual", recorded)
-        verification._check_scaling(default_params)
+        verification._check_scaling({}, default_params)
         ((fns, sigmas),) = calls
         assert [f.terms[0].power for f in fns] == sigmas
         s = default_constants.s

@@ -32,6 +32,8 @@ ALLOWED = {
     "report.SpectrumRecord.to_row": _TRACER_BOUND,
     "radialfn.LaguerreSum.terms": _TRACER_BOUND,
     "verification.coherent_truncated_sum": _TRACER_BOUND,
+    "quadrature.build_rule": _TRACER_BOUND + "; it is also the single-key rule tests/reference.py and "
+                             "test_quadrature.py build with",
     "algebra.su11_commutator_report": _TRACER_BOUND + "; it is also the one-family report of the family pass "
                                       "that the tests read, and the only way to reach its fault hook",
     "output.emit_csv": _TRACER_BOUND + "; it is also the csv.writer reference the tests hold emit_table to",

@@ -15,8 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, physical_components,
-                           radial_channel, sturmian, verification)
+from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, assemble_coherent_spinor,
+                           assemble_spinor, derive_constants, physical_components, radial_channel, sturmian,
+                           verification)
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
@@ -313,7 +314,7 @@ def test_gram_entries(problem, channel, monkeypatch):
 
 
 def test_ladder_check_matches_per_call_rules(problem):
-    residuals, _ = verification._check_ladder(problem)
+    residuals, _ = verification._check_ladder({}, problem)
     want = []
     for s in verification._s_grid(problem):
         for channel in ("u", "v"):
@@ -375,7 +376,7 @@ def test_ladder_builds_each_distinct_rule_once(default_params, monkeypatch):
     _builds_each_rule_once(default_params, "ladder_coefficients", 10, monkeypatch)
 
 
-def test_default_verify_builds_26_rules_over_25_keys(default_params, default_constants, monkeypatch):
+def test_default_verify_builds_25_rules_in_one_call(default_params, default_constants, monkeypatch):
     # the assemblers build none: their constants are exact, so every rule here belongs to a check
     import dirac_coulomb
 
@@ -386,17 +387,62 @@ def test_default_verify_builds_26_rules_over_25_keys(default_params, default_con
         calls.append(list(keys))
         return original(calls[-1])
 
-    # build_rule calls quadrature.build_rules; the checks that build several rules call build_rules
+    # build_rule calls quadrature.build_rules; the suite reads every rule from one build_rules call
     for name in ("algebra", "coherent", "quadrature", "radial", "verification"):
         monkeypatch.setattr(getattr(dirac_coulomb, name), "build_rules", counted, raising=False)
     verification.run_suite(default_params)
-    built = [key for keys in calls for key in keys]
-    assert (len(built), len(set(built))) == (26, 25)
-    # quadrature moments, each orthonormality check and the ladder each build their rules in one call
-    assert [len(keys) for keys in calls] == [3, 5, 5, 10, 1, 1, 1]
-    assert Counter(order for order, _ in built) == {16: 1, 32: 11, 48: 14}
-    # normalization's rule for the problem's own s, which coherent_norm builds again
-    assert [key for key, times in Counter(built).items() if times > 1] == [(48, 2.0 * default_constants.s)]
+    (built,) = calls
+    assert len(built) == len(set(built)) == 25
+    assert Counter(order for order, _ in built) == {16: 1, 32: 11, 48: 13}
+    # normalization's rule for the problem's own s, which coherent_norm reads too
+    assert (48, 2.0 * default_constants.s) in built
+
+
+def test_suite_rules_give_each_check_the_residuals_of_rules_built_alone(problem, monkeypatch):
+    batched = verification.run_suite(problem)
+    monkeypatch.setattr(verification, "build_rules", lambda keys: [build_rule(*key) for key in keys])
+    assert verification.run_suite(problem) == batched
+
+
+def reference_normalization(params):
+    """The normalization check with each variant's own rule, F and G evaluated apart."""
+    residuals = []
+    for constants, level in verification._levels(params, 8):
+        rule = build_rule(48, 2.0 * constants.s)
+        spinor = assemble_spinor(level, constants)
+        total = integrate_radial(lambda r: spinor.F(r) ** 2 + spinor.G(r) ** 2, level.a, rule)
+        residuals.append(abs(float(np.real(total)) - 1.0))
+    return residuals
+
+
+def reference_coherent_norm(params):
+    """The coherent_norm check with its own rule, F and G evaluated apart."""
+    constants = derive_constants(params)
+    rule = build_rule(48, 2.0 * constants.s)
+    residuals = []
+    for mod in verification.XI_GRID:
+        for xi in (mod, -mod, mod * np.exp(1.1j)):
+            spinor = assemble_coherent_spinor(params, constants, xi)
+            decay = spinor.a_ref * (1.0 + xi) / (1.0 - xi)
+            total = integrate_radial(lambda r: np.abs(spinor.F(r)) ** 2 + np.abs(spinor.G(r)) ** 2,
+                                     complex(decay).real, rule)
+            residuals.append(abs(float(np.real(total)) - 1.0))
+    return residuals
+
+
+def test_norm_checks_evaluate_f_and_g_together_with_the_same_bits(problem, monkeypatch):
+    evaluated = []
+    original_all = LaguerreSum.evaluate_all
+
+    def kernel(r, *sums):
+        evaluated.append(len(sums))
+        return original_all(r, *sums)
+
+    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    memo = {}
+    got = verification._check_normalization(memo, problem)[0], verification._check_coherent_norm(memo, problem)[0]
+    assert evaluated == [2] * 25  # one evaluation of (F, G) per spinor: 16 levels, then 9 coherent states
+    assert got == (reference_normalization(problem), reference_coherent_norm(problem))
 
 
 def test_oracles_compute_each_laguerre_factor_once(default_params, default_constants, monkeypatch):

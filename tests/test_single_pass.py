@@ -146,7 +146,10 @@ class TestSeriesSums:
                                           (3.0, 0.7 * np.exp(2j * np.pi / 3.0), 1.0),
                                           (2.4, 0.3 + 0.2j, 1.0)])
     def test_generating_reference_sum(self, nu, y, x):
-        assert generating_reference_sum(nu, y, x) == generating_per_degree(nu, y, x)
+        # alone, and among the verify check's ys in both orders: each sum keeps the bits it has alone
+        ys = [y, 0.3, -0.3, 0.55, -0.55, 0.7, 0.3 + 0.2j, 0.7 * np.exp(2j * np.pi / 3.0)]
+        for batch in ([y], ys, ys[::-1]):
+            assert generating_reference_sum(nu, batch, x) == [generating_per_degree(nu, v, x) for v in batch]
 
     # at s = 18 and 28 with |xi| >= 0.85 the closed form and the series disagree
     # (the large-s coherent defect): only equality with the reference is asserted

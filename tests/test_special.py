@@ -137,13 +137,13 @@ class TestGeneratingFunction:
 
     def test_real_y_truncated_sum_oracle(self):
         closed = laguerre_generating_closed(1.5, 0.4, 2.0)
-        reference = generating_reference_sum(1.5, 0.4, 2.0)
+        (reference,) = generating_reference_sum(1.5, [0.4], 2.0)
         assert abs(closed - reference) <= 1e-12 * abs(reference)
 
     def test_complex_y_truncated_sum_oracle(self):
         y = 0.3 + 0.2j
         closed = laguerre_generating_closed(3.0, y, 1.0)
-        reference = generating_reference_sum(3.0, y, 1.0)
+        (reference,) = generating_reference_sum(3.0, [y], 1.0)
         assert abs(closed - reference) <= 1e-10 * abs(reference)
 
     def test_identity_across_grid(self):
@@ -151,9 +151,8 @@ class TestGeneratingFunction:
         ys = [0.3, -0.3, 0.55, -0.55, 0.7, 0.3 + 0.2j, 0.7 * np.exp(2j * np.pi / 3)]
         for nu in (1.5, 2.4, 3.0):
             for x in (0.5, 1.0, 2.0):
-                for y in ys:
+                for y, reference in zip(ys, generating_reference_sum(nu, ys, x)):
                     closed = laguerre_generating_closed(nu, y, x)
-                    reference = generating_reference_sum(nu, y, x)
                     assert abs(closed - reference) <= 1e-10 * max(abs(reference), 1e-30)
 
     def test_domain(self):

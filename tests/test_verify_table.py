@@ -3,19 +3,20 @@
 The benchmark's tracer (perfbench/tracing.py, imported unmodified) wraps
 each callable that verification._registry returns; these tests pin that
 contract, the tolerance resolver shared by run_suite and the CLI, and the
-quadrature rules the checks build.
+quadrature rules each suite builds.
 """
 
 import contextlib
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirac_coulomb import cli, quadrature, verification
+from dirac_coulomb import Alignment, ProblemParams, cli, derive_constants, verification
 from dirac_coulomb.errors import DiracCoulombError
 from dirac_coulomb.verification import (
     DEFAULT_TOLERANCES,
@@ -93,18 +94,52 @@ def test_run_suite_rejects_a_non_finite_tolerance_before_any_check(default_param
 @pytest.mark.parametrize("name, rules", [("normalization", 2), ("coherent_norm", 1), ("quadrature_moments", 3),
                                          ("sturmian_orthonormality_u", 5), ("sturmian_orthonormality_v", 5)])
 def test_each_check_builds_each_distinct_rule_once(default_params, name, rules, monkeypatch):
-    # a check builds all its rules in one build_rules call, but normalization builds
-    # the rule of each coupling variant when it reaches it (build_rule calls build_rules)
-    calls = []
-    original = quadrature.build_rules
-
-    def counted(keys):
-        calls.append(list(keys))
-        return original(calls[-1])
-
-    for module in (quadrature, verification):
-        monkeypatch.setattr(module, "build_rules", counted)
+    # alone, a check builds the suite's 25 rules in one build_rules call and reads its own from them
+    calls, read = [], []
+    build, rules_of = verification.build_rules, verification._rules
+    monkeypatch.setattr(verification, "build_rules", lambda keys: calls.append(list(keys)) or build(calls[-1]))
+    monkeypatch.setattr(verification, "_rules",
+                        lambda memo, params, keys: read.extend(keys) or rules_of(memo, params, keys))
     verification._registry(False)[name](default_params)
-    built = [key for keys in calls for key in keys]
-    assert len(built) == len(set(built)) == rules
-    assert len(calls) == (rules if name == "normalization" else 1)
+    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 25
+    assert len(set(read)) == rules and set(read) <= set(calls[0])
+
+
+def test_each_suite_builds_its_own_rules_in_one_call(default_params, monkeypatch):
+    # the rule memo lives with one registry: suites run back to back share no rule, and each
+    # gives the reports it gives alone
+    d5 = ProblemParams(dimension=5, j=1.5, alignment=Alignment.UNALIGNED, alpha_v=0.7, alpha_s=0.3, mass=1e-3)
+    alone = {params: run_suite(params) for params in (default_params, d5)}
+    calls, build = [], verification.build_rules
+    monkeypatch.setattr(verification, "build_rules", lambda keys: calls.append(list(keys)) or build(calls[-1]))
+    for params in (default_params, d5, default_params):
+        calls.clear()
+        assert run_suite(params) == alone[params]
+        ((*keys,),) = calls
+        assert len(keys) == len(set(keys)) == 25
+        assert (48, 2.0 * derive_constants(params).s) in keys
+
+
+@pytest.mark.parametrize("params, first", [
+    # the variant (alpha_s = 0) is supercritical, and the problem's own s is past the Sturmian prefactor's range
+    (ProblemParams(dimension=3, j=0.5, alignment=Alignment.ALIGNED, alpha_v=2.0, alpha_s=1e5, mass=1.0),
+     "sturmian_orthonormality_u"),
+    # the variant's normalization rule (alpha 8e13) does not converge; the problem's s is 1e7
+    (ProblemParams(dimension=200_000_000_000_000, j=0.5, alignment=Alignment.ALIGNED,
+                   alpha_v=99_999_999_999_999.0, alpha_s=0.0, mass=1.0), "sturmian_orthonormality_u"),
+    # the problem itself is supercritical: the first check to derive its constants says so
+    (ProblemParams(dimension=3, j=0.5, alignment=Alignment.ALIGNED, alpha_v=2.0, alpha_s=0.5, mass=1.0),
+     "diagonalization_identity"),
+])
+def test_a_bad_problem_raises_where_its_checks_raise_in_turn(params, first, monkeypatch):
+    # the suite's rule batch is built by the first check, but a batch that raises is left to the
+    # checks that read its rules, so each bad problem raises the error of the first check that fails
+    ran, original = [], verification._registry
+    monkeypatch.setattr(verification, "_registry", lambda perturb: {
+        name: (lambda p, name=name, check=check: ran.append(name) or check(p))
+        for name, check in original(perturb).items()})
+    with pytest.raises(DiracCoulombError) as raised:
+        run_suite(params)
+    assert ran[-1] == first
+    with pytest.raises(type(raised.value), match=re.escape(str(raised.value))):
+        original(False)[first](params)
