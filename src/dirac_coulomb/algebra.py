@@ -205,24 +205,22 @@ def _ladder_rule_key(channel: str, n: int, s: float) -> tuple[int, float]:
     return max(32, n + 10), radial_channel(channel, s).alpha
 
 
-def _ladder_projections(channel: str, levels, s: float, rule) -> list[tuple[float, float]]:
-    """(<f_{n+1}, K+ f_n>, <f_{n-1}, K- f_n>) under r dr of each n in ``levels``, on
-    one rule that _ladder_rule_key gives them all: K+ f_n and K- f_n from the jets
-    (f, f', f'') of the Sturmians, all evaluated in one batch, and one integral of
-    rows.  At the lowest n the down entry is the norm of K- f_n, which vanishes;
-    a label below the lowest raises DomainError."""
+def _ladder_projections(channel: str, levels, s: float, rule, jet: np.ndarray) -> list[tuple[float, float]]:
+    """(<f_{n+1}, K+ f_n>, <f_{n-1}, K- f_n>) under r dr of each n in ``levels``, on one rule that
+    _ladder_rule_key gives them all, from ``jet``: the jets (f, f', f'') on its radii rule.nodes / 2
+    of the Sturmians of labels lowest, ..., max(levels) + 1, and one integral of rows.  At the
+    lowest n the down entry is the norm of K- f_n, which vanishes; a label below the lowest
+    raises DomainError."""
     lowest, sigma, _, _ = radial_channel(channel, s)
     if min(levels) < lowest:
         raise DomainError(f"{channel}-channel ladder labels must be >= {lowest}, got {min(levels)}")
-    first = max(min(levels) - 1, lowest)
     r = rule.nodes / 2.0  # the radii integrate_radial uses at scale 1
-    jet = LaguerreSum.jets(r, 2, *(sturmian(channel, n, s) for n in range(first, max(levels) + 2)))
-    fv, at = jet[0], [n - first for n in levels]
+    fv, at = jet[0], [n - lowest for n in levels]
     kp_km = zip(*(_image(kind, sigma * (sigma + 1.0), jet[:, at], r)[0]
                   for kind in (OperatorKind.KPLUS, OperatorKind.KMINUS)))
     totals = np.real(integrate_radial(lambda r: np.array([
         row for n, (kp, km) in zip(levels, kp_km)
-        for row in (fv[n + 1 - first] * kp * r, fv[n - 1 - first] * km * r if n > lowest else abs(km) ** 2 * r)]),
+        for row in (fv[n + 1 - lowest] * kp * r, fv[n - 1 - lowest] * km * r if n > lowest else abs(km) ** 2 * r)]),
         1.0, rule))
     return [(float(up), float(down) if n > lowest else math.sqrt(max(float(down), 0.0)))
             for n, up, down in zip(levels, totals[::2], totals[1::2])]
@@ -240,10 +238,10 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigmas) -> li
 
     Each side is the A0 or A1 image of a jet (f, f', f''): of the functions
     on the grid, which serves every theta, and for each theta of the dilated
-    functions f.scaled(theta) on e^-theta r, one LaguerreSum.jets call per
-    theta, so each function holds at most one real term.  Each function is
-    conjugated under its own realization constant, the entry of
-    ``sigmas`` at its position (a Sturmian's is its channel's sigma).
+    functions f.scaled(theta) on e^-theta r, all from one LaguerreSum.jets call
+    with a row of radii per function, so each function holds at most one real
+    term.  Each function is conjugated under its own realization constant, the
+    entry of ``sigmas`` at its position (a Sturmian's is its channel's sigma).
     """
     if any(abs(theta) > 3.0 for theta in thetas):
         raise DomainError(f"|theta| <= 3 expected for the scaling checks, got {thetas}")
@@ -251,15 +249,13 @@ def scaling_identity_residual(thetas: tuple, test_functions, grid, sigmas) -> li
     fs = list(test_functions)
     sigmas = np.array(sigmas, dtype=float).reshape(len(fs), 1)  # a (function, 1) column
     cent = sigmas * (sigmas + 1.0)
-
-    def a0_a1(jet, r):
-        return [_image(kind, cent, jet, r)[0] for kind in (OperatorKind.A0, OperatorKind.A1)]
-
-    (a0f, a1f), maxima = a0_a1(LaguerreSum.jets(grid, 2, *fs), grid), []
-    for theta in thetas:
-        shrink = math.exp(-theta)  # S_-theta g (r) = e^-theta g(e^-theta r)
-        r = shrink * grid
-        conj0, conj1 = (shrink * g for g in a0_a1(LaguerreSum.jets(r, 2, *(f.scaled(theta) for f in fs)), r))
+    radii = np.array([grid, *(math.exp(-theta) * grid for theta in thetas)])  # S_-theta g = e^-theta g(e^-theta r)
+    jet = LaguerreSum.jets(np.repeat(radii, len(fs), axis=0), 2, *fs, *(f.scaled(th) for th in thetas for f in fs))
+    (a0f, *a0c), (a1f, *a1c) = (_image(kind, cent, jet.reshape(3, len(radii), len(fs), -1), radii[:, None])[0]
+                                for kind in (OperatorKind.A0, OperatorKind.A1))
+    maxima = []
+    for theta, c0, c1 in zip(thetas, a0c, a1c):
+        conj0, conj1 = math.exp(-theta) * c0, math.exp(-theta) * c1
         ch, sh = math.cosh(theta), math.sinh(theta)
         checks = [
             (conj0 - (ch * a0f + sh * a1f), [conj0, a0f, a1f]),

@@ -94,9 +94,10 @@ def build_rules(keys) -> list[QuadratureRule]:
             break
         nl, al, xl = n[live], a[live], x[live]
         lprev, lcur = _laguerre_rows(al, xl, np.hstack([nl - 1, nl]))
-        step = lcur / ((nl * lcur - (nl + al) * lprev) / xl)
-        x[live] = xl = xl - step
-        resid = np.max(np.abs(step) / (1.0 + np.abs(xl)), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below judge a row that overflows
+            step = lcur / ((nl * lcur - (nl + al) * lprev) / xl)
+            x[live] = xl = xl - step
+            resid = np.max(np.abs(step) / (1.0 + np.abs(xl)), axis=1)
         floor = resid < 1e-11
         stalled[live] = np.where(floor, np.where(resid >= 0.7 * best[live], stalled[live] + 1, 0), stalled[live])
         converged[live] = (resid < _NEWTON_RTOL) | (floor & (stalled[live] >= 3))

@@ -280,9 +280,17 @@ def ode_residual_first_order(spinor: RadialSpinor, perturb_F: float = 1.0) -> tu
 
 
 def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
-                              constants: DerivedConstants, channel: str = "v") -> tuple[np.ndarray, dict]:
-    """(residuals, context): the guarded relative residuals on default_residual_grid(a)
-    of the decoupled second-order equation
+                              constants: DerivedConstants) -> tuple[np.ndarray, dict]:
+    """(residuals, context) of _second_order_residual for the v component of a level on
+    default_residual_grid(a), from its jet (f, f', f'') along its derivative() chain."""
+    grid, df = default_residual_grid(level.a), component.derivative()
+    jet = LaguerreSum.evaluate_all(grid, component, df, df.derivative())
+    return _second_order_residual(jet, grid, level, constants, "v"), {"n": level.n, "channel": "v", "points": grid.size}
+
+
+def _second_order_residual(jet, grid, level: BoundLevel, constants: DerivedConstants, channel: str) -> np.ndarray:
+    """The guarded relative residuals on ``grid``, from the jet (f, f', f'') of a
+    component there, of the decoupled second-order equation
 
         (-d^2/dr^2 - (2/r) d/dr + c/r^2 - 2(alpha_v E + alpha_s m)/r
          + m^2 - E^2) f = 0,
@@ -290,7 +298,6 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     with centrifugal constant c = s(s+1) for the v channel and s(s-1) for
     the u channel; E is ``level.energy``."""
     ch = radial_channel(channel, constants.s)
-    grid = default_residual_grid(level.a)
     cent = ch.bargmann * ch.sigma  # sigma (sigma + 1) = k (k - 1)
     m = level.mass
     e = level.energy
@@ -298,11 +305,10 @@ def ode_residual_second_order(component: LaguerreSum, level: BoundLevel,
     as_ = 0.5 * (constants.alpha_plus - constants.alpha_minus)
     coulomb = av * e + as_ * m
 
-    df = component.derivative()
-    fv, fp, fpp = LaguerreSum.evaluate_all(grid, component, df, df.derivative())
+    fv, fp, fpp = jet
     row = -fpp - 2.0 * fp / grid + cent * fv / grid**2 - 2.0 * coulomb * fv / grid + (m * m - e * e) * fv
 
     op_mag = abs(m * m - e * e) + abs(cent) / grid**2 + 2.0 * abs(coulomb) / grid
     glob = np.max(np.abs(fv))
     scale = op_mag * np.maximum(np.abs(fv), np.minimum(level.a * grid, 1.0) * glob)
-    return np.abs(row) / scale, {"n": level.n, "channel": channel, "points": grid.size}
+    return np.abs(row) / scale

@@ -15,7 +15,6 @@ that holds only its terms: every operation, d/dr included, builds a new sum.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import exp
 from typing import NamedTuple
 
@@ -28,9 +27,9 @@ __all__ = ["LaguerreTerm", "LaguerreSum"]
 
 
 def _distinct(*columns):
-    """The distinct rows of the stacked columns, in order, and an array of each entry's row among them."""
+    """The distinct rows of the columns broadcast and stacked, in order, and an array of each entry's row."""
     seen = {}
-    at = [seen.setdefault(key, len(seen)) for key in zip(*(c.ravel().tolist() for c in columns))]
+    at = [seen.setdefault(key, len(seen)) for key in zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))]
     return np.array(list(seen)), np.array(at).reshape(columns[0].shape)
 
 
@@ -121,20 +120,26 @@ class LaguerreSum:
 
     @staticmethod
     def jets(r, order: int, *sums) -> np.ndarray:
-        """f, f', ..., f^(order) of each sum on a 1-D r, as an (order + 1, sum, point)
-        array with the bits of evaluate_all over each sum's derivative() chain.
-        A sum holds one real term c r^p e^{-dr} L_g^a(br), or none (zero rows);
-        DomainError otherwise.  Derivative j is a sum over keys (i, l) of i p-steps
+        """f, f', ..., f^(order) of each sum as an (order + 1, sum, point) array, with the bits of
+        evaluate_all over its derivative() chain on its radii: a 1-D r shared by all the sums, or
+        a row of a 2-D r per sum.  A sum holds one real term c r^p e^{-dr} L_g^a(br), or none
+        (zero rows); DomainError otherwise.  Derivative j is a sum over keys (i, l) of i p-steps
         and l n-steps (a d-step keeps the key) of ((r^(p-i) C) e^{-dr}) L_(g-l)^(a+l)(br),
-        added from zero.  Each C is a float64 vector over the sums, built in
-        derivative()'s order and arithmetic (children p, d, n: C p, -C d, -C b,
-        merged from 0.0); a zero C is a term the chain drops.  Each distinct r^p
-        and e^{-dr} is made once, every Laguerre value in one column recurrence
-        over the distinct (a + l, b).  If a value is not finite, the terms are
-        added again in complex arithmetic, so that inf and nan land as there."""
+        added from zero.  Each C is a float64 vector over the sums, built in derivative()'s
+        order and arithmetic (children p, d, n: C p, -C d, -C b, merged from 0.0); a zero C is
+        a term the chain drops.  Equal rows share: each distinct r^p and e^{-dr} of a row is
+        made once, and every Laguerre value comes from one column recurrence over the distinct
+        (a + l, b, row), each (l, sum) row filled as the recurrence passes its degree.  If a
+        value is not finite, the terms are added again in complex arithmetic, so that inf and
+        nan land as there."""
         if any(len(f) > 1 or not f.is_real for f in sums):
             raise DomainError("jets take sums of at most one real term")
         rv = np.asarray(r, dtype=float)
+        rv = np.broadcast_to(rv, (len(sums), rv.size)) if rv.ndim == 1 else rv
+        if rv.ndim != 2 or len(rv) != len(sums):
+            raise DomainError(f"jets take a 1-D r or one row of radii per sum, got {rv.shape} for {len(sums)} sums")
+        first = {}  # each sum's row, as the first sum with equal radii
+        row = np.array([first.setdefault(x.tobytes(), i) for i, x in enumerate(rv)])
         coef, power, decay, degree, alpha, argscale = (np.array(v) for v in zip(*(
             (t.coef.real, t.power, t.decay.real, t.degree, t.alpha, t.argscale)
             for f in sums for t in (f.terms or (LaguerreTerm(0.0, 0.0, 0.0, 0, 0.0, 0.0),)))))
@@ -148,14 +153,16 @@ class LaguerreSum:
                                    ((i, l + 1), np.where(degree > l, -c * argscale, 0.0))):
                     level[key] = level[key] + child if key in level else 0.0 + child
             levels.append(level)
-        values, at = _distinct(powers)
-        rp = np.array([rv ** q for q in values[:, 0].tolist()])[at]
-        values, at = _distinct(decay)
-        ec = np.exp(-(values + 0j) * rv)[at]
-        values, at = _distinct(orders, np.broadcast_to(argscale, orders.shape))
-        lv = np.array(list(islice(laguerre_sequence(values[:, :1], values[:, 1:] * rv), int(degree.max()) + 1)))
-        lv = lv[np.maximum(degree - np.arange(order + 1)[:, None], 0), at]
-        out = np.zeros((order + 1, len(sums), rv.size))
+        values, at = _distinct(powers, row)
+        rp = np.array([rv[int(k)] ** q for q, k in values.tolist()])[at]
+        values, at = _distinct(decay, row)
+        ec = np.exp(-(values[:, :1] + 0j) * rv[values[:, 1].astype(int)])[at]
+        values, at = _distinct(orders, argscale, row)
+        need, lv = np.maximum(degree - np.arange(order + 1)[:, None], 0), np.empty((order + 1, *rv.shape))
+        lag = laguerre_sequence(values[:, :1], values[:, 1:2] * rv[values[:, 2].astype(int)])
+        for g, value in zip(range(int(degree.max()) + 1), lag):
+            lv[need == g] = value[at[need == g]]
+        out = np.zeros(lv.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, level in enumerate(levels):
                 for (i, l), c in level.items():

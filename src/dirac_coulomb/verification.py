@@ -42,10 +42,11 @@ from .errors import DiracCoulombError
 from .problem import Alignment, ProblemParams, derive_constants
 from .quadrature import build_rules, integrate_radial
 from .radial import (
+    _second_order_residual,
     _sturmian_coefs,
     assemble_spinor,
+    default_residual_grid,
     ode_residual_first_order,
-    ode_residual_second_order,
     physical_components,
     radial_channel,
     radial_window,
@@ -170,7 +171,7 @@ def coherent_closed_residuals(s: float, requests) -> list[float]:
     """For each (channel, xi) of ``requests``, the sup-norm distance between the closed-form
     coherent state and its truncated group expansion on radial_window(1), relative to its peak."""
     grid = np.geomspace(*radial_window(1.0), 200)
-    closed = [sturmian_coherent(channel, s, xi)(grid) for channel, xi in requests]
+    closed = LaguerreSum.evaluate_all(grid, *(sturmian_coherent(channel, s, xi) for channel, xi in requests))
     series = coherent_truncated_sums(s, requests, grid)
     return [float(np.max(np.abs(c - values)) / np.max(np.abs(c))) for c, (values, _, _) in zip(closed, series)]
 
@@ -273,22 +274,19 @@ def _check_diagonalization(memo, params):
     return residuals, {"n_max": 8}
 
 
-def _gram_residual(channel, s, n_count, rule):
-    """max |<f_i, f_j> - delta_ij| over the first n_count Sturmians of a channel at s, on ``rule``."""
-    lowest = radial_channel(channel, s).lowest
-    fns = [sturmian(channel, n, s) for n in range(lowest, lowest + n_count)]
-    # each function once, on the radii integrate_radial uses at scale 1, and the
-    # entries i <= j as the rows of one integral
-    values = np.array(LaguerreSum.evaluate_all(rule.nodes / 2.0, *fns))
-    i, j = np.triu_indices(n_count)
-    entries = integrate_radial(lambda r: values[i] * values[j] * r, 1.0, rule)
-    return max(0.0, *np.abs(np.real(entries) - (i == j)).tolist())
-
-
 def _check_orthonormality(channel, memo, params):
+    # max |<f_i, f_j> - delta_ij| over the first 12 Sturmians at each s, on the radii integrate_radial
+    # uses at scale 1 on its rule; the entries i <= j of a family are the rows of one integral
     s_values = _s_grid(params)
     rules = _rules(memo, params, [(48, radial_channel(channel, s).alpha) for s in s_values])  # 48 >= 12 + 16
-    residuals = [_gram_residual(channel, s, 12, rule) for s, rule in zip(s_values, rules)]
+    lowest = radial_channel(channel, 1.0).lowest
+    values = LaguerreSum.jets(np.repeat([rule.nodes / 2.0 for rule in rules], 12, axis=0), 0,
+                              *(sturmian(channel, n, s) for s in s_values for n in range(lowest, lowest + 12)))
+    i, j = np.triu_indices(12)
+    residuals = []
+    for f, rule in zip(values.reshape(len(rules), 12, -1), rules):
+        entries = integrate_radial(lambda r: f[i] * f[j] * r, 1.0, rule)
+        residuals.append(max(0.0, *np.abs(np.real(entries) - (i == j)).tolist()))
     return residuals, {"channel": channel, "count": 12}
 
 
@@ -323,12 +321,14 @@ def _check_ladder(memo, params):
     residuals = []
     s_values = _s_grid(params)
     channels = [(channel, s, radial_channel(channel, s)) for s in s_values for channel in ("u", "v")]
-    # order max(32, n + 10): one rule for all five levels of a family
-    keys = [_ladder_rule_key(channel, ch.lowest + 4, s) for channel, s, ch in channels]
-    for (channel, s, ch), rule in zip(channels, _rules(memo, params, keys)):
+    # order max(32, n + 10) = 32: one rule for all five levels of a family, and its six Sturmians' jets on its radii
+    rules = _rules(memo, params, [_ladder_rule_key(channel, ch.lowest + 4, s) for channel, s, ch in channels])
+    jet = LaguerreSum.jets(np.repeat([rule.nodes / 2.0 for rule in rules], 6, axis=0), 2, *(
+        sturmian(channel, n, s) for channel, s, ch in channels for n in range(ch.lowest, ch.lowest + 6)))
+    for i, ((channel, s, ch), rule) in enumerate(zip(channels, rules)):
         k = ch.sigma + 1.0  # as the algebra forms it: for s < 0.5 not ch.bargmann bit for bit
         levels = range(ch.lowest, ch.lowest + 5)
-        for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rule)):
+        for n, (up, down) in zip(levels, _ladder_projections(channel, levels, s, rule, jet[:, 6 * i:6 * i + 6])):
             ng = n - ch.lowest
             up_want = math.sqrt((ng + 1.0) * (2.0 * k + ng))
             residuals.append(abs(up - up_want) / up_want)
@@ -360,11 +360,11 @@ def _check_ode_first(perturb: bool, memo, params):
 
 
 def _check_ode_second(memo, params):
-    residuals = []
-    for constants, level in _levels(params, 5):
-        u_t, v_t = physical_components(level, constants)
-        residuals.append(float(np.max(ode_residual_second_order(v_t, level, constants, "v")[0])))
-        residuals.append(float(np.max(ode_residual_second_order(u_t, level, constants, "u")[0])))
+    parts = [(constants, level, channel, f, default_residual_grid(level.a)) for constants, level in _levels(params, 5)
+             for channel, f in zip("vu", physical_components(level, constants)[::-1])]
+    jet = LaguerreSum.jets(np.array([grid for *_, grid in parts]), 2, *(f for _, _, _, f, _ in parts))
+    residuals = [float(np.max(_second_order_residual(jet[:, i], grid, level, constants, channel)))
+                 for i, (constants, level, channel, _, grid) in enumerate(parts)]
     return residuals, {"n_max": 5, "channels": "u,v"}
 
 

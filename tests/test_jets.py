@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirac_coulomb import Alignment, DomainError, LaguerreSum, OperatorKind, ProblemParams, RadialOperator, algebra
 from dirac_coulomb import build_rule, radial_channel, sturmian, su11_commutator_report, verification
@@ -83,6 +83,47 @@ def test_jets_keep_the_bits_of_the_derivative_chain(s, channels, first, count, t
     if theta:
         fs, r = [f.scaled(theta) for f in fs], math.exp(-theta) * r
     same_jets(r, order, fs)
+
+
+# rows of 40 radii: the algebra grid's range, and the nodes of two rules, on whose far end r^150 overflows
+ROWS = (np.geomspace(0.05, 30.0, 40), build_rule(40, radial_channel("v", 0.866).alpha).nodes / 2.0,
+        build_rule(40, radial_channel("v", 150.0).alpha).nodes / 2.0)
+MEMBER = st.tuples(st.sampled_from("uv"), st.integers(0, 5), st.sampled_from([0.6, 0.866, 2.2, 150.0, 400.0]),
+                   st.integers(0, len(ROWS) - 1), st.sampled_from([0.0, 0.7, -0.7]))
+
+
+@settings(max_examples=60)
+@given(members=st.lists(MEMBER, min_size=1, max_size=12), order=st.sampled_from([0, 2, 4]))
+@example(members=[("v", 2, 400.0, 0, 0.0), ("u", 0, 0.866, 0, 0.0), ("v", 2, 400.0, 1, 0.7)], order=4)
+@example(members=[("v", 0, 0.866, 1, 0.0), ("v", 3, 150.0, 2, 0.0), ("u", 1, 2.2, 0, -0.7),
+                  ("v", 0, 0.866, 1, 0.0), ("v", 1, 150.0, 2, 0.0)], order=4)
+def test_jets_on_a_row_of_radii_per_sum_keep_the_bits_of_each_sum_alone(members, order):
+    # each sum on its own row, rows repeated or not, dilated functions on e^-theta r as the scaling check
+    # takes them; s = 400 gives an empty sum, and s = 150 on the third row overflows, which sends the
+    # whole batch through the complex redo
+    fs, rows = [], []
+    for channel, offset, s, row, theta in members:
+        f = sturmian(channel, radial_channel(channel, s).lowest + offset, s)
+        fs.append(f.scaled(theta) if theta else f)
+        rows.append(math.exp(-theta) * ROWS[row] if theta else ROWS[row])
+    with np.errstate(all="ignore"):
+        got = LaguerreSum.jets(np.array(rows), order, *fs)
+        alone = [LaguerreSum.jets(r, order, f)[:, 0] for r, f in zip(rows, fs)]
+    assert got.shape == (order + 1, len(fs), 40)
+    for i, want in enumerate(alone):
+        assert np.array_equal(got[:, i], want, equal_nan=True), members[i]
+    if ("v", 3, 150.0, 2, 0.0) in members:
+        assert not np.isfinite(got).all() and np.isfinite(got[:, 0]).all()
+    for i, (_, _, s, _, _) in enumerate(members):
+        if s == 400.0:
+            assert len(fs[i]) == 0 and not got[:, i].any()
+
+
+def test_jets_take_one_row_of_radii_per_sum():
+    fs = [sturmian("v", 1, 0.866), sturmian("u", 2, 1.5)]
+    for rows in (np.array([GRID]), np.array([GRID] * 3), np.array([[GRID] * 2])):
+        with pytest.raises(DomainError, match="one row of radii per sum"):
+            LaguerreSum.jets(rows, 2, *fs)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 0.866])
@@ -176,3 +217,25 @@ def test_jet_checks_pass_with_room_on_benchmark_like_problems(dimension, j, alig
         residuals, _ = registry[name](params)
         assert max(residuals) <= verification.DEFAULT_TOLERANCES[name] / 1000.0, name
         assert all(math.isfinite(r) for r in residuals)
+
+
+def image_without_the_factorials(kind, centrifugal, jet, r):
+    """algebra._image with the j! of the j-th derivative of cent/(2r) dropped, for j >= 2."""
+    t, h = algebra._COEFFICIENTS[kind]
+    orders = len(jet) - 2
+    a0 = [centrifugal / (2.0 * r) + h * r + t, h - centrifugal / (2.0 * r * r)]
+    a0 += [(-1.0) ** j * centrifugal / (2.0 * r ** (j + 1)) for j in range(2, orders)]
+    return [-0.5 * r * jet[m + 2] + (t * r - 1.0 - 0.5 * m) * jet[m + 1] + m * t * jet[m]
+            + sum(math.comb(m, j) * a0[j] * jet[m - j] for j in range(m + 1)) for m in range(orders)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: an error common to every image cancels in the pointwise su(1,1) "
+                          "checks, so only an exact check of each image sees this mutant")
+def test_an_image_without_the_factorials_of_the_centrifugal_derivatives_fails_an_algebra_check(default_params,
+                                                                                            monkeypatch):
+    # the second images of the family pass take the wrong f'' of c/(2r); the ladder and scaling checks,
+    # which take first images only, cannot see it, and the rest run no image
+    monkeypatch.setattr(algebra, "_image", image_without_the_factorials)
+    reports = verification.run_suite(default_params)
+    assert any(not rep.passed for rep in reports if rep.name in JET_CHECKS)

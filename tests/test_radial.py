@@ -21,6 +21,7 @@ from dirac_coulomb import (
     spinor_coefficients,
     sturmian,
 )
+from reference import second_order_residual
 
 
 def sign_changes(values):
@@ -110,8 +111,8 @@ class TestPhysicalComponents:
     def test_components_solve_their_equations(self, default_params, default_constants):
         level = bound_level(2, default_params, default_constants)
         u_t, v_t = physical_components(level, default_constants)
-        assert max(ode_residual_second_order(v_t, level, default_constants, "v")[0]) < 1e-8
-        assert max(ode_residual_second_order(u_t, level, default_constants, "u")[0]) < 1e-8
+        assert max(ode_residual_second_order(v_t, level, default_constants)[0]) < 1e-8
+        assert max(second_order_residual(u_t, level, default_constants, "u")) < 1e-8
 
 
 class TestCoefficientRatio:

@@ -11,13 +11,14 @@ tolerance.
 
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 from dirac_coulomb import (Alignment, LaguerreSum, LaguerreTerm, ProblemParams, algebra, assemble_coherent_spinor,
                            assemble_spinor, derive_constants, physical_components, radial_channel, sturmian,
-                           verification)
+                           sturmian_coherent, verification)
 from dirac_coulomb.algebra import (
     OperatorKind,
     RadialOperator,
@@ -30,9 +31,10 @@ from dirac_coulomb.algebra import (
     SU11_RELATIONS,
 )
 from dirac_coulomb.quadrature import build_rule, integrate_radial
+from dirac_coulomb.radial import radial_window
 from dirac_coulomb.report import VerificationReport
 from dirac_coulomb.special import laguerre
-from reference import ladder_matrix_elements
+from reference import ladder_matrix_elements, second_order_residual
 from test_verify_table import test_each_check_builds_each_distinct_rule_once as _builds_each_rule_once
 
 
@@ -304,13 +306,14 @@ def test_gram_entries(problem, channel, monkeypatch):
         return entries[-1]
 
     monkeypatch.setattr(verification, "integrate_radial", recorded)
-    for s in verification._s_grid(problem):
-        worst = verification._gram_residual(channel, s, 12, build_rule(48, radial_channel(channel, s).alpha))
+    residuals, _ = verification._check_orthonormality(channel, {}, problem)
+    s_values = verification._s_grid(problem)
+    assert len(entries) == len(residuals) == len(s_values)
+    targets = [1.0 if i == j else 0.0 for i in range(12) for j in range(i, 12)]
+    for s, got, worst in zip(s_values, entries, residuals):
         want = reference_gram(channel, s, 12)
-        assert len(entries) == 1 and np.array(entries[0]).tobytes() == np.array(want).tobytes()
-        targets = [1.0 if i == j else 0.0 for i in range(12) for j in range(i, 12)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
         assert worst == max(abs(float(np.real(v)) - t) for v, t in zip(want, targets))
-        entries.clear()
 
 
 def test_ladder_check_matches_per_call_rules(problem):
@@ -340,9 +343,19 @@ def test_ladder_projections_match_per_call_body(problem):
             n_start = 0 if channel == "u" else 1
             levels = range(n_start, n_start + 5)
             rule = build_rule(*_ladder_rule_key(channel, n_start, s))
+            jet = LaguerreSum.jets(rule.nodes / 2.0, 2, *(sturmian(channel, n, s) for n in range(n_start, n_start + 6)))
             want = [reference_ladder(channel, n, s, rule) for n in levels]
-            assert _ladder_projections(channel, levels, s, rule) == want
-            assert [_ladder_projections(channel, [n], s, rule)[0] for n in levels] == want
+            assert _ladder_projections(channel, levels, s, rule, jet) == want
+            assert [_ladder_projections(channel, [n], s, rule, jet)[0] for n in levels] == want
+
+
+def test_ode_second_check_matches_the_chain_of_each_component(problem):
+    # the 20 components of the check's one jets call, each with the residuals of its own chain
+    residuals, _ = verification._check_ode_second({}, problem)
+    want = [float(np.max(second_order_residual(component, level, constants, channel)))
+            for constants, level in verification._levels(problem, 5)
+            for channel, component in zip("vu", physical_components(level, constants)[::-1])]
+    assert residuals == want
 
 
 def test_scaling_residuals_match_per_call_body(problem, monkeypatch):
@@ -489,33 +502,81 @@ def test_oracles_compute_each_laguerre_factor_once(default_params, default_const
     for n in (1, 2, 5):
         level = spectrum.bound_level(n, default_params, default_constants)
         once(lambda: radial.ode_residual_first_order(radial.assemble_spinor(level, default_constants)))
-        for channel, component in zip("uv", physical_components(level, default_constants)):
-            once(lambda: radial.ode_residual_second_order(component, level, default_constants, channel))
-    for channel, n in (("u", 0), ("u", 3), ("v", 1), ("v", 4)):
-        once(lambda: _ladder_projections(channel, [n, n + 1], s, build_rule(*_ladder_rule_key(channel, n, s))))
-        once(lambda: scaling_identity_residual([0.7, -0.7], [sturmian(channel, n, s)], grid,
-                                               [radial_channel(channel, s).sigma]))
+        once(lambda: radial.ode_residual_second_order(physical_components(level, default_constants)[1], level,
+                                                      default_constants))
+    # the batched checks, each in one kernel call: every Gram family, every ladder rule, the v and u
+    # components of every level, and the functions and their dilations of the scaling identities
+    for check in (partial(verification._check_orthonormality, "u"),
+                  partial(verification._check_orthonormality, "v"),
+                  verification._check_ladder, verification._check_ode_second):
+        once(lambda: check({}, default_params))
+    probes = [("v", 1), ("v", 2), ("v", 4), ("u", 0), ("u", 3)]
+    once(lambda: scaling_identity_residual([0.0, 0.7, -0.7], [sturmian(channel, n, s) for channel, n in probes], grid,
+                                           [radial_channel(channel, s).sigma for channel, _ in probes]))
     once(lambda: su11_commutator_report("v", s, range(1, 11), grid))
+    once(lambda: verification.coherent_closed_residuals(s, [("u", 0.4), ("v", 0.4), ("u", -0.2j)]))
+
+
+def test_default_verify_makes_one_jets_call_per_check(default_params, monkeypatch):
+    # the check that runs each LaguerreSum.jets call of a default suite, in turn
+    calls, running = [], []
+    original_jets = LaguerreSum.jets
+
+    def kernel(r, order, *sums):
+        calls.append(running[-1])
+        return original_jets(r, order, *sums)
+
+    monkeypatch.setattr(LaguerreSum, "jets", staticmethod(kernel))
+    for name, check in verification._registry(False).items():
+        running.append(name)
+        check(default_params)
+    assert calls == ["sturmian_orthonormality_u", "sturmian_orthonormality_v", "commutator_k0_kplus",
+                     "ladder_coefficients", "scaling_identities", "ode_second_order"]
+
+
+def test_closed_forms_are_evaluated_in_one_call(problem, monkeypatch):
+    # the check's 12 closed forms in one evaluate_all call, each with the bits of its own evaluation
+    s = derive_constants(problem).s
+    requests = [(channel, xi) for channel in ("u", "v") for mod in verification.XI_GRID
+                for xi in (mod, mod * np.exp(2.0j))]
+    grid = np.geomspace(*radial_window(1.0), 200)
+    want = []
+    for channel, xi in requests:
+        closed = sturmian_coherent(channel, s, xi)(grid)
+        values, _, _ = verification.coherent_truncated_sum(channel, s, xi, grid)
+        want.append(float(np.max(np.abs(closed - values)) / np.max(np.abs(closed))))
+    evaluated = []
+    original_all = LaguerreSum.evaluate_all
+    monkeypatch.setattr(LaguerreSum, "evaluate_all",
+                        staticmethod(lambda r, *sums: evaluated.append(len(sums)) or original_all(r, *sums)))
+    assert verification._check_coherent_closed({}, problem)[0] == want
+    assert evaluated == [12]
 
 
 @pytest.mark.parametrize("channel", ["u", "v"])
-def test_gram_evaluates_each_sturmian_once(channel, monkeypatch):
+def test_gram_evaluates_each_sturmian_once(default_params, channel, monkeypatch):
+    # the 12 Sturmians of each of the 5 families, each built once and evaluated once, in one order-0 jets call
     made, gathered = [], []
-    original_all = LaguerreSum.evaluate_all
+    original_jets = LaguerreSum.jets
 
-    def kernel(r, *sums):
-        gathered.append(sums)
-        return original_all(r, *sums)
+    def kernel(r, order, *sums):
+        gathered.append((order, np.asarray(r), sums))
+        return original_jets(r, order, *sums)
 
     def recorded(*args):
         made.append(sturmian(*args))
         return made[-1]
 
-    monkeypatch.setattr(LaguerreSum, "evaluate_all", staticmethod(kernel))
+    monkeypatch.setattr(LaguerreSum, "jets", staticmethod(kernel))
     monkeypatch.setattr(verification, "sturmian", recorded)
-    verification._gram_residual(channel, 0.866, 12, build_rule(48, radial_channel(channel, 0.866).alpha))
-    assert len(made) == 12
-    assert len(gathered) == 1 and [id(f) for f in gathered[0]] == [id(f) for f in made]
+    verification._check_orthonormality(channel, {}, default_params)
+    assert len(made) == 60
+    ((order, r, sums),) = gathered
+    assert order == 0 and [id(f) for f in sums] == [id(f) for f in made]
+    # each family on its own rule's radii
+    for i, s in enumerate(verification._s_grid(default_params)):
+        nodes = build_rule(48, radial_channel(channel, s).alpha).nodes / 2.0
+        assert all(np.array_equal(row, nodes) for row in r[12 * i:12 * i + 12])
 
 
 @pytest.mark.parametrize("levels", [range(1, 11), range(1, 4), range(2, 9)])
